@@ -107,14 +107,14 @@ def js_mean_factor(
     of the entries of mu. For C < 3 or a zero vector the factor degrades to
     the identity (flag True) so BN still functions on tiny channel counts.
     """
+    if variance_convention not in ("population", "sample"):
+        raise InvalidInputError(f"unknown variance convention {variance_convention!r}")
     mu = np.asarray(mu, dtype=np.float64)
     c = mu.size
     norm_sq = float(mu @ mu)
     if c < 3 or norm_sq == 0.0:
         return 1.0, True
     ddof = 0 if variance_convention == "population" else 1
-    if variance_convention not in ("population", "sample"):
-        raise InvalidInputError(f"unknown variance convention {variance_convention!r}")
     disp = float(np.var(mu, ddof=ddof))
     factor = 1.0 - (c - 2) * disp / norm_sq
     if positive_part:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field, asdict
@@ -29,7 +30,7 @@ from .nn import (
 )
 from .noise import NoiseSpec, sample_noise_flat
 from .rng import CounterRng
-from .tensor import InvalidInputError
+from .tensor import InvalidInputError, NonFiniteError
 
 CHECKPOINT_MAGIC = b"SBN1"
 RESULTS_HEADER = "method,batch_size,noise_pct,seed,metric,value,epochs"
@@ -151,18 +152,26 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     if blob[:4] != CHECKPOINT_MAGIC:
         raise InvalidInputError("not a checkpoint file (bad magic)")
     out, pos = {}, 4
+
+    def take(size: int, what: str) -> int:
+        """Offset of the next `size` bytes; a cut file names where it ends."""
+        nonlocal pos
+        if size > len(blob) - pos:
+            raise InvalidInputError(
+                f"truncated checkpoint: {what} at offset {pos} needs {size} bytes, "
+                f"{len(blob) - pos} left"
+            )
+        pos += size
+        return pos - size
+
     while pos < len(blob):
-        (name_len,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{ndim}I", blob, pos)
-        pos += 4 * ndim
-        count = int(np.prod(dims)) if ndim else 1
-        out[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(dims)
-        pos += 8 * count
+        (name_len,) = struct.unpack_from("<I", blob, take(4, "name length"))
+        name = blob[take(name_len, "array name") : pos].decode("utf-8")
+        (ndim,) = struct.unpack_from("<I", blob, take(4, f"ndim of {name!r}"))
+        dims = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim, f"dims of {name!r}"))
+        count = math.prod(dims)
+        offset = take(8 * count, f"payload of {name!r}")
+        out[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(dims)
     return out
 
 
@@ -187,7 +196,9 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         arrays = load_arrays(path)
-        meta = arrays.pop("__meta__")
+        meta = arrays.pop("__meta__", None)
+        if meta is None or meta.shape != (4,):
+            raise InvalidInputError(f"checkpoint {path} has no 4-entry __meta__ array")
         with open(str(path) + ".json") as f:
             config = ExperimentConfig.from_json(f.read())
         return cls(
@@ -244,30 +255,35 @@ def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkp
     best_state = {k: v.copy() for k, v in model.state_arrays().items()}
     best_epoch, stale = 0, 0
 
-    for epoch in range(1, config.max_epochs + 1):
-        model.train()
-        order = np.argsort(shuffle_rng.uniform(x_tr.shape[0], 104, epoch), kind="stable")
-        for lo in range(0, x_tr.shape[0] - 1, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            if idx.size < 2:
-                continue  # BN needs at least 2 samples
-            logits = model.forward(x_tr[idx])
-            loss, grad = softmax_cross_entropy(logits, y_tr[idx])
-            if not np.isfinite(loss):
-                warnings.warn(f"diverged at epoch {epoch} (loss={loss}); run marked failed")
-                model.load_state_arrays(best_state)
-                return Checkpoint(config, seed, best_state, epoch, best_val, diverged=True)
-            model.backward(grad)
-            opt.step()
-        val_acc = _evaluate(model, x_va, y_va)
-        if val_acc > best_val:
-            best_val = val_acc
-            best_state = {k: v.copy() for k, v in model.state_arrays().items()}
-            best_epoch, stale = epoch, 0
-        else:
-            stale += 1
-            if stale >= config.early_stop_patience:
-                break
+    # a diverging run surfaces as non-finite activations caught by the BN
+    # layers' Tensor4 check, or as a non-finite loss; either ends the run
+    try:
+        for epoch in range(1, config.max_epochs + 1):
+            model.train()
+            order = np.argsort(shuffle_rng.uniform(x_tr.shape[0], 104, epoch), kind="stable")
+            for lo in range(0, x_tr.shape[0] - 1, config.batch_size):
+                idx = order[lo : lo + config.batch_size]
+                if idx.size < 2:
+                    continue  # BN needs at least 2 samples
+                logits = model.forward(x_tr[idx])
+                loss, grad = softmax_cross_entropy(logits, y_tr[idx])
+                if not np.isfinite(loss):
+                    raise NonFiniteError(f"loss={loss}")
+                model.backward(grad)
+                opt.step()
+            val_acc = _evaluate(model, x_va, y_va)
+            if val_acc > best_val:
+                best_val = val_acc
+                best_state = {k: v.copy() for k, v in model.state_arrays().items()}
+                best_epoch, stale = epoch, 0
+            else:
+                stale += 1
+                if stale >= config.early_stop_patience:
+                    break
+    except NonFiniteError as exc:
+        warnings.warn(f"diverged at epoch {epoch} ({exc}); run marked failed")
+        model.load_state_arrays(best_state)
+        return Checkpoint(config, seed, best_state, epoch, best_val, diverged=True)
 
     model.load_state_arrays(best_state)
     return Checkpoint(config, seed, best_state, best_epoch, best_val)

@@ -3,7 +3,8 @@
 Just enough machinery for the desk-scale BN comparison: dense and 3x3
 convolution layers, relu, global average pooling, softmax cross-entropy,
 and SGD with Nesterov momentum. Activations travel as (N, C, H, W) float64
-arrays; BN layers wrap the Tensor4-based core.
+arrays; BN layers wrap the Tensor4-based core. Dense and Conv3x3 (via an
+im2col matrix) do their arithmetic as BLAS matrix products.
 """
 
 from __future__ import annotations
@@ -63,7 +64,18 @@ class Dense(Layer):
 
 
 class Conv3x3(Layer):
-    """3x3 convolution with padding 1 and stride 1, via im2col."""
+    """3x3 convolution with padding 1 and stride 1, as im2col + GEMM.
+
+    ``w`` is (out, in*9), its columns ordered (channel, dh, dw); that is the
+    shape checkpoints store. ``_im2col`` copies the nine shifted windows of
+    the zero-padded input into cols, shaped (N, in*9, H*W), so that
+
+    - forward is ``w @ cols[n]`` for every n (one batched matmul),
+    - the input gradient is ``w.T @ grad[n]``, folded back onto the
+      padded grid (col2im),
+    - the weight gradient is a single 2-D GEMM of grad and cols over the
+      flattened N*H*W axis.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, rng: CounterRng, tag: int):
         fan_in = in_channels * 9
@@ -78,7 +90,8 @@ class Conv3x3(Layer):
     @staticmethod
     def _im2col(x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
-        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        padded = np.zeros((n, c, h + 2, w + 2))
+        padded[:, :, 1:-1, 1:-1] = x
         cols = np.empty((n, c, 9, h, w))
         k = 0
         for dh in range(3):
@@ -90,17 +103,19 @@ class Conv3x3(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         self._shape = x.shape
-        cols = self._im2col(x)
-        self._cols = cols
-        out = np.einsum("of,nfp->nop", self.w, cols) + self.b[None, :, None]
+        self._cols = self._im2col(x)
+        out = np.matmul(self.w, self._cols) + self.b[:, None]
         return out.reshape(n, -1, h, w)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         n, c, h, w = self._shape
-        g = grad.reshape(n, -1, h * w)
+        o, f = self.w.shape
+        g = grad.reshape(n, o, h * w)
         self.db = g.sum(axis=(0, 2))
-        self.dw = np.einsum("nop,nfp->of", g, self._cols)
-        dcols = np.einsum("of,nop->nfp", self.w, g).reshape(n, c, 9, h, w)
+        # one GEMM over the flattened n*h*w axis
+        g_flat = g.transpose(1, 0, 2).reshape(o, -1)
+        self.dw = g_flat @ self._cols.transpose(1, 0, 2).reshape(f, -1).T
+        dcols = np.matmul(self.w.T, g).reshape(n, c, 9, h, w)
         dx = np.zeros((n, c, h + 2, w + 2))
         k = 0
         for dh in range(3):

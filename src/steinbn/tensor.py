@@ -16,6 +16,10 @@ class InvalidInputError(ValueError):
     """Raised when an operation receives structurally invalid input."""
 
 
+class NonFiniteError(InvalidInputError):
+    """Raised when a tensor holds NaN or infinite entries, as a diverging run does."""
+
+
 @dataclass(frozen=True)
 class Tensor4:
     """Immutable (N, C, H, W) tensor of float64 values."""
@@ -29,7 +33,7 @@ class Tensor4:
         if min(arr.shape) < 1:
             raise InvalidInputError(f"all dims must be positive, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("tensor entries must be finite")
+            raise NonFiniteError("tensor entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

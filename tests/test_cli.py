@@ -6,7 +6,7 @@ import pytest
 
 from steinbn import __version__
 from steinbn.cli import run_cli
-from steinbn.harness import Checkpoint, ExperimentConfig, rows_from_csv
+from steinbn.harness import Checkpoint, ExperimentConfig, load_arrays, rows_from_csv
 
 FAST_CONFIG = dict(
     dataset="SyntheticBlobs",
@@ -152,6 +152,32 @@ class TestTrainEvalReport:
         assert code == 0
         # eval of the saved checkpoint reproduces the training-run rows
         assert rows_from_csv(out.read_text()) == rows_from_csv(rows_csv.read_text())
+
+    def test_diverging_train_keeps_rows_and_flags_checkpoint(self, tmp_path):
+        cfg_path = write_config(tmp_path, model="TinyCNN", learning_rate=1e6, n_per_class=50,
+                                hw=4, max_epochs=5)
+        out = tmp_path / "rows.csv"
+        ckdir = tmp_path / "ckpts"
+        with pytest.warns(UserWarning, match="diverged"):
+            code = run_cli(["train", "--config", str(cfg_path), "--out", str(out),
+                            "--checkpoint-dir", str(ckdir)])
+        assert code == 0
+        assert {r.noise_pct for r in rows_from_csv(out.read_text())} == {0.0, 10.0}
+        assert load_arrays(ckdir / "stein_s1.ckpt")["__meta__"][3] == 1.0
+        assert Checkpoint.load(ckdir / "stein_s1.ckpt").diverged
+
+    def test_eval_truncated_checkpoint_exit_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        ckdir = tmp_path / "ckpts"
+        run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                 "--checkpoint-dir", str(ckdir)])
+        ckpt = ckdir / "stein_s1.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:20])
+        capsys.readouterr()
+        code = run_cli(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: truncated checkpoint")
+        assert not (tmp_path / "e.csv").exists()
 
     def test_report_merges_and_aggregates(self, tmp_path):
         a = write_config(tmp_path, seeds=[1])

@@ -100,6 +100,11 @@ class TestJsMeanChannels:
         assert factor == 1.0 and degraded
         np.testing.assert_array_equal(js_mean_channels(mu), mu)
 
+    @pytest.mark.parametrize("mu", [np.array([1.0, 2.0]), np.zeros(4)])
+    def test_unknown_convention_rejected_before_degrading(self, mu):
+        with pytest.raises(InvalidInputError, match="variance convention"):
+            js_mean_factor(mu, variance_convention="bessel")
+
     def test_zero_vector_degrades_to_identity(self):
         factor, degraded = js_mean_factor(np.zeros(4))
         assert factor == 1.0 and degraded

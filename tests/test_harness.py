@@ -33,6 +33,8 @@ FAST = dict(
     max_epochs=3,
     seeds=[1],
 )
+# a learning rate this large drives the activations to inf within five epochs
+DIVERGING = dict(model="TinyCNN", learning_rate=1e6, n_per_class=50, hw=4, max_epochs=5, seeds=[1])
 
 
 class TestData:
@@ -152,6 +154,24 @@ class TestCheckpointFormat:
         with pytest.raises(InvalidInputError):
             load_arrays(path)
 
+    def test_every_truncation_is_a_clean_error(self, tmp_path):
+        cfg = ExperimentConfig(**{**FAST, "max_epochs": 0})
+        ckpt = train_model(cfg, make_dataset(cfg, seed=1), seed=1)
+        path = tmp_path / "model.ckpt"
+        ckpt.save(path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        (tmp_path / "cut.ckpt.json").write_text(cfg.to_json())
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(InvalidInputError):
+                Checkpoint.load(cut)
+        # the error names the field and the offset where the file ends early
+        for size, field in ((6, "name length at offset 4"), (20, "dims of 'layer0.w' at offset 20")):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(InvalidInputError, match=field):
+                load_arrays(cut)
+
     def test_checkpoint_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(**FAST)
         ds = make_dataset(cfg, seed=1)
@@ -200,6 +220,18 @@ class TestTraining:
         cfg = ExperimentConfig(**{**FAST, "model": "TinyCNN", "max_epochs": 2})
         rows = run_sweep(cfg)
         assert all(0.0 <= r.value <= 100.0 for r in rows)
+
+    @pytest.mark.parametrize("model", ["TinyCNN", "MLP2"])
+    def test_divergence_returns_flagged_checkpoint(self, model):
+        cfg = ExperimentConfig(**{**DIVERGING, "model": model})
+        ds = make_dataset(cfg, seed=1)
+        with pytest.warns(UserWarning, match="diverged at epoch"):
+            ckpt = train_model(cfg, ds, seed=1)
+        assert ckpt.diverged and ckpt.epochs_trained >= 1
+        # the best state before divergence is restored and still evaluates
+        assert all(np.isfinite(v).all() for v in ckpt.arrays.values())
+        rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family, seed=1)
+        assert 0.0 <= rows[0].value <= 100.0
 
     def test_lasso_ridge_zero_lambda_match_standard_trajectories(self):
         base = ExperimentConfig(**{**FAST, "bn_variant": "standard"})
