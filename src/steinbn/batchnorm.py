@@ -1,23 +1,35 @@
 """Batch normalization variants over (N, C, H, W) tensors.
 
 Six variants share one forward/backward skeleton: raw channel moments are
-corrected by a per-channel affine map (coefficients frozen per batch), then
-the usual normalize-and-affine step is applied. The backward pass treats the
-frozen correction coefficients as constants of the batch, so gradients flow
-through the raw moments exactly as in standard BN.
+corrected by a per-channel affine map ``corrected = coef * raw + offset``
+(a ``Correction``, frozen per batch), then the usual normalize-and-affine
+step is applied. Each variant is one rule from the batch statistics
+``(mean, var, n)`` to its Correction, built from the coefficient rules in
+``estimators``. Eval mode is a Correction too: coefficients 0 and offsets
+equal to the running statistics, applied to zero raw statistics, so train
+and eval share the forward and backward code. The backward pass treats the
+frozen coefficients as constants of the batch, so gradients flow through the
+raw moments exactly as in standard BN; with zero coefficients it reduces to
+the diagonal ``gamma * inv_std``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimators import (
     VAR_FLOOR,
-    geometric_mean,
     js_mean_factor,
+    khoshsirat_variance_coefficients,
+    lasso_mean_coefficients,
+    lasso_variance_coefficients,
+    ridge_mean,
+    ridge_variance,
+    stein_variance_coefficients,
     variance_c_bound,
 )
 from .tensor import ChannelStats, InvalidInputError, Tensor4, channel_moments
@@ -107,24 +119,32 @@ class BNLayer:
             setattr(self, name, np.asarray(arrays[name], dtype=np.float64).copy())
 
 
-@dataclass
-class BNForwardCache:
-    """Everything the backward pass needs, with the forward's exact inv_std."""
+class Correction(NamedTuple):
+    """Frozen per-channel affine correction: corrected = coef * raw + offset.
 
-    mode: BNMode
-    raw: ChannelStats | None
-    corrected_mean: np.ndarray
-    corrected_var: np.ndarray
-    inv_std: np.ndarray
-    normalized: Tensor4
-    x: Tensor4
-    # frozen per-channel affine correction: corrected = coef * raw + offset
+    Carries the scalar James-Stein mean factor and its degraded flag (C < 3
+    or a zero mean vector) alongside.
+    """
+
     mean_coef: np.ndarray
     mean_offset: np.ndarray
     var_coef: np.ndarray
     var_offset: np.ndarray
-    shrink_factor_mean: float
-    mean_degraded: bool
+    shrink_factor_mean: float = 1.0
+    mean_degraded: bool = False
+
+
+@dataclass
+class BNForwardCache:
+    """Everything the backward pass needs, with the forward's exact inv_std."""
+
+    raw: ChannelStats
+    correction: Correction
+    corrected_mean: np.ndarray
+    corrected_var: np.ndarray
+    inv_std: np.ndarray
+    normalized: np.ndarray
+    x: Tensor4
 
 
 def _auto_c(layer: BNLayer, n: int, p: int) -> float:
@@ -135,112 +155,54 @@ def _auto_c(layer: BNLayer, n: int, p: int) -> float:
     return 0.5 * variance_c_bound(n, p)
 
 
-def correction_coefficients(
-    layer: BNLayer, stats: ChannelStats
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, bool]:
-    """Frozen affine coefficients (mean_coef, mean_offset, var_coef, var_offset).
-
-    Returns the scalar mean shrink factor and a degraded flag alongside; the
-    coefficients already encode clamping decisions made at the current batch.
-    """
-    c = stats.mean.size
-    n = stats.count
-    ones, zeros = np.ones(c), np.zeros(c)
-    mean_coef, mean_offset = ones.copy(), zeros.copy()
-    var_coef, var_offset = ones.copy(), zeros.copy()
+def correction_coefficients(layer: BNLayer, stats: ChannelStats) -> Correction:
+    """The frozen correction of one batch's statistics (mean, var, n), with one
+    rule per variant; the formulas are the estimators' coefficient rules."""
+    mean, var, n, lam, variant = stats.mean, stats.var, stats.count, layer.lam, layer.variant
+    mean_coef, mean_offset, var_coef, var_offset = 1.0, 0.0, 1.0, 0.0
     s_mean, degraded = 1.0, False
-    variant = layer.variant
-
     if variant in (BNVariant.STEIN, BNVariant.MEAN_ONLY, BNVariant.KHOSHSIRAT):
-        s_mean, degraded = js_mean_factor(stats.mean, positive_part=layer.positive_part)
-        mean_coef = np.full(c, s_mean)
-
+        s_mean, degraded = js_mean_factor(mean, positive_part=layer.positive_part)
+        mean_coef = s_mean
     if variant == BNVariant.STEIN:
-        floored = np.maximum(stats.var, VAR_FLOOR)
-        c_t = _auto_c(layer, n, c)
-        var_coef = np.full(c, n / (n + 1.0))
-        var_offset = np.full(c, c_t * geometric_mean(floored))
+        var_coef, var_offset = stein_variance_coefficients(var, n, _auto_c(layer, n, mean.size))
     elif variant == BNVariant.KHOSHSIRAT:
-        t, _ = js_mean_factor(stats.var)
-        corrected = t * stats.var
-        clamped = corrected < VAR_FLOOR
-        var_coef = np.where(clamped, 0.0, t)
-        var_offset = np.where(clamped, VAR_FLOOR, 0.0)
+        var_coef, var_offset = khoshsirat_variance_coefficients(var)
     elif variant == BNVariant.LASSO:
-        thr = layer.lam / (2.0 * n)
-        active = np.abs(stats.mean) > thr
-        mean_coef = np.where(active, 1.0, 0.0)
-        mean_offset = np.where(active, -np.sign(stats.mean) * thr, 0.0)
-        vpos = stats.var - layer.lam / 2.0 > VAR_FLOOR
-        var_coef = np.where(vpos, 1.0, 0.0)
-        var_offset = np.where(vpos, -layer.lam / 2.0, VAR_FLOOR)
+        mean_coef, mean_offset = lasso_mean_coefficients(mean, n, lam)
+        var_coef, var_offset = lasso_variance_coefficients(var, lam)
     elif variant == BNVariant.RIDGE:
-        mean_coef = np.full(c, n / (n + layer.lam))
-        var_coef = np.full(c, 1.0 / (1.0 + layer.lam))
-
-    return mean_coef, mean_offset, var_coef, var_offset, s_mean, degraded
+        # ridge is linear: its coefficient is its estimate at a unit statistic
+        mean_coef, var_coef = ridge_mean(n, n, lam), ridge_variance(1.0, lam)
+    coefs = (mean_coef, mean_offset, var_coef, var_offset)
+    return Correction(*(np.full(mean.size, v, dtype=np.float64) for v in coefs), s_mean, degraded)
 
 
 def bn_forward(layer: BNLayer, x: Tensor4) -> tuple[Tensor4, BNForwardCache]:
     """Normalize x; in train mode also update the running statistics."""
-    _, c, _, _ = x.dims
+    n, c, h, w = x.dims
     if c != layer.num_channels:
         raise InvalidInputError(f"layer has C={layer.num_channels}, input has C={c}")
 
-    if layer.mode == BNMode.EVAL:
-        mean = layer.running_mean
-        var = np.maximum(layer.running_var, VAR_FLOOR)
-        inv_std = 1.0 / np.sqrt(var + layer.eps)
-        normalized = Tensor4((x.data - mean[None, :, None, None]) * inv_std[None, :, None, None])
-        y = Tensor4(
-            layer.gamma[None, :, None, None] * normalized.data
-            + layer.beta[None, :, None, None]
-        )
-        cache = BNForwardCache(
-            mode=BNMode.EVAL,
-            raw=None,
-            corrected_mean=mean.copy(),
-            corrected_var=var.copy(),
-            inv_std=inv_std,
-            normalized=normalized,
-            x=x,
-            mean_coef=np.ones(c),
-            mean_offset=np.zeros(c),
-            var_coef=np.ones(c),
-            var_offset=np.zeros(c),
-            shrink_factor_mean=1.0,
-            mean_degraded=False,
-        )
-        return y, cache
-
-    stats = channel_moments(x)
-    m_coef, m_off, v_coef, v_off, s_mean, degraded = correction_coefficients(layer, stats)
-    corrected_mean = m_coef * stats.mean + m_off
-    corrected_var = np.maximum(v_coef * stats.var + v_off, VAR_FLOOR)
+    training = layer.mode == BNMode.TRAIN
+    if training:
+        raw = channel_moments(x)
+        corr = correction_coefficients(layer, raw)
+    else:
+        zeros = np.zeros(c)
+        raw = ChannelStats(zeros, zeros, n * h * w)
+        corr = Correction(zeros, layer.running_mean, zeros, layer.running_var)
+    corrected_mean = corr.mean_coef * raw.mean + corr.mean_offset
+    corrected_var = np.maximum(corr.var_coef * raw.var + corr.var_offset, VAR_FLOOR)
     inv_std = 1.0 / np.sqrt(corrected_var + layer.eps)
 
-    normalized = Tensor4(
-        (x.data - corrected_mean[None, :, None, None]) * inv_std[None, :, None, None]
-    )
+    normalized = (x.data - corrected_mean[None, :, None, None]) * inv_std[None, :, None, None]
     y = Tensor4(
-        layer.gamma[None, :, None, None] * normalized.data + layer.beta[None, :, None, None]
+        layer.gamma[None, :, None, None] * normalized + layer.beta[None, :, None, None]
     )
-    bn_update_running(layer, ChannelStats(corrected_mean, corrected_var, stats.count))
-    cache = BNForwardCache(
-        mode=BNMode.TRAIN,
-        raw=stats,
-        corrected_mean=corrected_mean,
-        corrected_var=corrected_var,
-        inv_std=inv_std,
-        normalized=normalized,
-        x=x,
-        mean_coef=m_coef,
-        mean_offset=m_off,
-        var_coef=v_coef,
-        var_offset=v_off,
-        shrink_factor_mean=s_mean,
-        mean_degraded=degraded,
-    )
+    if training:
+        bn_update_running(layer, ChannelStats(corrected_mean, corrected_var, raw.count))
+    cache = BNForwardCache(raw, corr, corrected_mean, corrected_var, inv_std, normalized, x)
     return y, cache
 
 
@@ -252,13 +214,11 @@ def bn_backward(
         raise InvalidInputError("grad_out shape does not match cached forward input")
     g = grad_out.data
     grad_beta = g.sum(axis=(0, 2, 3))
-    grad_gamma = (g * cache.normalized.data).sum(axis=(0, 2, 3))
+    grad_gamma = (g * cache.normalized).sum(axis=(0, 2, 3))
 
     inv_std = cache.inv_std[None, :, None, None]
     gx_hat = g * layer.gamma[None, :, None, None]
-
-    if cache.mode == BNMode.EVAL:
-        return Tensor4(gx_hat * inv_std), grad_gamma, grad_beta
+    corr = cache.correction
 
     n, c, h, w = cache.x.dims
     m = n * h * w
@@ -270,10 +230,10 @@ def bn_backward(
         (gx_hat * (cache.x.data - cache.corrected_mean[None, :, None, None])).sum(axis=(0, 2, 3))
         * -0.5
         * cache.inv_std**3
-        * cache.var_coef
+        * corr.var_coef
     )
     dmean = (
-        -(gx_hat.sum(axis=(0, 2, 3))) * cache.inv_std * cache.mean_coef
+        -(gx_hat.sum(axis=(0, 2, 3))) * cache.inv_std * corr.mean_coef
         + dvar * (-2.0 / m) * x_center.sum(axis=(0, 2, 3))
     )
     grad_in = (

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -28,12 +26,12 @@ from .harness import (
     Checkpoint,
     ExperimentConfig,
     aggregate_results,
+    atomic_write_bytes,
     evaluate_under_noise,
     make_dataset,
     rows_from_csv,
     rows_to_csv,
     run_sweep,
-    train_model,
 )
 from .noise import NoiseSpec, sample_noise_flat, truncated_levy_gauss
 from .rng import CounterRng
@@ -58,16 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _theta(p: int, norm: float) -> np.ndarray:
@@ -241,18 +230,7 @@ def _cmd_noise(args) -> int:
 def _cmd_train(args) -> int:
     with open(args.config) as f:
         config = ExperimentConfig.from_json(f.read())
-    if args.checkpoint_dir:
-        os.makedirs(args.checkpoint_dir, exist_ok=True)
-        rows = []
-        for seed in config.seeds:
-            dataset = make_dataset(config, seed)
-            ckpt = train_model(config, dataset, seed)
-            ckpt.save(os.path.join(args.checkpoint_dir, f"{config.bn_variant}_s{seed}.ckpt"))
-            rows.extend(
-                evaluate_under_noise(ckpt, dataset, config.noise_levels, config.noise_family, seed)
-            )
-    else:
-        rows = run_sweep(config)
+    rows = run_sweep(config, args.checkpoint_dir)
     echo = json.loads(config.to_json())
     echo["version"] = __version__
     _atomic_write(args.out, _csv_with_config(rows_to_csv(rows), echo))

@@ -1,4 +1,4 @@
-"""Synthetic datasets and CSV image ingestion for the training harness."""
+"""Synthetic datasets and their deterministic splits for the training harness."""
 
 from __future__ import annotations
 
@@ -63,25 +63,3 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     n_train = int(0.8 * n)
     n_val = int(0.1 * n)
     return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]
-
-
-def load_csv_images(path, channels: int, hw: int) -> Dataset:
-    """Read `label,px_0,...` rows with pixel values in [0,1]."""
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    labels = raw[:, 0].astype(np.int64)
-    pixels = raw[:, 1:]
-    if pixels.shape[1] != channels * hw * hw:
-        raise InvalidInputError(
-            f"rows carry {pixels.shape[1]} pixels, expected {channels * hw * hw}"
-        )
-    return Dataset(images=pixels.reshape(-1, channels, hw, hw), labels=labels)
-
-
-def save_csv_images(path, ds: Dataset) -> None:
-    n, c, h, w = ds.images.shape
-    header = "label," + ",".join(f"px_{i}" for i in range(c * h * w))
-    flat = ds.images.reshape(n, -1)
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for lbl, row in zip(ds.labels, flat):
-            f.write(str(int(lbl)) + "," + ",".join(repr(float(v)) for v in row) + "\n")

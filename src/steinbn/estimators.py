@@ -4,6 +4,11 @@ Covers the classical James-Stein mean estimator, the channel-wise JS mean
 correction, Gamma-scale shrinkage of variances toward their geometric mean,
 the Gaussian-form variance shrinkage used by prior work (kept for
 comparison), and Lasso/Ridge mean and variance estimators.
+
+Each statistic correction that batch norm applies is written once, as a
+``*_coefficients`` rule returning the per-channel affine map
+``corrected = coef * raw + offset``; the BN variants and the public
+estimators below both apply those rules.
 """
 
 from __future__ import annotations
@@ -150,6 +155,13 @@ def gamma_scale_shrink(x: np.ndarray, alpha: float, c: float) -> np.ndarray:
     return x / (alpha + 1.0) + c * geometric_mean(x)
 
 
+def stein_variance_coefficients(
+    var: np.ndarray, n: int, c: float, floor: float = VAR_FLOOR
+) -> tuple[float, float]:
+    """(n/(n+1), c*V) with V the geometric mean of the floored variances."""
+    return n / (n + 1.0), c * geometric_mean(np.maximum(var, floor))
+
+
 def js_variance_channels(
     var: np.ndarray, n: int, c: float, floor: float = VAR_FLOOR
 ) -> np.ndarray:
@@ -157,7 +169,8 @@ def js_variance_channels(
     if n < 2:
         raise InvalidInputError(f"need n >= 2 samples per channel, got {n}")
     var = np.maximum(np.asarray(var, dtype=np.float64), floor)
-    return n / (n + 1.0) * var + c * geometric_mean(var)
+    coef, offset = stein_variance_coefficients(var, n, c, floor)
+    return coef * var + offset
 
 
 def variance_gamma_params(sigma2: np.ndarray, n: int) -> GammaParams:
@@ -168,6 +181,16 @@ def variance_gamma_params(sigma2: np.ndarray, n: int) -> GammaParams:
     if np.any(sigma2 <= 0):
         raise InvalidInputError("sigma2 entries must be positive")
     return GammaParams(alpha=(n - 1) / 2.0, betas=2.0 * sigma2 / n)
+
+
+def khoshsirat_variance_coefficients(
+    var: np.ndarray, floor: float = VAR_FLOOR
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-form JS factor t on the variance vector; channels with t*var
+    below `floor` are clamped to it (coef 0, offset floor)."""
+    t, _ = js_mean_factor(var)
+    clamped = t * var < floor
+    return np.where(clamped, 0.0, t), np.where(clamped, floor, 0.0)
 
 
 def khoshsirat_variance(var: np.ndarray, floor: float = VAR_FLOOR) -> np.ndarray:
@@ -182,21 +205,41 @@ def khoshsirat_variance(var: np.ndarray, floor: float = VAR_FLOOR) -> np.ndarray
         raise InvalidInputError("need at least 3 channels")
     if float(var @ var) == 0.0:
         raise ZeroDivisionError("cannot shrink the zero vector")
-    return np.maximum(js_mean_channels(var), floor)
+    coef, offset = khoshsirat_variance_coefficients(var, floor)
+    return coef * var + offset
+
+
+def lasso_mean_coefficients(mean, n: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Soft threshold at lam/(2n): coef 1 and offset -sign(mean)*lam/(2n) where
+    |mean| exceeds it, else coef 0 and offset 0."""
+    thr = lam / (2.0 * n)
+    active = np.abs(mean) > thr
+    return np.where(active, 1.0, 0.0), np.where(active, -np.sign(mean) * thr, 0.0)
+
+
+def lasso_variance_coefficients(
+    var, lam: float, floor: float = VAR_FLOOR
+) -> tuple[np.ndarray, np.ndarray]:
+    """var - lam/2 where that exceeds `floor`, else the constant `floor`."""
+    half = lam / 2.0
+    above = var - half > floor
+    return np.where(above, 1.0, 0.0), np.where(above, -half, floor)
 
 
 def lasso_mean(xbar: float, n: int, lam: float) -> float:
     """Soft-thresholded mean: sign(xbar)*max(0, |xbar| - lam/(2n))."""
     if n < 1 or lam < 0:
         raise InvalidInputError("need n >= 1 and lam >= 0")
-    return math.copysign(1.0, xbar) * max(0.0, abs(xbar) - lam / (2.0 * n))
+    coef, offset = lasso_mean_coefficients(xbar, n, lam)
+    return float(coef * xbar + offset)
 
 
 def lasso_variance(s2: float, lam: float) -> float:
     """Thresholded variance: max(0, s2 - lam/2)."""
     if s2 < 0 or lam < 0:
         raise InvalidInputError("need s2 >= 0 and lam >= 0")
-    return max(0.0, s2 - lam / 2.0)
+    coef, offset = lasso_variance_coefficients(s2, lam, floor=0.0)
+    return float(coef * s2 + offset)
 
 
 def ridge_mean(sum_x: float, n: int, lam: float) -> float:

@@ -11,9 +11,11 @@ import csv
 import io
 import json
 import math
+import os
 import struct
+import tempfile
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -34,6 +36,16 @@ from .tensor import InvalidInputError, NonFiniteError
 
 CHECKPOINT_MAGIC = b"SBN1"
 RESULTS_HEADER = "method,batch_size,noise_pct,seed,metric,value,epochs"
+
+# JSON value types accepted per annotated ExperimentConfig field type
+_JSON_TYPES = {
+    "str": str,
+    "int": int,
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "bool": bool,
+    "list": list,
+}
 
 
 @dataclass
@@ -81,8 +93,18 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"config must be a JSON object, got {type(d).__name__}")
         if "lambda" in d:
             d["lam"] = d.pop("lambda")
+        types = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
+        for key, value in d.items():
+            if key not in types:
+                raise InvalidInputError(f"unknown config key {key!r}")
+            if not isinstance(value, types[key]):
+                raise InvalidInputError(
+                    f"config key {key!r} has a {type(value).__name__} value: {value!r}"
+                )
         return cls(**d)
 
 
@@ -128,22 +150,37 @@ def rows_from_csv(text: str) -> list[ResultRow]:
     ]
 
 
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write data to a temp file in path's directory, then rename it over path,
+    so path holds either its previous content or all of data."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format: magic "SBN1", then per array
 #   u32 name length | name utf-8 | u32 ndim | ndim x u32 dims | f64 LE payload
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype("<f8").tobytes())
+    parts = [CHECKPOINT_MAGIC]
+    for name, arr in arrays.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        encoded = name.encode("utf-8")
+        parts += [
+            struct.pack("<I", len(encoded)),
+            encoded,
+            struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape),
+            arr.astype("<f8").tobytes(),
+        ]
+    atomic_write_bytes(path, b"".join(parts))
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
@@ -190,8 +227,7 @@ class Checkpoint:
             [self.seed, self.epochs_trained, self.best_val_acc, float(self.diverged)]
         )
         save_arrays(path, arrays)
-        with open(str(path) + ".json", "w") as f:
-            f.write(self.config.to_json())
+        atomic_write_bytes(str(path) + ".json", self.config.to_json().encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
@@ -227,9 +263,7 @@ def make_dataset(config: ExperimentConfig, seed: int) -> Dataset:
         return make_synthetic_blobs(
             config.n_classes, config.n_per_class, config.channels, config.hw, config.sep, seed
         )
-    raise InvalidInputError(
-        f"dataset {config.dataset!r} must be loaded from file (use load_csv_images)"
-    )
+    raise InvalidInputError(f"unknown dataset {config.dataset!r}; only 'SyntheticBlobs' exists")
 
 
 def _evaluate(model: Sequential, images: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
@@ -361,16 +395,23 @@ def _evaluate_feature_noise(
     x = _noisy_inputs(x, level_pct, family, seed)
     for layer in model.layers[first_bn + 1 :]:
         x = layer.forward(x)
-    pred = x.reshape(x.shape[0], -1).argmax(axis=1)
-    return 100.0 * float(np.mean(pred == labels))
+    return accuracy_pct(x, labels)
 
 
-def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
-    """Train and evaluate over every seed of the config; one variant per call."""
+def run_sweep(config: ExperimentConfig, checkpoint_dir=None) -> list[ResultRow]:
+    """Train and evaluate over every seed of the config; one variant per call.
+
+    With a checkpoint_dir, each seed's checkpoint is saved there as
+    ``<bn_variant>_s<seed>.ckpt``.
+    """
+    if checkpoint_dir:
+        os.makedirs(checkpoint_dir, exist_ok=True)
     rows = []
     for seed in config.seeds:
         dataset = make_dataset(config, seed)
         ckpt = train_model(config, dataset, seed)
+        if checkpoint_dir:
+            ckpt.save(os.path.join(checkpoint_dir, f"{config.bn_variant}_s{seed}.ckpt"))
         rows.extend(
             evaluate_under_noise(ckpt, dataset, config.noise_levels, config.noise_family, seed)
         )

@@ -9,16 +9,21 @@ Dominance verdicts are decided on the PAIRED per-trial risk difference: both
 estimators see the same draws, so the difference has a far smaller standard
 error than either risk alone. Per-estimator risks and standard errors are
 still reported.
+
+Every check is a per-block trial function run by one blocked driver,
+``_run_trials``. A trial's values depend only on its own counter-stream
+entries and every reduction runs over the full per-trial columns, so results
+do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .estimators import geometric_mean
 from .noise import NoiseSpec, sample_noise_flat
 from .rng import CounterRng
 from .tensor import InvalidInputError
@@ -28,7 +33,7 @@ _TAG_CLEAN = 1
 _TAG_NOISE = 2
 _TAG_GAMMA = 3
 
-_BLOCK = 1 << 15  # trials per accumulation block; fixed so sums are order-stable
+_BLOCK = 1 << 15  # trials per block; bounds the memory of one block's draws
 
 VERDICT_DOMINATES = "Dominates"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -79,6 +84,49 @@ def _verdict(diff: np.ndarray, k: float) -> tuple[str, float]:
     return VERDICT_INCONCLUSIVE, float(margin)
 
 
+def _run_trials(n_trials: int, block: int, trial) -> list[np.ndarray]:
+    """Per-trial columns of ``trial(lo, hi)`` run over consecutive blocks.
+
+    ``trial`` returns one array of hi - lo values per column.
+    """
+    if n_trials < 2:
+        raise InvalidInputError("need at least 2 trials")
+    columns = None
+    for lo in range(0, n_trials, block):
+        hi = min(lo + block, n_trials)
+        values = trial(lo, hi)
+        if columns is None:
+            columns = [np.empty(n_trials) for _ in values]
+        for column, v in zip(columns, values):
+            column[lo:hi] = v
+    return columns
+
+
+def _perturbed(rng: CounterRng, loc, scale, noise: NoiseSpec, lo: int, hi: int, shape):
+    """Z = X + Y for trials lo..hi, shaped (hi - lo, *shape): X = loc + scale *
+    N(0, 1) entrywise and Y drawn from the noise spec."""
+    per = math.prod(shape)
+    cnt = (hi - lo) * per
+    x = loc + scale * rng.normal(cnt, _TAG_CLEAN, offset=lo * per).reshape(-1, *shape)
+    y = sample_noise_flat(noise, cnt, rng, _TAG_NOISE, offset=lo * per).reshape(-1, *shape)
+    return x + y
+
+
+def _paired_report(errors: dict[str, np.ndarray], k: float, config: dict) -> RiskReport:
+    """Risk per estimator, and the verdict on the paired difference of the
+    shrunk estimator's per-trial errors (second entry) minus the naive one's."""
+    naive, shrunk = errors.values()
+    verdict, margin = _verdict(shrunk - naive, k)
+    return RiskReport(
+        estimator_risks={name: _mean_se(err) for name, err in errors.items()},
+        n_trials=naive.size,
+        config=config,
+        verdict=verdict,
+        margin_se=margin,
+        k=k,
+    )
+
+
 def mc_risk_gaussian(
     p: int,
     theta: np.ndarray,
@@ -94,41 +142,26 @@ def mc_risk_gaussian(
         raise InvalidInputError("need p >= 3")
     if theta.shape != (p,):
         raise InvalidInputError(f"theta must have length p={p}")
-    if n_trials < 2:
-        raise InvalidInputError("need at least 2 trials")
     rng = CounterRng(seed)
 
-    err_mle = np.empty(n_trials)
-    err_js = np.empty(n_trials)
-    for lo in range(0, n_trials, _BLOCK):
-        hi = min(lo + _BLOCK, n_trials)
-        cnt = (hi - lo) * p
-        x = theta + sigma * rng.normal(cnt, _TAG_CLEAN, offset=lo * p).reshape(-1, p)
-        y = sample_noise_flat(noise, cnt, rng, _TAG_NOISE, offset=lo * p).reshape(-1, p)
-        z = x + y
+    def trial(lo, hi):
+        z = _perturbed(rng, theta, sigma, noise, lo, hi, (p,))
         norm_sq = np.einsum("ij,ij->i", z, z)
         factor = 1.0 - (p - 2) * sigma**2 / norm_sq
-        err_mle[lo:hi] = np.einsum("ij,ij->i", z - theta, z - theta)
         d = factor[:, None] * z - theta
-        err_js[lo:hi] = np.einsum("ij,ij->i", d, d)
+        return np.einsum("ij,ij->i", z - theta, z - theta), np.einsum("ij,ij->i", d, d)
 
-    verdict, margin = _verdict(err_js - err_mle, k)
-    return RiskReport(
-        estimator_risks={"mle": _mean_se(err_mle), "js": _mean_se(err_js)},
-        n_trials=n_trials,
-        config={
-            "model": "gaussian",
-            "p": p,
-            "theta_norm": float(np.linalg.norm(theta)),
-            "sigma": sigma,
-            "noise": asdict(noise),
-            "seed": seed,
-            "k": k,
-        },
-        verdict=verdict,
-        margin_se=margin,
-        k=k,
-    )
+    err_mle, err_js = _run_trials(n_trials, _BLOCK, trial)
+    config = {
+        "model": "gaussian",
+        "p": p,
+        "theta_norm": float(np.linalg.norm(theta)),
+        "sigma": sigma,
+        "noise": asdict(noise),
+        "seed": seed,
+        "k": k,
+    }
+    return _paired_report({"mle": err_mle, "js": err_js}, k, config)
 
 
 @dataclass(frozen=True)
@@ -169,52 +202,33 @@ def mc_risk_gamma(
     variances (population convention) are formed, and both estimators of the
     CLEAN scale parameters beta_i = 2*sigma_x_i^2/n are scored.
     """
-    if n_trials < 2:
-        raise InvalidInputError("need at least 2 trials")
     rng = CounterRng(seed)
     p, n, alpha, c = spec.p, spec.n, spec.alpha, spec.c
     betas = spec.betas
 
-    err_naive = np.empty(n_trials)
-    err_js = np.empty(n_trials)
-    block = max(1, _BLOCK // max(1, (p * n) // 8))
-    for lo in range(0, n_trials, block):
-        hi = min(lo + block, n_trials)
-        cnt = (hi - lo) * p * n
-        x = spec.mu + spec.sigmas_x[None, :, None] * rng.normal(
-            cnt, _TAG_CLEAN, offset=lo * p * n
-        ).reshape(-1, p, n)
-        y = sample_noise_flat(spec.noise, cnt, rng, _TAG_NOISE, offset=lo * p * n).reshape(
-            -1, p, n
-        )
-        z = x + y
+    def trial(lo, hi):
+        z = _perturbed(rng, spec.mu, spec.sigmas_x[:, None], spec.noise, lo, hi, (p, n))
         var_z = z.var(axis=2)  # population convention, divide by n
         naive = var_z / (alpha + 1.0)
         v = np.exp(np.mean(np.log(np.maximum(var_z, 1e-300)), axis=1))
         js = naive + c * v[:, None]
-        err_naive[lo:hi] = ((naive - betas) ** 2).sum(axis=1)
-        err_js[lo:hi] = ((js - betas) ** 2).sum(axis=1)
+        return ((naive - betas) ** 2).sum(axis=1), ((js - betas) ** 2).sum(axis=1)
 
-    verdict, margin = _verdict(err_js - err_naive, k)
-    return RiskReport(
-        estimator_risks={"naive": _mean_se(err_naive), "js": _mean_se(err_js)},
-        n_trials=n_trials,
-        config={
-            "model": "gamma",
-            "p": p,
-            "n": n,
-            "mu": spec.mu,
-            "sigmas_x": spec.sigmas_x.tolist(),
-            "alpha": alpha,
-            "c": c,
-            "noise": asdict(spec.noise),
-            "seed": seed,
-            "k": k,
-        },
-        verdict=verdict,
-        margin_se=margin,
-        k=k,
-    )
+    block = max(1, _BLOCK // max(1, (p * n) // 8))
+    err_naive, err_js = _run_trials(n_trials, block, trial)
+    config = {
+        "model": "gamma",
+        "p": p,
+        "n": n,
+        "mu": spec.mu,
+        "sigmas_x": spec.sigmas_x.tolist(),
+        "alpha": alpha,
+        "c": c,
+        "noise": asdict(spec.noise),
+        "seed": seed,
+        "k": k,
+    }
+    return _paired_report({"naive": err_naive, "js": err_js}, k, config)
 
 
 def mc_key_inequality(
@@ -230,14 +244,12 @@ def mc_key_inequality(
     if p < 3:
         raise InvalidInputError("need p >= 3")
     rng = CounterRng(seed)
-    vals = np.empty(n_trials)
-    for lo in range(0, n_trials, _BLOCK):
-        hi = min(lo + _BLOCK, n_trials)
-        cnt = (hi - lo) * p
-        x = theta + rng.normal(cnt, _TAG_CLEAN, offset=lo * p).reshape(-1, p)
-        y = sample_noise_flat(noise, cnt, rng, _TAG_NOISE, offset=lo * p).reshape(-1, p)
-        z = x + y
-        vals[lo:hi] = (2.0 * z @ theta + p - 2) / np.einsum("ij,ij->i", z, z)
+
+    def trial(lo, hi):
+        z = _perturbed(rng, theta, 1.0, noise, lo, hi, (p,))
+        return ((2.0 * np.einsum("ij,j->i", z, theta) + p - 2) / np.einsum("ij,ij->i", z, z),)
+
+    (vals,) = _run_trials(n_trials, _BLOCK, trial)
     est, se = _mean_se(vals)
     return est, se, est + k * se < 2.0
 
@@ -274,16 +286,12 @@ def mc_stein_gamma_lemma(
     if alpha <= floor:
         raise InvalidInputError(f"{h!r} needs alpha > {floor} for integrable moments")
     rng = CounterRng(seed)
-    lhs_sum = rhs_sum = 0.0
-    diffs = np.empty(n_trials)
-    for lo in range(0, n_trials, _BLOCK):
-        hi = min(lo + _BLOCK, n_trials)
+
+    def trial(lo, hi):
         x = beta * rng.gamma(hi - lo, alpha, _TAG_GAMMA, offset=lo)
-        lhs = (x - alpha * beta) * fn(x)
-        rhs = beta * x_dfn(x)
-        lhs_sum += lhs.sum()
-        rhs_sum += rhs.sum()
-        diffs[lo:hi] = lhs - rhs
-    gap_mean, gap_se = _mean_se(diffs)
+        return (x - alpha * beta) * fn(x), beta * x_dfn(x)
+
+    lhs, rhs = _run_trials(n_trials, _BLOCK, trial)
+    gap_mean, gap_se = _mean_se(lhs - rhs)
     gap_in_se = gap_mean / gap_se if gap_se > 0 else 0.0
-    return lhs_sum / n_trials, rhs_sum / n_trials, float(gap_in_se)
+    return float(lhs.mean()), float(rhs.mean()), float(gap_in_se)

@@ -1,12 +1,12 @@
 """Dense rank-4 feature tensors and the channel-wise reductions BN needs.
 
-Layout is fixed to row-major (n, c, h, w) with 64-bit floats so that file
-dumps and test oracles are bit-reproducible.
+Layout is fixed to row-major (n, c, h, w) with 64-bit floats so that test
+oracles are bit-reproducible. Construction checks rank, shape and finiteness;
+that check is where a diverging run first surfaces.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,43 +49,6 @@ class Tensor4:
     @classmethod
     def zeros(cls, dims: tuple[int, int, int, int]) -> "Tensor4":
         return cls(np.zeros(dims, dtype=np.float64))
-
-    def to_bytes(self) -> bytes:
-        """4 x u32 little-endian dims header followed by f64 LE payload."""
-        header = struct.pack("<4I", *self.dims)
-        return header + self.data.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Tensor4":
-        if len(blob) < 16:
-            raise InvalidInputError("truncated tensor blob")
-        dims = struct.unpack("<4I", blob[:16])
-        count = int(np.prod(dims))
-        payload = np.frombuffer(blob[16:], dtype="<f8")
-        if payload.size != count:
-            raise InvalidInputError(
-                f"payload holds {payload.size} values, dims {dims} need {count}"
-            )
-        return cls(payload.reshape(dims).astype(np.float64))
-
-    def save(self, path) -> None:
-        with open(path, "wb") as f:
-            f.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "Tensor4":
-        with open(path, "rb") as f:
-            return cls.from_bytes(f.read())
-
-    def to_csv(self, path) -> None:
-        """Debug dump with columns n,c,h,w,value, in row-major order."""
-        n, c, h, w = self.dims
-        idx = np.indices((n, c, h, w)).reshape(4, -1).T
-        with open(path, "w") as f:
-            f.write("n,c,h,w,value\n")
-            flat = self.data.ravel()
-            for (i, j, k, l), v in zip(idx, flat):
-                f.write(f"{i},{j},{k},{l},{float(v)!r}\n")
 
 
 @dataclass(frozen=True)

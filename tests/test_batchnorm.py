@@ -7,10 +7,11 @@ same stop-gradient convention the analytic backward implements.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinbn.batchnorm import (
     BNLayer,
-    BNMode,
     BNVariant,
     bn_backward,
     bn_forward,
@@ -34,8 +35,9 @@ def rand_tensor(dims, seed):
 def frozen_forward(x_arr, layer, cache):
     """Forward pass with the correction coefficients frozen from `cache`."""
     stats = channel_moments(Tensor4(x_arr))
-    mean = cache.mean_coef * stats.mean + cache.mean_offset
-    var = np.maximum(cache.var_coef * stats.var + cache.var_offset, VAR_FLOOR)
+    corr = cache.correction
+    mean = corr.mean_coef * stats.mean + corr.mean_offset
+    var = np.maximum(corr.var_coef * stats.var + corr.var_offset, VAR_FLOOR)
     inv_std = 1.0 / np.sqrt(var + layer.eps)
     xhat = (x_arr - mean[None, :, None, None]) * inv_std[None, :, None, None]
     return layer.gamma[None, :, None, None] * xhat + layer.beta[None, :, None, None]
@@ -64,8 +66,8 @@ class TestForward:
         layer = make_layer("stein", c=2)
         x = rand_tensor((3, 2, 2, 2), seed=2)
         _, cache = bn_forward(layer, x)
-        assert cache.mean_degraded
-        assert cache.shrink_factor_mean == 1.0
+        assert cache.correction.mean_degraded
+        assert cache.correction.shrink_factor_mean == 1.0
         # variance correction still applies
         assert not np.allclose(cache.corrected_var, cache.raw.var)
 
@@ -107,7 +109,10 @@ class TestForward:
         np.testing.assert_allclose(
             y.data, a[None, :, None, None] * x.data + b[None, :, None, None], atol=1e-12
         )
-        assert cache.mode == BNMode.EVAL
+        # eval is the correction coef 0, offset = running stats
+        np.testing.assert_array_equal(cache.correction.mean_coef, 0.0)
+        np.testing.assert_array_equal(cache.correction.var_coef, 0.0)
+        np.testing.assert_array_equal(cache.corrected_mean, layer.running_mean)
 
     def test_eval_mode_does_not_touch_running_stats(self):
         layer = make_layer("standard", c=2).eval()
@@ -207,6 +212,65 @@ class TestBackward:
             it.iternext()
         denom = max(np.abs(fd).max(), 1e-8)
         assert np.abs(gin.data - fd).max() / denom < 1e-6
+
+    @staticmethod
+    def fd_gradient_error(layer, x_arr, g):
+        """Max relative gap between the analytic input gradient and central
+        differences of the frozen-correction forward."""
+        _, cache = bn_forward(layer, Tensor4(x_arr))
+        gin, _, _ = bn_backward(layer, cache, Tensor4(g))
+        step = 1e-5
+        fd = np.zeros_like(x_arr)
+        for idx in np.ndindex(x_arr.shape):
+            plus, minus = x_arr.copy(), x_arr.copy()
+            plus[idx] += step
+            minus[idx] -= step
+            lp = float((g * frozen_forward(plus, layer, cache)).sum())
+            lm = float((g * frozen_forward(minus, layer, cache)).sum())
+            fd[idx] = (lp - lm) / (2 * step)
+        return np.abs(gin.data - fd).max() / max(np.abs(fd).max(), 1e-8)
+
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        c=st.integers(1, 5),
+        const_channel=st.booleans(),
+        spread=st.floats(0.01, 30.0),
+        mode=st.sampled_from(["train", "eval"]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_finite_difference_on_degenerate_batches(
+        self, variant, c, const_channel, spread, mode, seed
+    ):
+        # C < 3 degrades the JS factor; a constant channel has zero variance;
+        # a large lam together with dispersed channel scales clamps Lasso means
+        # and variances, and strongly dispersed variances clamp Khoshsirat
+        rng = np.random.default_rng(seed)
+        scales = spread ** np.linspace(-1.0, 1.0, c)
+        x_arr = rng.normal(size=(2, c, 2, 3)) * scales[None, :, None, None]
+        if const_channel:
+            x_arr[:, 0] = 0.3
+        layer = make_layer(
+            variant, c=c, lam=0.5, gamma=rng.normal(size=c) + 1.5, beta=rng.normal(size=c)
+        )
+        if mode == "eval":
+            layer.running_mean = rng.normal(size=c)
+            layer.running_var = rng.uniform(0.1, 3.0, size=c)
+            layer.eval()
+        g = rng.normal(size=x_arr.shape)
+        assert self.fd_gradient_error(layer, x_arr, g) < 1e-6
+
+    @pytest.mark.parametrize("variant", ["lasso", "khoshsirat"])
+    def test_clamped_channels_finite_difference(self, variant):
+        x_arr = np.random.default_rng(16).normal(size=(2, 4, 2, 3))
+        x_arr *= np.array([1.0, 1.0, 4.0, 1e-3])[None, :, None, None]
+        x_arr[:, 0] = 0.3  # zero variance: clamped by both rules
+        layer = make_layer(variant, lam=0.5)
+        _, cache = bn_forward(layer, Tensor4(x_arr))
+        # some but not all channels are clamped
+        assert 0 < np.count_nonzero(cache.correction.var_coef == 0.0) < 4
+        g = np.random.default_rng(17).normal(size=x_arr.shape)
+        assert self.fd_gradient_error(make_layer(variant, lam=0.5), x_arr, g) < 1e-6
 
     def test_eval_mode_backward_is_diagonal(self):
         layer = make_layer("standard", c=2).eval()

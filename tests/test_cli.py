@@ -204,3 +204,30 @@ class TestTrainEvalReport:
     def test_missing_config_exit_1(self, tmp_path):
         assert run_cli(["train", "--config", str(tmp_path / "none.json"),
                         "--out", str(tmp_path / "o.csv")]) == 1
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"modle": "MLP2"}, "unknown config key 'modle'"),
+            ({"batch_size": "32"}, "'batch_size' has a str value"),
+            ([1, 2], "config must be a JSON object"),
+        ],
+    )
+    def test_bad_config_exit_1(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+        # eval reads the same config from a checkpoint's .json sidecar
+        cfg_ok = write_config(tmp_path)
+        ckdir = tmp_path / "ckpts"
+        assert run_cli(["train", "--config", str(cfg_ok), "--out", str(out),
+                        "--checkpoint-dir", str(ckdir)]) == 0
+        (ckdir / "stein_s1.ckpt.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli(["eval", "--checkpoint", str(ckdir / "stein_s1.ckpt"),
+                        "--out", str(tmp_path / "e.csv")]) == 1
+        assert message in capsys.readouterr().err

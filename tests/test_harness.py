@@ -1,12 +1,13 @@
 """Training-harness tests: datasets, training, evaluation, checkpoints, CSV."""
 
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from steinbn.data import Dataset, load_csv_images, make_synthetic_blobs, save_csv_images, split_indices
+from steinbn.data import make_synthetic_blobs, split_indices
 from steinbn.harness import (
     RESULTS_HEADER,
     Checkpoint,
@@ -72,25 +73,6 @@ class TestData:
         b = split_indices(50, seed=4)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-
-    def test_csv_images_roundtrip(self, tmp_path):
-        ds = make_synthetic_blobs(3, 5, 2, 2, sep=1.0, seed=5)
-        # rescale into [0, 1] as the external schema expects
-        lo, hi = ds.images.min(), ds.images.max()
-        ds = Dataset(images=(ds.images - lo) / (hi - lo), labels=ds.labels)
-        path = tmp_path / "imgs.csv"
-        save_csv_images(path, ds)
-        header = path.read_text().splitlines()[0]
-        assert header == "label," + ",".join(f"px_{i}" for i in range(8))
-        back = load_csv_images(path, channels=2, hw=2)
-        np.testing.assert_allclose(back.images, ds.images, atol=1e-12)
-        np.testing.assert_array_equal(back.labels, ds.labels)
-
-    def test_csv_images_wrong_width_rejected(self, tmp_path):
-        path = tmp_path / "imgs.csv"
-        path.write_text("label,px_0,px_1\n0,0.1,0.2\n")
-        with pytest.raises(InvalidInputError):
-            load_csv_images(path, channels=3, hw=2)
 
 
 class TestConfig:
@@ -171,6 +153,36 @@ class TestCheckpointFormat:
             cut.write_bytes(blob[:size])
             with pytest.raises(InvalidInputError, match=field):
                 load_arrays(cut)
+
+    @pytest.mark.parametrize("failing_write", [1, 2])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failing_write):
+        cfg = ExperimentConfig(**{**FAST, "max_epochs": 0})
+        ds = make_dataset(cfg, seed=1)
+        path = tmp_path / "model.ckpt"
+        old = train_model(cfg, ds, seed=1)
+        old.save(path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        new = train_model(ExperimentConfig(**{**FAST, "max_epochs": 1, "seeds": [2]}), ds, seed=2)
+        # the temp file is written in full, then the rename onto the
+        # checkpoint (1) or its .json sidecar (2) fails
+        calls, replace = [], os.replace
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == failing_write:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            new.save(path)
+        monkeypatch.setattr(os, "replace", replace)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+        if failing_write == 1:
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        back = Checkpoint.load(path)
+        assert back.config == old.config
+        assert back.seed == (1 if failing_write == 1 else 2)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(**FAST)

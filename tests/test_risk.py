@@ -5,9 +5,14 @@ James-Stein risk is p - (p-2)^2 * E[1/chi2_p] = p - (p-2) = 2. For the Gamma
 Stein identity the catalog functions have closed-form moments.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from steinbn import risk
 from steinbn.noise import NoiseSpec, truncated_levy_gauss
 from steinbn.risk import (
     STEIN_CATALOG,
@@ -173,3 +178,34 @@ class TestSteinGammaLemma:
     def test_invalid_parameters(self):
         with pytest.raises(InvalidInputError):
             mc_stein_gamma_lemma(-1.0, 1.0, "square", 1_000, seed=0)
+
+
+class TestBlockIndependence:
+    """Every Monte Carlo check gives the same output for any block size."""
+
+    @staticmethod
+    def run_all(n_trials, seed):
+        noise = truncated_levy_gauss(0.3)
+        theta = np.linspace(-1.0, 1.0, 5)
+        spec = GammaTrialSpec(
+            p=4, n=6, mu=0.5, sigmas_x=np.array([2.0, 1.0, 0.5, 1.5]), noise=noise, c=0.01
+        )
+        return (
+            mc_risk_gaussian(5, theta, 1.3, noise, n_trials, seed).to_json(),
+            mc_risk_gamma(spec, n_trials, seed).to_json(),
+            mc_key_inequality(5, theta, noise, n_trials, seed),
+            mc_stein_gamma_lemma(4.5, 0.4, "square", n_trials, seed),
+        )
+
+    @given(block=st.integers(1, 700), n_trials=st.integers(2, 600), seed=st.integers(0, 2**31))
+    @settings(max_examples=25, deadline=None)
+    def test_outputs_do_not_depend_on_block(self, block, n_trials, seed):
+        reference = self.run_all(n_trials, seed)
+        with mock.patch.object(risk, "_BLOCK", block):
+            assert self.run_all(n_trials, seed) == reference
+
+    @pytest.mark.parametrize("block", [1000, 777])
+    def test_lemma_at_100k_trials(self, block):
+        reference = mc_stein_gamma_lemma(4.5, 0.4, "square", 100_000, seed=1)
+        with mock.patch.object(risk, "_BLOCK", block):
+            assert mc_stein_gamma_lemma(4.5, 0.4, "square", 100_000, seed=1) == reference

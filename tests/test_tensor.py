@@ -46,40 +46,6 @@ class TestTensor4:
         with pytest.raises(ValueError):
             t.data[0, 0, 0, 0] = 1.0
 
-    def test_bytes_roundtrip_exact(self):
-        x = _rand((3, 2, 4, 5), seed=1)
-        t = Tensor4(x)
-        back = Tensor4.from_bytes(t.to_bytes())
-        assert back.dims == t.dims
-        np.testing.assert_array_equal(back.data, t.data)
-
-    def test_bytes_header_layout(self):
-        t = Tensor4(np.arange(8.0).reshape(1, 2, 2, 2))
-        blob = t.to_bytes()
-        # 4 x u32 LE dims then f64 LE payload
-        assert blob[:16] == (1).to_bytes(4, "little") + (2).to_bytes(4, "little") * 3
-        assert np.frombuffer(blob[16:], dtype="<f8")[3] == 3.0
-
-    def test_from_bytes_rejects_truncation(self):
-        blob = Tensor4(np.zeros((1, 1, 2, 2))).to_bytes()
-        with pytest.raises(InvalidInputError):
-            Tensor4.from_bytes(blob[:-8])
-
-    def test_file_roundtrip(self, tmp_path):
-        t = Tensor4(_rand((2, 3, 2, 2), seed=2))
-        path = tmp_path / "t.bin"
-        t.save(path)
-        np.testing.assert_array_equal(Tensor4.load(path).data, t.data)
-
-    def test_csv_dump(self, tmp_path):
-        t = Tensor4(np.arange(4.0).reshape(1, 1, 2, 2))
-        path = tmp_path / "t.csv"
-        t.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,c,h,w,value"
-        assert lines[1] == "0,0,0,0,0.0"
-        assert lines[4] == "0,0,1,1,3.0"
-
 
 class TestChannelStats:
     def test_rejects_negative_variance(self):
