@@ -231,7 +231,7 @@ def _cmd_train(args) -> int:
     with open(args.config) as f:
         config = ExperimentConfig.from_json(f.read())
     rows = run_sweep(config, args.checkpoint_dir)
-    echo = json.loads(config.to_json())
+    echo = config.to_dict()
     echo["version"] = __version__
     _atomic_write(args.out, _csv_with_config(rows_to_csv(rows), echo))
     return 0
@@ -246,7 +246,7 @@ def _cmd_eval(args) -> int:
     family = args.family or config.noise_family
     dataset = make_dataset(config, ckpt.seed)
     rows = evaluate_under_noise(ckpt, dataset, levels, family, ckpt.seed)
-    echo = json.loads(config.to_json())
+    echo = config.to_dict()
     echo.update({"levels": levels, "family": family, "version": __version__})
     _atomic_write(args.out, _csv_with_config(rows_to_csv(rows), echo))
     return 0

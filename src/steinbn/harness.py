@@ -15,6 +15,7 @@ import os
 import struct
 import tempfile
 import warnings
+import zlib
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -35,6 +36,10 @@ from .rng import CounterRng
 from .tensor import InvalidInputError, NonFiniteError
 
 CHECKPOINT_MAGIC = b"SBN1"
+# key of the .ckpt's CRC-32 in its .json sidecar, next to the config fields.
+# CRC-32 catches a pair from two different saves as well as a hash would;
+# zlib is loaded with numpy, while hashlib would map OpenSSL (~3.7 MiB RSS).
+CHECKPOINT_DIGEST_KEY = "checkpoint_crc32"
 RESULTS_HEADER = "method,batch_size,noise_pct,seed,metric,value,epochs"
 
 # JSON value types accepted per annotated ExperimentConfig field type
@@ -85,14 +90,20 @@ class ExperimentConfig:
             raise InvalidInputError("noise levels must lie in [0, 100]")
         BNVariant(self.bn_variant)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         d = asdict(self)
         d["lambda"] = d.pop("lam")
-        return json.dumps(d, indent=2, sort_keys=True)
+        return d
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        d = json.loads(text)
+        return cls.from_dict(json.loads(text))
+
+    @classmethod
+    def from_dict(cls, d) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise InvalidInputError(f"config must be a JSON object, got {type(d).__name__}")
         if "lambda" in d:
@@ -169,7 +180,8 @@ def atomic_write_bytes(path, data: bytes) -> None:
 #   u32 name length | name utf-8 | u32 ndim | ndim x u32 dims | f64 LE payload
 
 
-def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+def save_arrays(path, arrays: dict[str, np.ndarray]) -> bytes:
+    """Write arrays to path atomically; returns the bytes written."""
     parts = [CHECKPOINT_MAGIC]
     for name, arr in arrays.items():
         arr = np.asarray(arr, dtype=np.float64)
@@ -180,12 +192,17 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
             struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape),
             arr.astype("<f8").tobytes(),
         ]
-    atomic_write_bytes(path, b"".join(parts))
+    blob = b"".join(parts)
+    atomic_write_bytes(path, blob)
+    return blob
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        blob = f.read()
+        return _decode_arrays(f.read())
+
+
+def _decode_arrays(blob: bytes) -> dict[str, np.ndarray]:
     if blob[:4] != CHECKPOINT_MAGIC:
         raise InvalidInputError("not a checkpoint file (bad magic)")
     out, pos = {}, 4
@@ -212,6 +229,10 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     return out
 
 
+def _crc32(blob: bytes) -> str:
+    return f"{zlib.crc32(blob):08x}"
+
+
 @dataclass
 class Checkpoint:
     config: ExperimentConfig
@@ -226,17 +247,30 @@ class Checkpoint:
         arrays["__meta__"] = np.array(
             [self.seed, self.epochs_trained, self.best_val_acc, float(self.diverged)]
         )
-        save_arrays(path, arrays)
-        atomic_write_bytes(str(path) + ".json", self.config.to_json().encode("utf-8"))
+        # the sidecar is written second and names the .ckpt bytes it belongs
+        # to, so a save cut between the two renames is caught by load
+        sidecar = self.config.to_dict()
+        sidecar[CHECKPOINT_DIGEST_KEY] = _crc32(save_arrays(path, arrays))
+        text = json.dumps(sidecar, indent=2, sort_keys=True)
+        atomic_write_bytes(str(path) + ".json", text.encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        arrays = load_arrays(path)
+        with open(path, "rb") as f:
+            blob = f.read()
+        arrays = _decode_arrays(blob)
         meta = arrays.pop("__meta__", None)
         if meta is None or meta.shape != (4,):
             raise InvalidInputError(f"checkpoint {path} has no 4-entry __meta__ array")
         with open(str(path) + ".json") as f:
-            config = ExperimentConfig.from_json(f.read())
+            sidecar = json.load(f)
+        digest = sidecar.pop(CHECKPOINT_DIGEST_KEY, None) if isinstance(sidecar, dict) else None
+        config = ExperimentConfig.from_dict(sidecar)
+        if digest != _crc32(blob):
+            raise InvalidInputError(
+                f"checkpoint {path} does not match the {CHECKPOINT_DIGEST_KEY} of its .json "
+                "sidecar (an interrupted save, or one of the two files replaced)"
+            )
         return cls(
             config=config,
             seed=int(meta[0]),

@@ -49,11 +49,13 @@ class Dense(Layer):
         out = flat @ self.w + self.b
         return out.reshape(n, -1, 1, 1)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         n = grad.shape[0]
         g = grad.reshape(n, -1)
         self.dw = self._x.T @ g
         self.db = g.sum(axis=0)
+        if not input_grad:
+            return None
         return (g @ self.w.T).reshape(self._in_shape)
 
     def params(self):
@@ -72,7 +74,7 @@ class Conv3x3(Layer):
 
     - forward is ``w @ cols[n]`` for every n (one batched matmul),
     - the input gradient is ``w.T @ grad[n]``, folded back onto the
-      padded grid (col2im),
+      padded grid (col2im); ``backward(..., input_grad=False)`` skips it,
     - the weight gradient is a single 2-D GEMM of grad and cols over the
       flattened N*H*W axis.
     """
@@ -107,7 +109,7 @@ class Conv3x3(Layer):
         out = np.matmul(self.w, self._cols) + self.b[:, None]
         return out.reshape(n, -1, h, w)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         n, c, h, w = self._shape
         o, f = self.w.shape
         g = grad.reshape(n, o, h * w)
@@ -115,6 +117,8 @@ class Conv3x3(Layer):
         # one GEMM over the flattened n*h*w axis
         g_flat = g.transpose(1, 0, 2).reshape(o, -1)
         self.dw = g_flat @ self._cols.transpose(1, 0, 2).reshape(f, -1).T
+        if not input_grad:
+            return None
         dcols = np.matmul(self.w.T, g).reshape(n, c, 9, h, w)
         dx = np.zeros((n, c, h + 2, w + 2))
         k = 0
@@ -192,10 +196,16 @@ class Sequential:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray) -> None:
+        """Fill every layer's parameter gradients from the loss gradient.
+
+        Nothing reads the gradient w.r.t. the model's input, so the first
+        layer (a Dense or Conv3x3 in every builder) skips computing it.
+        """
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
-        return grad
+        first.backward(grad, input_grad=False)
 
     def train(self):
         for layer in self.layers:

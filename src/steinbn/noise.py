@@ -3,7 +3,9 @@
 Families: the heavy-tailed Levy/Gaussian-mixture density with closed-form
 inverse CDF, bounded uniform perturbations, plain Gaussian, and none.
 Sampling is counter-based per entry, so identical (seed, spec, shape)
-always produce bit-identical tensors.
+always produce bit-identical tensors, and a draw split at any offset equals
+the whole draw. A truncated draw redraws only its out-of-bound entries, at
+their own entry indices.
 """
 
 from __future__ import annotations
@@ -71,17 +73,26 @@ def levy_gauss_quantile(u, sigma: float = 1.0):
 def _sample_levy_gauss(
     rng: CounterRng, count: int, sigma: float, eps: float, stream: tuple[int, ...], offset: int
 ) -> np.ndarray:
+    """Inverse-CDF draws; with eps > 0, each entry outside [-eps, eps] is
+    redrawn on retry r from the (*stream, r) substream at the same entry
+    index, up to _MAX_RETRIES times, and a survivor is then clipped.
+
+    Only the entries still out of bounds are redrawn (index-array uniforms),
+    which gives the same bits as redrawing the whole block and keeping the
+    fresh values only where the old ones were out of bounds.
+    """
     out = levy_gauss_quantile(rng.uniform(count, *stream, 0, offset=offset), sigma)
     if eps <= 0:
         return out
-    # resample out-of-bound entries per retry counter, then clamp survivors
+    bad = np.flatnonzero(np.abs(out) > eps)
     for retry in range(1, _MAX_RETRIES + 1):
-        bad = np.abs(out) > eps
-        if not bad.any():
+        if bad.size == 0:
             return out
-        fresh = levy_gauss_quantile(rng.uniform(count, *stream, retry, offset=offset), sigma)
-        out = np.where(bad, fresh, out)
-    return np.clip(out, -eps, eps)
+        entries = bad.astype(np.uint64) + np.uint64(offset)
+        fresh = levy_gauss_quantile(rng.uniform(bad.size, *stream, retry, offset=entries), sigma)
+        out[bad] = fresh
+        bad = bad[np.abs(fresh) > eps]
+    return np.clip(out, -eps, eps, out=out)
 
 
 def sample_noise_flat(

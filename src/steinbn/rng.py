@@ -2,36 +2,47 @@
 
 Every draw is a pure function of (seed, stream key, entry index), so a
 parallel fill is bit-identical to a sequential one and per-trial streams in
-the Monte Carlo lab never overlap. The mixer is splitmix64, vectorized over
-numpy uint64 arrays.
+the Monte Carlo lab never overlap. It also means any subset of entries can be
+drawn on its own: ``uniform`` at an array of entry indices gives the same bits
+as the same entries of a contiguous draw.
+
+The mixer is splitmix64 (Steele, Lea & Flood 2014), vectorized over numpy
+uint64 arrays. ``_mix`` works in place: it overwrites its argument with the
+mixed values and returns it, so callers pass an array they own. uint64
+arithmetic wraps modulo 2^64, which is exactly splitmix64's arithmetic, so no
+masking is needed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
 
 # 2^-53; uniforms are (h >> 11 + 0.5) * 2^-53, strictly inside (0, 1)
 _INV_2_53 = float(2.0**-53)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        x = (x + _GOLDEN) & _MASK
-        x = ((x ^ (x >> np.uint64(30))) * _M1) & _MASK
-        x = ((x ^ (x >> np.uint64(27))) * _M2) & _MASK
-        return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer applied in place to a uint64 array (0-d included)."""
+    x += _GOLDEN
+    x ^= x >> _S30
+    x *= _M1
+    x ^= x >> _S27
+    x *= _M2
+    x ^= x >> _S31
+    return x
 
 
-def _key_state(seed: int, stream: tuple[int, ...]) -> np.uint64:
-    state = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+def _key_state(seed: int, stream: tuple[int, ...]) -> np.ndarray:
+    """0-d uint64 state of one stream key."""
+    state = _mix(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
     for part in stream:
-        with np.errstate(over="ignore"):
-            state = _mix(state ^ np.uint64(part & 0xFFFFFFFFFFFFFFFF))
+        state ^= np.uint64(part & 0xFFFFFFFFFFFFFFFF)
+        _mix(state)
     return state
 
 
@@ -41,24 +52,45 @@ class CounterRng:
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def _hash(self, stream: tuple[int, ...], count: int, offset: int) -> np.ndarray:
-        state = _key_state(self.seed, stream)
-        idx = np.arange(offset, offset + count, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            return _mix(state ^ _mix(idx))
+    def _hash(self, stream: tuple[int, ...], count: int, offset) -> np.ndarray:
+        if isinstance(offset, np.ndarray):
+            if offset.shape != (count,):
+                raise ValueError(f"index array of shape {offset.shape} for {count} draws")
+            h = offset.astype(np.uint64)  # a copy: _mix overwrites it
+        else:
+            h = np.arange(offset, offset + count, dtype=np.uint64)
+        _mix(h)
+        h ^= _key_state(self.seed, stream)
+        return _mix(h)
 
-    def uniform(self, count: int, *stream: int, offset: int = 0) -> np.ndarray:
-        """i.i.d. uniforms strictly inside (0, 1) at entry indices offset..offset+count."""
-        h = self._hash(tuple(stream), count, offset)
-        return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    def uniform(self, count: int, *stream: int, offset=0) -> np.ndarray:
+        """i.i.d. uniforms strictly inside (0, 1).
 
-    def normal(self, count: int, *stream: int, offset: int = 0) -> np.ndarray:
-        """Standard normals via Box-Muller on two counter substreams."""
-        u1 = self.uniform(count, *stream, 0, offset=offset)
-        u2 = self.uniform(count, *stream, 1, offset=offset)
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        ``offset`` is either the first entry index (the draw covers entries
+        offset..offset+count) or an integer array of ``count`` entry indices.
+        """
+        h = self._hash(stream, count, offset)
+        h >>= _S11
+        u = h.astype(np.float64)
+        del h
+        u += 0.5
+        u *= _INV_2_53
+        return u
 
-    def gamma(self, count: int, alpha: float, *stream: int, offset: int = 0) -> np.ndarray:
+    def normal(self, count: int, *stream: int, offset=0) -> np.ndarray:
+        """Standard normals via Box-Muller on two counter substreams:
+        sqrt(-2 log u1) * cos(2 pi u2), each step done in place."""
+        r = self.uniform(count, *stream, 0, offset=offset)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        c = self.uniform(count, *stream, 1, offset=offset)
+        c *= 2.0 * np.pi
+        np.cos(c, out=c)
+        r *= c
+        return r
+
+    def gamma(self, count: int, alpha: float, *stream: int, offset=0) -> np.ndarray:
         """Gamma(alpha, 1) draws via inverse-CDF on counter uniforms.
 
         Uses scipy's gammaincinv; slower than rejection sampling but keeps the

@@ -179,6 +179,21 @@ class TestTrainEvalReport:
         assert capsys.readouterr().err.startswith("error: truncated checkpoint")
         assert not (tmp_path / "e.csv").exists()
 
+    def test_eval_mismatched_checkpoint_pair_exit_1(self, tmp_path, capsys):
+        # a .ckpt beside the .json sidecar of another save
+        for seed in (1, 2):
+            cfg_path = write_config(tmp_path, seeds=[seed])
+            run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                     "--checkpoint-dir", str(tmp_path / f"ck{seed}")])
+        ckpt = tmp_path / "ck1" / "stein_s1.ckpt"
+        ckpt.write_bytes((tmp_path / "ck2" / "stein_s2.ckpt").read_bytes())
+        capsys.readouterr()
+        code = run_cli(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and "does not match" in err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_report_merges_and_aggregates(self, tmp_path):
         a = write_config(tmp_path, seeds=[1])
         rows_a = tmp_path / "a.csv"

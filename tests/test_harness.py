@@ -180,9 +180,13 @@ class TestCheckpointFormat:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
         if failing_write == 1:
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-        back = Checkpoint.load(path)
-        assert back.config == old.config
-        assert back.seed == (1 if failing_write == 1 else 2)
+            back = Checkpoint.load(path)
+            assert back.config == old.config
+            assert back.seed == 1
+        else:
+            # seed 2's arrays beside seed 1's sidecar: the pair is refused
+            with pytest.raises(InvalidInputError, match="does not match the checkpoint_crc32"):
+                Checkpoint.load(path)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(**FAST)

@@ -9,7 +9,8 @@ contraction of the same im2col matrix.
 import numpy as np
 import pytest
 
-from steinbn.nn import Conv3x3, Dense
+from steinbn.batchnorm import BNVariant
+from steinbn.nn import Conv3x3, Dense, build_mlp2, build_tiny_cnn
 from steinbn.rng import CounterRng
 
 N, C, O, H, W = 3, 2, 5, 3, 5  # non-square, odd, every axis distinct
@@ -88,3 +89,21 @@ def test_conv_matches_einsum_reference(dims):
     np.testing.assert_allclose(layer.dw, ref_dw, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(layer.db, g.sum(axis=(0, 2)), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(dx, ref_dx[:, :, 1:-1, 1:-1], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])
+def test_sequential_backward_skips_only_the_input_gradient(build):
+    # every parameter gradient equals that of a backward pass that also
+    # computes the gradient w.r.t. the model input, bit for bit
+    model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
+    x = np.random.default_rng(1).normal(size=(6, 3, 4, 4))
+    grad = np.random.default_rng(2).normal(size=model.forward(x).shape)
+    assert model.backward(grad) is None
+    skipped = [{k: v.copy() for k, v in layer.grads().items()} for layer in model.layers]
+    g = grad
+    for layer in reversed(model.layers):
+        g = layer.backward(g)
+    assert g.shape == x.shape
+    for layer, before in zip(model.layers, skipped):
+        for name, arr in layer.grads().items():
+            assert arr.tobytes() == before[name].tobytes(), name

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from steinbn.noise import (
+    _MAX_RETRIES,
     NoiseSpec,
     levy_gauss_cdf,
     levy_gauss_pdf,
@@ -142,3 +145,53 @@ class TestHelpers:
 
     def test_truncated_zero_eps_degrades_to_none(self):
         assert truncated_levy_gauss(0.0).family == "none"
+
+
+def _full_block_levy_gauss(rng, count, sigma, eps, stream, offset):
+    """Reference truncated sampler: every retry redraws the whole block and
+    keeps the fresh values where the current ones are out of bounds."""
+    out = levy_gauss_quantile(rng.uniform(count, *stream, 0, offset=offset), sigma)
+    for retry in range(1, _MAX_RETRIES + 1):
+        bad = np.abs(out) > eps
+        if not bad.any():
+            return out
+        fresh = levy_gauss_quantile(rng.uniform(count, *stream, retry, offset=offset), sigma)
+        out = np.where(bad, fresh, out)
+    return np.clip(out, -eps, eps)
+
+
+# eps / sigma from 1e-9 (every entry reaches the retry clip) to 30 (no retry)
+_truncated = dict(
+    seed=st.integers(0, 2**32),
+    count=st.integers(1, 3000),
+    offset=st.integers(0, 2**48),
+    sigma=st.floats(0.05, 5.0),
+    eps_over_sigma=st.sampled_from([1e-9, 1e-3, 0.1, 1.0, 3.0, 30.0]),
+)
+
+
+class TestTruncatedRedraw:
+    @settings(max_examples=60, deadline=None)
+    @given(**_truncated)
+    def test_subset_redraw_matches_full_block(self, seed, count, offset, sigma, eps_over_sigma):
+        eps = eps_over_sigma * sigma
+        rng = CounterRng(seed)
+        spec = NoiseSpec(family="levy-gauss", sigma=sigma, epsilon_bound=eps)
+        got = sample_noise_flat(spec, count, rng, 2, 7, offset=offset)
+        want = _full_block_levy_gauss(rng, count, sigma, eps, (2, 7), offset)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(split=st.floats(0.0, 1.0), **_truncated)
+    def test_split_draw_matches_whole(self, split, seed, count, offset, sigma, eps_over_sigma):
+        spec = NoiseSpec(family="levy-gauss", sigma=sigma, epsilon_bound=eps_over_sigma * sigma)
+        rng = CounterRng(seed)
+        k = int(split * count)
+        whole = sample_noise_flat(spec, count, rng, 3, offset=offset)
+        parts = np.concatenate(
+            [
+                sample_noise_flat(spec, k, rng, 3, offset=offset),
+                sample_noise_flat(spec, count - k, rng, 3, offset=offset + k),
+            ]
+        )
+        assert whole.tobytes() == parts.tobytes()
