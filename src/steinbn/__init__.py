@@ -8,7 +8,7 @@ lab for dominance checks, and a small training harness.
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor4, ChannelStats, channel_moments, apply_affine_normalize
+from .tensor import Tensor4, ChannelStats, channel_moments
 from .estimators import (
     GammaParams,
     ShrinkageConstant,
@@ -26,14 +26,13 @@ from .estimators import (
     variance_c_bound,
     perturbed_c_bound,
 )
-from .noise import NoiseSpec, levy_gauss_quantile, levy_gauss_cdf, sample_noise, subgaussian_proxy_of_bound
+from .noise import NoiseSpec, levy_gauss_quantile, levy_gauss_cdf, subgaussian_proxy_of_bound
 from .batchnorm import BNLayer, BNForwardCache, BNVariant, bn_forward, bn_backward, bn_update_running
 
 __all__ = [
     "Tensor4",
     "ChannelStats",
     "channel_moments",
-    "apply_affine_normalize",
     "GammaParams",
     "ShrinkageConstant",
     "js_mean_classical",
@@ -52,7 +51,6 @@ __all__ = [
     "NoiseSpec",
     "levy_gauss_quantile",
     "levy_gauss_cdf",
-    "sample_noise",
     "subgaussian_proxy_of_bound",
     "BNLayer",
     "BNForwardCache",

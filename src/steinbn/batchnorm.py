@@ -1,4 +1,4 @@
-"""Batch normalization variants over (N, C, H, W) tensors.
+"""Batch normalization variants over (N, C, H, W) float64 arrays.
 
 Six variants share one forward/backward skeleton: raw channel moments are
 corrected by a per-channel affine map ``corrected = coef * raw + offset``
@@ -32,7 +32,7 @@ from .estimators import (
     stein_variance_coefficients,
     variance_c_bound,
 )
-from .tensor import ChannelStats, InvalidInputError, Tensor4, channel_moments
+from .tensor import ChannelStats, InvalidInputError, channel_moments
 
 
 class BNVariant(str, Enum):
@@ -144,7 +144,7 @@ class BNForwardCache:
     corrected_var: np.ndarray
     inv_std: np.ndarray
     normalized: np.ndarray
-    x: Tensor4
+    x: np.ndarray
 
 
 def _auto_c(layer: BNLayer, n: int, p: int) -> float:
@@ -178,9 +178,9 @@ def correction_coefficients(layer: BNLayer, stats: ChannelStats) -> Correction:
     return Correction(*(np.full(mean.size, v, dtype=np.float64) for v in coefs), s_mean, degraded)
 
 
-def bn_forward(layer: BNLayer, x: Tensor4) -> tuple[Tensor4, BNForwardCache]:
+def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCache]:
     """Normalize x; in train mode also update the running statistics."""
-    n, c, h, w = x.dims
+    n, c, h, w = x.shape
     if c != layer.num_channels:
         raise InvalidInputError(f"layer has C={layer.num_channels}, input has C={c}")
 
@@ -196,10 +196,8 @@ def bn_forward(layer: BNLayer, x: Tensor4) -> tuple[Tensor4, BNForwardCache]:
     corrected_var = np.maximum(corr.var_coef * raw.var + corr.var_offset, VAR_FLOOR)
     inv_std = 1.0 / np.sqrt(corrected_var + layer.eps)
 
-    normalized = (x.data - corrected_mean[None, :, None, None]) * inv_std[None, :, None, None]
-    y = Tensor4(
-        layer.gamma[None, :, None, None] * normalized + layer.beta[None, :, None, None]
-    )
+    normalized = (x - corrected_mean[None, :, None, None]) * inv_std[None, :, None, None]
+    y = layer.gamma[None, :, None, None] * normalized + layer.beta[None, :, None, None]
     if training:
         bn_update_running(layer, ChannelStats(corrected_mean, corrected_var, raw.count))
     cache = BNForwardCache(raw, corr, corrected_mean, corrected_var, inv_std, normalized, x)
@@ -207,12 +205,12 @@ def bn_forward(layer: BNLayer, x: Tensor4) -> tuple[Tensor4, BNForwardCache]:
 
 
 def bn_backward(
-    layer: BNLayer, cache: BNForwardCache, grad_out: Tensor4
-) -> tuple[Tensor4, np.ndarray, np.ndarray]:
+    layer: BNLayer, cache: BNForwardCache, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients w.r.t. input, gamma and beta under the frozen-factor convention."""
-    if grad_out.dims != cache.x.dims:
+    g, x = grad_out, cache.x
+    if g.shape != x.shape:
         raise InvalidInputError("grad_out shape does not match cached forward input")
-    g = grad_out.data
     grad_beta = g.sum(axis=(0, 2, 3))
     grad_gamma = (g * cache.normalized).sum(axis=(0, 2, 3))
 
@@ -220,14 +218,14 @@ def bn_backward(
     gx_hat = g * layer.gamma[None, :, None, None]
     corr = cache.correction
 
-    n, c, h, w = cache.x.dims
+    n, c, h, w = x.shape
     m = n * h * w
-    x_center = cache.x.data - cache.raw.mean[None, :, None, None]
+    x_center = x - cache.raw.mean[None, :, None, None]
 
     # d corrected_var / d raw_var and d corrected_mean / d raw_mean are the
     # frozen coefficients; offsets drop out of the gradient
     dvar = (
-        (gx_hat * (cache.x.data - cache.corrected_mean[None, :, None, None])).sum(axis=(0, 2, 3))
+        (gx_hat * (x - cache.corrected_mean[None, :, None, None])).sum(axis=(0, 2, 3))
         * -0.5
         * cache.inv_std**3
         * corr.var_coef
@@ -241,7 +239,7 @@ def bn_backward(
         + dvar[None, :, None, None] * (2.0 / m) * x_center
         + dmean[None, :, None, None] / m
     )
-    return Tensor4(grad_in), grad_gamma, grad_beta
+    return grad_in, grad_gamma, grad_beta
 
 
 def bn_update_running(layer: BNLayer, corrected: ChannelStats) -> BNLayer:

@@ -7,17 +7,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import CounterRng
-from .tensor import InvalidInputError
+from .tensor import InvalidInputError, Tensor4
 
 
 @dataclass(frozen=True)
 class Dataset:
-    images: np.ndarray  # (N, C, H, W) float64
+    images: np.ndarray  # (N, C, H, W) float64, read-only
     labels: np.ndarray  # (N,) int64
 
     def __post_init__(self):
-        if self.images.ndim != 4 or self.labels.shape != (self.images.shape[0],):
-            raise InvalidInputError("images must be (N,C,H,W) with matching labels")
+        # the one Tensor4 check of the data a model sees: rank, shape, finiteness
+        images = Tensor4(self.images).data
+        if self.labels.shape != (images.shape[0],):
+            raise InvalidInputError("labels must be (N,) and match the images")
+        object.__setattr__(self, "images", images)
 
     @property
     def input_dims(self) -> tuple[int, int, int]:

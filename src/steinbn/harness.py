@@ -42,6 +42,15 @@ CHECKPOINT_MAGIC = b"SBN1"
 CHECKPOINT_DIGEST_KEY = "checkpoint_crc32"
 RESULTS_HEADER = "method,batch_size,noise_pct,seed,metric,value,epochs"
 
+# unit-scale test-time noise per family, scaled per channel by _noisy_inputs;
+# levy-gauss is left untruncated so the heavy tail of the mixture density
+# reaches the classifier
+_UNIT_NOISE = {
+    "levy-gauss": NoiseSpec(family="levy-gauss", sigma=1.0),
+    "gaussian": NoiseSpec(family="gaussian", sigma=1.0),
+    "bounded-uniform": NoiseSpec(family="bounded-uniform", epsilon_bound=1.0),
+}
+
 # JSON value types accepted per annotated ExperimentConfig field type
 _JSON_TYPES = {
     "str": str,
@@ -89,6 +98,7 @@ class ExperimentConfig:
         if any(not (0 <= lv <= 100) for lv in self.noise_levels):
             raise InvalidInputError("noise levels must lie in [0, 100]")
         BNVariant(self.bn_variant)
+        _unit_noise(self.noise_family)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -271,6 +281,9 @@ class Checkpoint:
                 f"checkpoint {path} does not match the {CHECKPOINT_DIGEST_KEY} of its .json "
                 "sidecar (an interrupted save, or one of the two files replaced)"
             )
+        bad = [k for k, v in {"__meta__": meta, **arrays}.items() if not np.isfinite(v).all()]
+        if bad:
+            raise NonFiniteError(f"checkpoint {path} has non-finite entries in {', '.join(bad)}")
         return cls(
             config=config,
             seed=int(meta[0]),
@@ -305,6 +318,8 @@ def _evaluate(model: Sequential, images: np.ndarray, labels: np.ndarray, batch: 
     correct = 0
     for lo in range(0, images.shape[0], batch):
         logits = model.forward(images[lo : lo + batch])
+        if not np.isfinite(logits).all():
+            raise NonFiniteError("non-finite logits")
         pred = logits.reshape(logits.shape[0], -1).argmax(axis=1)
         correct += int(np.sum(pred == labels[lo : lo + batch]))
     return 100.0 * correct / images.shape[0]
@@ -323,8 +338,10 @@ def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkp
     best_state = {k: v.copy() for k, v in model.state_arrays().items()}
     best_epoch, stale = 0, 0
 
-    # a diverging run surfaces as non-finite activations caught by the BN
-    # layers' Tensor4 check, or as a non-finite loss; either ends the run
+    # activations are not checked on the step path; a diverging run surfaces
+    # as a non-finite model output, either the training loss or the logits of
+    # the validation pass (the last step of an epoch can break the weights
+    # with a finite loss), and ends the run
     try:
         for epoch in range(1, config.max_epochs + 1):
             model.train()
@@ -357,25 +374,24 @@ def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkp
     return Checkpoint(config, seed, best_state, best_epoch, best_val)
 
 
+def _unit_noise(family: str) -> NoiseSpec:
+    if family not in _UNIT_NOISE:
+        raise InvalidInputError(
+            f"unknown noise family {family!r}; expected one of {', '.join(_UNIT_NOISE)}"
+        )
+    return _UNIT_NOISE[family]
+
+
 def _noisy_inputs(
     images: np.ndarray, level_pct: float, family: str, seed: int
 ) -> np.ndarray:
     """Add zero-mean noise with per-channel sigma = (level/100) * clean channel std."""
     if level_pct == 0:
         return images
+    base_spec = _unit_noise(family)
     n, c, h, w = images.shape
     ch_std = images.transpose(1, 0, 2, 3).reshape(c, -1).std(axis=1)
     rng = CounterRng(seed)
-    # unit-scale draws, scaled per channel; levy-gauss is left untruncated so
-    # the heavy tail of the mixture density reaches the classifier
-    if family == "levy-gauss":
-        base_spec = NoiseSpec(family="levy-gauss", sigma=1.0, epsilon_bound=0.0)
-    elif family == "gaussian":
-        base_spec = NoiseSpec(family="gaussian", sigma=1.0)
-    elif family == "bounded-uniform":
-        base_spec = NoiseSpec(family="bounded-uniform", epsilon_bound=1.0)
-    else:
-        raise InvalidInputError(f"unknown noise family {family!r}")
     unit = sample_noise_flat(base_spec, images.size, rng, 105, int(round(level_pct * 100))).reshape(
         images.shape
     )

@@ -3,8 +3,9 @@
 Just enough machinery for the desk-scale BN comparison: dense and 3x3
 convolution layers, relu, global average pooling, softmax cross-entropy,
 and SGD with Nesterov momentum. Activations travel as (N, C, H, W) float64
-arrays; BN layers wrap the Tensor4-based core. Dense and Conv3x3 (via an
-im2col matrix) do their arithmetic as BLAS matrix products.
+arrays, through the BN core too; only a dataset's images are validated
+(see ``tensor``). Dense and Conv3x3 (via an im2col matrix) do their
+arithmetic as BLAS matrix products.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 from .batchnorm import BNLayer, BNVariant, bn_backward, bn_forward
 from .rng import CounterRng
-from .tensor import Tensor4
 
 
 class Layer:
@@ -164,12 +164,12 @@ class BatchNorm(Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y, self._cache = bn_forward(self.bn, Tensor4(x))
-        return np.asarray(y.data)
+        y, self._cache = bn_forward(self.bn, x)
+        return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        gx, self.dgamma, self.dbeta = bn_backward(self.bn, self._cache, Tensor4(grad))
-        return np.asarray(gx.data)
+        gx, self.dgamma, self.dbeta = bn_backward(self.bn, self._cache, grad)
+        return gx
 
     def train(self):
         self.bn.train()

@@ -2,8 +2,8 @@
 
 Families: the heavy-tailed Levy/Gaussian-mixture density with closed-form
 inverse CDF, bounded uniform perturbations, plain Gaussian, and none.
-Sampling is counter-based per entry, so identical (seed, spec, shape)
-always produce bit-identical tensors, and a draw split at any offset equals
+Sampling is counter-based per entry, so identical (seed, spec, count)
+always produce bit-identical draws, and a draw split at any offset equals
 the whole draw. A truncated draw redraws only its out-of-bound entries, at
 their own entry indices.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import CounterRng
-from .tensor import InvalidInputError, Tensor4
+from .tensor import InvalidInputError
 
 FAMILIES = ("levy-gauss", "bounded-uniform", "gaussian", "none")
 
@@ -28,15 +28,12 @@ class NoiseSpec:
     """Perturbation family plus its scale and optional coordinate bound.
 
     epsilon_bound > 0 truncates levy-gauss samples to [-eps, eps] (and sets
-    the half-width of bounded-uniform); 0 means untruncated. level_pct is the
-    "k% noise" knob used by the training harness, where sigma is derived as
-    (k/100) times the per-channel clean standard deviation.
+    the half-width of bounded-uniform); 0 means untruncated.
     """
 
     family: str = "none"
     sigma: float = 1.0
     epsilon_bound: float = 0.0
-    level_pct: float = 0.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -107,12 +104,6 @@ def sample_noise_flat(
     if spec.family == "gaussian":
         return spec.sigma * rng.normal(count, *stream, offset=offset)
     return _sample_levy_gauss(rng, count, spec.sigma, spec.epsilon_bound, tuple(stream), offset)
-
-
-def sample_noise(spec: NoiseSpec, shape: tuple[int, int, int, int], rng: CounterRng) -> Tensor4:
-    """Tensor of i.i.d. perturbations; deterministic given (rng.seed, spec, shape)."""
-    count = int(np.prod(shape))
-    return Tensor4(sample_noise_flat(spec, count, rng).reshape(shape))
 
 
 def subgaussian_proxy_of_bound(epsilon: float) -> float:

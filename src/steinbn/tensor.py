@@ -1,8 +1,10 @@
-"""Dense rank-4 feature tensors and the channel-wise reductions BN needs.
+"""The rank-4 input validator and the channel-wise reductions BN needs.
 
-Layout is fixed to row-major (n, c, h, w) with 64-bit floats so that test
-oracles are bit-reproducible. Construction checks rank, shape and finiteness;
-that check is where a diverging run first surfaces.
+Activations travel as plain row-major (n, c, h, w) float64 arrays. Tensor4
+validates data where it enters: a dataset's images are checked once for
+rank, shape and finiteness, and nothing on the per-step path re-checks them.
+A diverging run surfaces at the model's output instead, as a non-finite
+training loss or validation logits.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ class InvalidInputError(ValueError):
 
 
 class NonFiniteError(InvalidInputError):
-    """Raised when a tensor holds NaN or infinite entries, as a diverging run does."""
+    """Raised for NaN or infinite values: in input data or a checkpoint, or as
+    the loss of a diverging run."""
 
 
 @dataclass(frozen=True)
 class Tensor4:
-    """Immutable (N, C, H, W) tensor of float64 values."""
+    """Validated, read-only (N, C, H, W) float64 array, for data entering the lab."""
 
     data: np.ndarray = field(repr=False)
 
@@ -41,14 +44,6 @@ class Tensor4:
     def dims(self) -> tuple[int, int, int, int]:
         return self.data.shape
 
-    @property
-    def n_per_channel(self) -> int:
-        n, _, h, w = self.data.shape
-        return n * h * w
-
-    @classmethod
-    def zeros(cls, dims: tuple[int, int, int, int]) -> "Tensor4":
-        return cls(np.zeros(dims, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -70,40 +65,17 @@ class ChannelStats:
         object.__setattr__(self, "var", var)
 
 
-def channel_moments(x: Tensor4) -> ChannelStats:
+def channel_moments(x: np.ndarray) -> ChannelStats:
     """Mean and population variance per channel over batch and spatial axes.
 
     Matches a sequential two-pass computation over each flattened channel
     slice; the divisor is n = N*H*W (population convention).
     """
-    n, c, h, w = x.dims
+    n, c, h, w = x.shape
     count = n * h * w
     if count < 2:
         raise InvalidInputError(f"need at least 2 samples per channel, got {count}")
-    flat = x.data.transpose(1, 0, 2, 3).reshape(c, count)
+    flat = x.transpose(1, 0, 2, 3).reshape(c, count)
     mean = flat.mean(axis=1)
     var = np.mean((flat - mean[:, None]) ** 2, axis=1)
     return ChannelStats(mean=mean, var=np.maximum(var, 0.0), count=count)
-
-
-def apply_affine_normalize(
-    x: Tensor4,
-    mean: np.ndarray,
-    var: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float,
-) -> Tensor4:
-    """y = gamma * (x - mean) / sqrt(var + eps) + beta, per channel."""
-    c = x.dims[1]
-    mean, var, gamma, beta = (np.asarray(v, dtype=np.float64) for v in (mean, var, gamma, beta))
-    for name, v in (("mean", mean), ("var", var), ("gamma", gamma), ("beta", beta)):
-        if v.shape != (c,):
-            raise InvalidInputError(f"{name} must have length C={c}, got shape {v.shape}")
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
-    if np.any(var + eps <= 0):
-        raise InvalidInputError("var + eps must be positive")
-    shaped = lambda v: v[None, :, None, None]
-    y = shaped(gamma) * (x.data - shaped(mean)) / np.sqrt(shaped(var) + eps) + shaped(beta)
-    return Tensor4(y)

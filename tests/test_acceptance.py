@@ -45,7 +45,7 @@ from steinbn.risk import (
     mc_stein_gamma_lemma,
 )
 from steinbn.rng import CounterRng
-from steinbn.tensor import Tensor4, channel_moments
+from steinbn.tensor import channel_moments
 
 from test_batchnorm import frozen_forward
 
@@ -153,8 +153,8 @@ def test_criterion_6_gradient_checks():
             )
             x = rng.normal(size=(2, 4, 3, 3))
             g = rng.normal(size=(2, 4, 3, 3))
-            _, cache = bn_forward(layer, Tensor4(x))
-            gin, _, _ = bn_backward(layer, cache, Tensor4(g))
+            _, cache = bn_forward(layer, x)
+            gin, _, _ = bn_backward(layer, cache, g)
             step = 1e-5
             fd = np.zeros_like(x)
             it = np.nditer(x, flags=["multi_index"])
@@ -167,7 +167,7 @@ def test_criterion_6_gradient_checks():
                 lm = float((g * frozen_forward(minus, layer, cache)).sum())
                 fd[idx] = (lp - lm) / (2 * step)
                 it.iternext()
-            rel = np.abs(gin.data - fd).max() / max(np.abs(fd).max(), 1e-8)
+            rel = np.abs(gin - fd).max() / max(np.abs(fd).max(), 1e-8)
             assert rel < 1e-5, (variant, trial, rel)
             worst = max(worst, rel)
     report("6 Gradient checks", True, f"(6 variants x 20 tensors, worst rel err {worst:.1e})")
@@ -241,7 +241,7 @@ def test_criterion_8_estimator_unit_suite():
     assert abs(subgaussian_proxy_of_bound(0.1) - 0.02) < tol
     assert subgaussian_proxy_of_bound(1.0) == 2.0
     # normalization sanity from tensor-core examples
-    x = Tensor4(np.random.default_rng(8).normal(size=(3, 4, 2, 2)))
+    x = np.random.default_rng(8).normal(size=(3, 4, 2, 2))
     stats_ = channel_moments(x)
     assert stats_.count == 12
     report("8 Estimator unit suite", True)

@@ -5,6 +5,8 @@ keeps the per-batch correction coefficients frozen at the base point — the
 same stop-gradient convention the analytic backward implements.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from steinbn.batchnorm import (
     correction_coefficients,
 )
 from steinbn.estimators import VAR_FLOOR
-from steinbn.tensor import ChannelStats, InvalidInputError, Tensor4, channel_moments
+from steinbn.tensor import ChannelStats, InvalidInputError, channel_moments
 
 VARIANTS = ["standard", "stein", "mean-only", "khoshsirat", "lasso", "ridge"]
 
@@ -28,13 +30,13 @@ def make_layer(variant, c=4, **kw):
     return BNLayer(num_channels=c, variant=variant, **kw)
 
 
-def rand_tensor(dims, seed):
-    return Tensor4(np.random.default_rng(seed).normal(size=dims))
+def rand_batch(dims, seed):
+    return np.random.default_rng(seed).normal(size=dims)
 
 
 def frozen_forward(x_arr, layer, cache):
     """Forward pass with the correction coefficients frozen from `cache`."""
-    stats = channel_moments(Tensor4(x_arr))
+    stats = channel_moments(x_arr)
     corr = cache.correction
     mean = corr.mean_coef * stats.mean + corr.mean_offset
     var = np.maximum(corr.var_coef * stats.var + corr.var_offset, VAR_FLOOR)
@@ -46,25 +48,25 @@ def frozen_forward(x_arr, layer, cache):
 class TestForward:
     def test_standard_constant_gives_beta(self):
         layer = make_layer("standard", c=2, beta=np.array([3.0, -1.0]))
-        x = Tensor4(np.full((2, 2, 2, 2), 9.0))
+        x = np.full((2, 2, 2, 2), 9.0)
         y, _ = bn_forward(layer, x)
-        np.testing.assert_allclose(y.data[:, 0], 3.0, atol=1e-12)
-        np.testing.assert_allclose(y.data[:, 1], -1.0, atol=1e-12)
+        np.testing.assert_allclose(y[:, 0], 3.0, atol=1e-12)
+        np.testing.assert_allclose(y[:, 1], -1.0, atol=1e-12)
 
     def test_standard_output_standardized(self):
         layer = make_layer("standard", c=4, eps=1e-12)
-        y, _ = bn_forward(layer, rand_tensor((3, 4, 3, 3), seed=0))
+        y, _ = bn_forward(layer, rand_batch((3, 4, 3, 3), seed=0))
         stats = channel_moments(y)
         np.testing.assert_allclose(stats.mean, 0.0, atol=1e-8)
         np.testing.assert_allclose(stats.var, 1.0, rtol=1e-8)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
-            bn_forward(make_layer("standard", c=3), rand_tensor((2, 4, 2, 2), seed=1))
+            bn_forward(make_layer("standard", c=3), rand_batch((2, 4, 2, 2), seed=1))
 
     def test_stein_small_c_degrades_mean_only(self):
         layer = make_layer("stein", c=2)
-        x = rand_tensor((3, 2, 2, 2), seed=2)
+        x = rand_batch((3, 2, 2, 2), seed=2)
         _, cache = bn_forward(layer, x)
         assert cache.correction.mean_degraded
         assert cache.correction.shrink_factor_mean == 1.0
@@ -76,54 +78,63 @@ class TestForward:
         # the n/(n+1) variance factor
         rng = np.random.default_rng(3)
         base = rng.normal(size=(4, 1, 2, 2))
-        x = Tensor4(np.repeat(base, 3, axis=1))
+        x = np.repeat(base, 3, axis=1)
         std_layer = make_layer("standard", c=3, eps=1e-9)
         stein_layer = make_layer("stein", c=3, c_tilde=0.0, eps=1e-9)
         y_std, cache_std = bn_forward(std_layer, x)
         y_st, cache_st = bn_forward(stein_layer, x)
-        n = x.n_per_channel
+        n = cache_std.raw.count
         np.testing.assert_allclose(cache_st.corrected_mean, cache_std.corrected_mean, atol=1e-12)
         np.testing.assert_allclose(
             cache_st.corrected_var, n / (n + 1.0) * cache_std.corrected_var, rtol=1e-12
         )
-        expected = y_std.data * np.sqrt(
+        expected = y_std * np.sqrt(
             (cache_std.corrected_var[0] + 1e-9) / (cache_st.corrected_var[0] + 1e-9)
         )
-        np.testing.assert_allclose(y_st.data, expected, rtol=1e-9)
+        np.testing.assert_allclose(y_st, expected, rtol=1e-9)
 
     def test_lasso_ridge_zero_lambda_equal_standard(self):
-        x = rand_tensor((2, 4, 3, 3), seed=4)
+        x = rand_batch((2, 4, 3, 3), seed=4)
         y_std, _ = bn_forward(make_layer("standard"), x)
         for variant in ("lasso", "ridge"):
             y, _ = bn_forward(make_layer(variant, lam=0.0), x)
-            np.testing.assert_allclose(y.data, y_std.data, atol=1e-12)
+            np.testing.assert_allclose(y, y_std, atol=1e-12)
 
     def test_eval_mode_affine_in_running_stats(self):
         layer = make_layer("stein", c=2).eval()
         layer.running_mean = np.array([1.0, -2.0])
         layer.running_var = np.array([4.0, 0.25])
-        x = rand_tensor((2, 2, 2, 2), seed=5)
+        x = rand_batch((2, 2, 2, 2), seed=5)
         y, cache = bn_forward(layer, x)
         a = layer.gamma / np.sqrt(layer.running_var + layer.eps)
         b = layer.beta - a * layer.running_mean
         np.testing.assert_allclose(
-            y.data, a[None, :, None, None] * x.data + b[None, :, None, None], atol=1e-12
+            y, a[None, :, None, None] * x + b[None, :, None, None], atol=1e-12
         )
         # eval is the correction coef 0, offset = running stats
         np.testing.assert_array_equal(cache.correction.mean_coef, 0.0)
         np.testing.assert_array_equal(cache.correction.var_coef, 0.0)
         np.testing.assert_array_equal(cache.corrected_mean, layer.running_mean)
 
+    def test_eval_unit_standardized_value(self):
+        layer = make_layer("standard", c=2, eps=1e-3).eval()
+        layer.running_mean = np.array([2.0, -1.0])
+        layer.running_var = np.array([4.0, 9.0])
+        shift = layer.running_mean + np.sqrt(layer.running_var + layer.eps)
+        x = np.broadcast_to(shift[None, :, None, None], (1, 2, 2, 2)).copy()
+        y, _ = bn_forward(layer, x)
+        np.testing.assert_allclose(y, 1.0, atol=1e-12)
+
     def test_eval_mode_does_not_touch_running_stats(self):
         layer = make_layer("standard", c=2).eval()
         before = layer.running_mean.copy(), layer.running_var.copy()
-        bn_forward(layer, rand_tensor((2, 2, 2, 2), seed=6))
+        bn_forward(layer, rand_batch((2, 2, 2, 2), seed=6))
         np.testing.assert_array_equal(layer.running_mean, before[0])
         np.testing.assert_array_equal(layer.running_var, before[1])
 
     def test_train_mode_stores_corrected_running_stats(self):
         layer = make_layer("stein", c=4, momentum=1.0)
-        x = rand_tensor((3, 4, 2, 2), seed=7)
+        x = rand_batch((3, 4, 2, 2), seed=7)
         _, cache = bn_forward(layer, x)
         np.testing.assert_allclose(layer.running_mean, cache.corrected_mean, atol=1e-12)
         np.testing.assert_allclose(layer.running_var, cache.corrected_var, atol=1e-12)
@@ -162,27 +173,27 @@ class TestCorrectionCoefficients:
 class TestBackward:
     def test_zero_grad_out(self):
         layer = make_layer("stein")
-        x = rand_tensor((2, 4, 2, 2), seed=8)
+        x = rand_batch((2, 4, 2, 2), seed=8)
         _, cache = bn_forward(layer, x)
-        gin, ggamma, gbeta = bn_backward(layer, cache, Tensor4.zeros(x.dims))
-        np.testing.assert_array_equal(gin.data, 0.0)
+        gin, ggamma, gbeta = bn_backward(layer, cache, np.zeros(x.shape))
+        np.testing.assert_array_equal(gin, 0.0)
         np.testing.assert_array_equal(ggamma, 0.0)
         np.testing.assert_array_equal(gbeta, 0.0)
 
     def test_grad_beta_is_channel_sum(self):
         for variant in VARIANTS:
             layer = make_layer(variant, lam=0.01)
-            x = rand_tensor((2, 4, 2, 2), seed=9)
-            g = rand_tensor((2, 4, 2, 2), seed=10)
+            x = rand_batch((2, 4, 2, 2), seed=9)
+            g = rand_batch((2, 4, 2, 2), seed=10)
             _, cache = bn_forward(layer, x)
             _, _, gbeta = bn_backward(layer, cache, g)
-            np.testing.assert_allclose(gbeta, g.data.sum(axis=(0, 2, 3)), atol=1e-12)
+            np.testing.assert_allclose(gbeta, g.sum(axis=(0, 2, 3)), atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         layer = make_layer("standard")
-        _, cache = bn_forward(layer, rand_tensor((2, 4, 2, 2), seed=11))
+        _, cache = bn_forward(layer, rand_batch((2, 4, 2, 2), seed=11))
         with pytest.raises(InvalidInputError):
-            bn_backward(layer, cache, Tensor4.zeros((2, 4, 3, 3)))
+            bn_backward(layer, cache, np.zeros((2, 4, 3, 3)))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_finite_difference_input_gradient(self, variant):
@@ -195,8 +206,8 @@ class TestBackward:
         )
         x_arr = rng.normal(size=(2, 4, 3, 3))
         g = rng.normal(size=(2, 4, 3, 3))
-        _, cache = bn_forward(layer, Tensor4(x_arr))
-        gin, _, _ = bn_backward(layer, cache, Tensor4(g))
+        _, cache = bn_forward(layer, x_arr)
+        gin, _, _ = bn_backward(layer, cache, g)
 
         step = 1e-5
         fd = np.zeros_like(x_arr)
@@ -211,14 +222,14 @@ class TestBackward:
             fd[idx] = (lp - lm) / (2 * step)
             it.iternext()
         denom = max(np.abs(fd).max(), 1e-8)
-        assert np.abs(gin.data - fd).max() / denom < 1e-6
+        assert np.abs(gin - fd).max() / denom < 1e-6
 
     @staticmethod
     def fd_gradient_error(layer, x_arr, g):
         """Max relative gap between the analytic input gradient and central
         differences of the frozen-correction forward."""
-        _, cache = bn_forward(layer, Tensor4(x_arr))
-        gin, _, _ = bn_backward(layer, cache, Tensor4(g))
+        _, cache = bn_forward(layer, x_arr)
+        gin, _, _ = bn_backward(layer, cache, g)
         step = 1e-5
         fd = np.zeros_like(x_arr)
         for idx in np.ndindex(x_arr.shape):
@@ -228,7 +239,7 @@ class TestBackward:
             lp = float((g * frozen_forward(plus, layer, cache)).sum())
             lm = float((g * frozen_forward(minus, layer, cache)).sum())
             fd[idx] = (lp - lm) / (2 * step)
-        return np.abs(gin.data - fd).max() / max(np.abs(fd).max(), 1e-8)
+        return np.abs(gin - fd).max() / max(np.abs(fd).max(), 1e-8)
 
     @given(
         variant=st.sampled_from(VARIANTS),
@@ -266,7 +277,7 @@ class TestBackward:
         x_arr *= np.array([1.0, 1.0, 4.0, 1e-3])[None, :, None, None]
         x_arr[:, 0] = 0.3  # zero variance: clamped by both rules
         layer = make_layer(variant, lam=0.5)
-        _, cache = bn_forward(layer, Tensor4(x_arr))
+        _, cache = bn_forward(layer, x_arr)
         # some but not all channels are clamped
         assert 0 < np.count_nonzero(cache.correction.var_coef == 0.0) < 4
         g = np.random.default_rng(17).normal(size=x_arr.shape)
@@ -275,12 +286,12 @@ class TestBackward:
     def test_eval_mode_backward_is_diagonal(self):
         layer = make_layer("standard", c=2).eval()
         layer.running_var = np.array([4.0, 1.0])
-        x = rand_tensor((2, 2, 2, 2), seed=13)
-        g = rand_tensor((2, 2, 2, 2), seed=14)
+        x = rand_batch((2, 2, 2, 2), seed=13)
+        g = rand_batch((2, 2, 2, 2), seed=14)
         _, cache = bn_forward(layer, x)
         gin, _, _ = bn_backward(layer, cache, g)
-        expected = g.data * (layer.gamma / np.sqrt(layer.running_var + layer.eps))[None, :, None, None]
-        np.testing.assert_allclose(gin.data, expected, atol=1e-12)
+        expected = g * (layer.gamma / np.sqrt(layer.running_var + layer.eps))[None, :, None, None]
+        np.testing.assert_allclose(gin, expected, atol=1e-12)
 
 
 class TestRunningStats:
@@ -290,6 +301,10 @@ class TestRunningStats:
         bn_update_running(layer, stats)
         np.testing.assert_array_equal(layer.running_mean, stats.mean)
         np.testing.assert_array_equal(layer.running_var, stats.var)
+
+    def test_nonpositive_eps_rejected(self):
+        with pytest.raises(InvalidInputError):
+            make_layer("standard", eps=0.0)
 
     def test_momentum_zero_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -313,7 +328,7 @@ class TestRunningStats:
 class TestLayerState:
     def test_state_roundtrip(self):
         layer = make_layer("stein", c=3)
-        bn_forward(layer, rand_tensor((2, 3, 2, 2), seed=15))
+        bn_forward(layer, rand_batch((2, 3, 2, 2), seed=15))
         other = make_layer("stein", c=3)
         other.load_state_arrays(layer.state_arrays())
         np.testing.assert_array_equal(other.running_mean, layer.running_mean)
@@ -323,3 +338,55 @@ class TestLayerState:
         assert make_layer("mean-only").variant is BNVariant.MEAN_ONLY
         with pytest.raises(ValueError):
             make_layer("bogus")
+
+
+# Golden outputs: sha256 over every case of a variant, recorded while the BN
+# core still wrapped its inputs and outputs in Tensor4. Each case hashes the
+# output, the corrected statistics, the correction, the running statistics
+# and the three gradients, with -0.0 folded to +0.0, so any refactor of the
+# core must reproduce the forward and backward passes bit for bit.
+_GOLDEN_BN_SHA256 = {
+    "standard": "ddf447ba578ead07d6fde18f0648bc0c21ae6200b3c07de19e2aeca43cb9d49e",
+    "stein": "c12fe41d499ce40bb68e24ad3d0899f7bae2a442849a67d71f35c635f721577f",
+    "mean-only": "60619883ebfd13a23ab1761b2e6b66c0f9b7b73fc5e3e3707798ff92f0968c1e",
+    "khoshsirat": "3de458ae1de4104fddc40583dda769591898927319c6246226d046a0a77dbc6b",
+    "lasso": "8579f5a46ec0510fcb2cb5f731e397feb43d6e9f47370f710f3c8af9f2ad2477",
+    "ridge": "a1bac4293fbc3438efded3f054a0894acb1315f92da53a752a758caee8ab7714",
+}
+
+
+def _golden_bn_cases(variant):
+    rng = np.random.default_rng(2024)
+    scales = np.array([0.5, 1.0, 2.0, 4.0])[None, :, None, None]
+    random_batch = rng.normal(size=(3, 4, 2, 3)) * scales
+    const_channel = random_batch.copy()
+    const_channel[:, 1] = -0.7
+    two_channels = rng.normal(size=(4, 2, 3, 2)) + 1.5
+    for x_arr in (random_batch, const_channel, two_channels):
+        c = x_arr.shape[1]
+        for mode in ("train", "eval"):
+            layer = make_layer(
+                variant, c=c, lam=0.05, gamma=rng.normal(size=c) + 1.5, beta=rng.normal(size=c)
+            )
+            if mode == "eval":
+                layer.running_mean = rng.normal(size=c)
+                layer.running_var = rng.uniform(0.1, 3.0, size=c)
+                layer.eval()
+            yield layer, x_arr, rng.normal(size=x_arr.shape)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_golden_digest(variant):
+    digest = hashlib.sha256()
+    for layer, x_arr, g in _golden_bn_cases(variant):
+        y, cache = bn_forward(layer, x_arr)
+        gin, ggamma, gbeta = bn_backward(layer, cache, g)
+        corr = cache.correction
+        parts = (
+            y, cache.corrected_mean, cache.corrected_var, corr.mean_coef, corr.mean_offset,
+            corr.var_coef, corr.var_offset, [corr.shrink_factor_mean, float(corr.mean_degraded)],
+            layer.running_mean, layer.running_var, gin, ggamma, gbeta,
+        )
+        for part in parts:
+            digest.update((np.asarray(part, dtype=np.float64) + 0.0).tobytes())
+    assert digest.hexdigest() == _GOLDEN_BN_SHA256[variant]

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from steinbn import __version__
@@ -92,6 +93,7 @@ class TestRisk:
         payload = json.loads(out.read_text())
         assert payload["verdict"] == "Dominates"
         assert payload["config"]["version"] == __version__
+        assert sorted(payload["config"]["noise"]) == ["epsilon_bound", "family", "sigma"]
         assert "Dominates" in capsys.readouterr().out
 
     def test_gamma_midpoint_default(self, tmp_path):
@@ -179,6 +181,26 @@ class TestTrainEvalReport:
         assert capsys.readouterr().err.startswith("error: truncated checkpoint")
         assert not (tmp_path / "e.csv").exists()
 
+    def test_eval_non_finite_checkpoint_exit_1(self, tmp_path, capsys):
+        # a NaN weight under a matching checkpoint_crc32: the sidecar vouches
+        # for the bytes, so only the finiteness check can refuse them
+        cfg_path = write_config(tmp_path)
+        ckdir = tmp_path / "ckpts"
+        run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                 "--checkpoint-dir", str(ckdir)])
+        ckpt_path = ckdir / "stein_s1.ckpt"
+        ckpt = Checkpoint.load(ckpt_path)
+        ckpt.arrays = dict(ckpt.arrays)
+        ckpt.arrays["layer3.w"] = ckpt.arrays["layer3.w"].copy()
+        ckpt.arrays["layer3.w"][-1, -1] = np.nan
+        ckpt.save(ckpt_path)
+        capsys.readouterr()
+        code = run_cli(["eval", "--checkpoint", str(ckpt_path), "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and "non-finite entries in layer3.w" in err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_eval_mismatched_checkpoint_pair_exit_1(self, tmp_path, capsys):
         # a .ckpt beside the .json sidecar of another save
         for seed in (1, 2):
@@ -226,6 +248,7 @@ class TestTrainEvalReport:
             ({"modle": "MLP2"}, "unknown config key 'modle'"),
             ({"batch_size": "32"}, "'batch_size' has a str value"),
             ([1, 2], "config must be a JSON object"),
+            ({"noise_family": "gausian"}, "unknown noise family 'gausian'"),
         ],
     )
     def test_bad_config_exit_1(self, tmp_path, capsys, config, message):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from steinbn.data import make_synthetic_blobs, split_indices
+from steinbn.data import Dataset, make_synthetic_blobs, split_indices
 from steinbn.harness import (
     RESULTS_HEADER,
     Checkpoint,
@@ -23,7 +23,7 @@ from steinbn.harness import (
     save_arrays,
     train_model,
 )
-from steinbn.tensor import InvalidInputError
+from steinbn.tensor import InvalidInputError, NonFiniteError, Tensor4
 
 FAST = dict(
     n_classes=4,
@@ -63,6 +63,19 @@ class TestData:
         with pytest.raises(InvalidInputError):
             make_synthetic_blobs(3, 10, 2, 2, sep=-1.0, seed=0)
 
+    def test_dataset_validates_images_once(self):
+        labels = np.array([0, 1])
+        ds = Dataset(images=np.ones((2, 1, 2, 2), dtype=np.float32), labels=labels)
+        assert ds.images.dtype == np.float64 and not ds.images.flags.writeable
+        nan_images = np.ones((2, 1, 2, 2))
+        nan_images[1, 0, 1, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            Dataset(images=nan_images, labels=labels)
+        with pytest.raises(InvalidInputError):
+            Dataset(images=np.ones((2, 4)), labels=labels)
+        with pytest.raises(InvalidInputError):
+            Dataset(images=np.ones((3, 1, 2, 2)), labels=labels)
+
     def test_split_is_80_10_10_partition(self):
         tr, va, te = split_indices(100, seed=3)
         assert len(tr) == 80 and len(va) == 10 and len(te) == 10
@@ -93,6 +106,8 @@ class TestConfig:
             ExperimentConfig(noise_levels=[0, 120])
         with pytest.raises(ValueError):
             ExperimentConfig(bn_variant="bogus")
+        with pytest.raises(InvalidInputError, match="unknown noise family 'gausian'"):
+            ExperimentConfig(noise_family="gausian")
 
 
 class TestResultsCsv:
@@ -248,6 +263,33 @@ class TestTraining:
         assert all(np.isfinite(v).all() for v in ckpt.arrays.values())
         rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family, seed=1)
         assert 0.0 <= rows[0].value <= 100.0
+
+    def test_training_builds_only_the_dataset_tensor4(self, monkeypatch):
+        # images are validated where they enter; the step path (BN included)
+        # runs on plain arrays
+        built = []
+        init = Tensor4.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor4, "__init__", counting_init)
+        cfg = ExperimentConfig(**{**FAST, "model": "TinyCNN", "max_epochs": 1})
+        ds = make_dataset(cfg, seed=1)
+        assert not train_model(cfg, ds, seed=1).diverged
+        assert len(built) == 1
+
+    def test_divergence_in_last_step_of_epoch_is_flagged(self):
+        # at seed 4 the last step of epoch 3 breaks the weights while its loss
+        # is still finite, so the validation pass is the first to see it
+        cfg = ExperimentConfig(
+            **{**DIVERGING, "learning_rate": 1e3, "max_epochs": 3, "seeds": [4], "channels": 3}
+        )
+        ds = make_dataset(cfg, seed=4)
+        with pytest.warns(UserWarning, match="diverged at epoch 3 [(]non-finite logits[)]"):
+            ckpt = train_model(cfg, ds, seed=4)
+        assert ckpt.diverged and ckpt.epochs_trained == 3
 
     def test_lasso_ridge_zero_lambda_match_standard_trajectories(self):
         base = ExperimentConfig(**{**FAST, "bn_variant": "standard"})

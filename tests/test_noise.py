@@ -12,7 +12,6 @@ from steinbn.noise import (
     levy_gauss_cdf,
     levy_gauss_pdf,
     levy_gauss_quantile,
-    sample_noise,
     sample_noise_flat,
     subgaussian_proxy_of_bound,
     truncated_levy_gauss,
@@ -74,13 +73,13 @@ class TestNoiseSpec:
 
 class TestSampling:
     def test_none_family_is_zero(self):
-        t = sample_noise(NoiseSpec(family="none"), (2, 3, 2, 2), CounterRng(0))
-        np.testing.assert_array_equal(t.data, 0.0)
+        draws = sample_noise_flat(NoiseSpec(family="none"), 24, CounterRng(0))
+        np.testing.assert_array_equal(draws, np.zeros(24))
 
     def test_bounded_uniform_zero_eps_is_zero(self):
         spec = NoiseSpec(family="bounded-uniform", epsilon_bound=0.0)
-        t = sample_noise(spec, (2, 2, 2, 2), CounterRng(0))
-        np.testing.assert_array_equal(t.data, 0.0)
+        draws = sample_noise_flat(spec, 16, CounterRng(0))
+        np.testing.assert_array_equal(draws, np.zeros(16))
 
     def test_bounded_uniform_within_bounds(self):
         spec = NoiseSpec(family="bounded-uniform", epsilon_bound=0.3)
@@ -100,9 +99,9 @@ class TestSampling:
 
     def test_determinism(self):
         spec = NoiseSpec(family="levy-gauss", sigma=0.7, epsilon_bound=2.0)
-        a = sample_noise(spec, (3, 2, 4, 4), CounterRng(5))
-        b = sample_noise(spec, (3, 2, 4, 4), CounterRng(5))
-        np.testing.assert_array_equal(a.data, b.data)
+        a = sample_noise_flat(spec, 96, CounterRng(5))
+        b = sample_noise_flat(spec, 96, CounterRng(5))
+        np.testing.assert_array_equal(a, b)
 
     def test_offset_chunks_match(self):
         spec = NoiseSpec(family="levy-gauss", sigma=1.0, epsilon_bound=1.5)
