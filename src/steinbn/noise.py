@@ -96,6 +96,8 @@ def sample_noise_flat(
     spec: NoiseSpec, count: int, rng: CounterRng, *stream: int, offset: int = 0
 ) -> np.ndarray:
     """Flat vector of i.i.d. perturbations from a keyed counter stream."""
+    if count < 0:
+        raise InvalidInputError(f"count must be non-negative, got {count}")
     if spec.family == "none":
         return np.zeros(count)
     if spec.family == "bounded-uniform":
@@ -119,6 +121,8 @@ def truncated_levy_gauss(epsilon: float, sigma: float | None = None) -> NoiseSpe
     epsilon == 0 degrades to the zero-noise spec so level sweeps can include
     a clean cell.
     """
+    if epsilon < 0:
+        raise InvalidInputError("epsilon must be non-negative")
     if epsilon == 0:
         return NoiseSpec(family="none")
     if sigma is None:

@@ -52,16 +52,25 @@ class CounterRng:
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def _hash(self, stream: tuple[int, ...], count: int, offset) -> np.ndarray:
+    def _entries(self, count: int, offset) -> np.ndarray:
+        """Mixed entry indices, in a fresh uint64 array the caller owns."""
         if isinstance(offset, np.ndarray):
             if offset.shape != (count,):
                 raise ValueError(f"index array of shape {offset.shape} for {count} draws")
             h = offset.astype(np.uint64)  # a copy: _mix overwrites it
         else:
             h = np.arange(offset, offset + count, dtype=np.uint64)
-        _mix(h)
-        h ^= _key_state(self.seed, stream)
         return _mix(h)
+
+    def _keyed_uniform(self, h: np.ndarray, stream: tuple[int, ...]) -> np.ndarray:
+        """Uniforms of one stream from mixed entry indices; overwrites h."""
+        h ^= _key_state(self.seed, stream)
+        _mix(h)
+        h >>= _S11
+        u = h.astype(np.float64)
+        u += 0.5
+        u *= _INV_2_53
+        return u
 
     def uniform(self, count: int, *stream: int, offset=0) -> np.ndarray:
         """i.i.d. uniforms strictly inside (0, 1).
@@ -69,22 +78,22 @@ class CounterRng:
         ``offset`` is either the first entry index (the draw covers entries
         offset..offset+count) or an integer array of ``count`` entry indices.
         """
-        h = self._hash(stream, count, offset)
-        h >>= _S11
-        u = h.astype(np.float64)
-        del h
-        u += 0.5
-        u *= _INV_2_53
-        return u
+        return self._keyed_uniform(self._entries(count, offset), stream)
 
     def normal(self, count: int, *stream: int, offset=0) -> np.ndarray:
         """Standard normals via Box-Muller on two counter substreams:
-        sqrt(-2 log u1) * cos(2 pi u2), each step done in place."""
-        r = self.uniform(count, *stream, 0, offset=offset)
+        sqrt(-2 log u1) * cos(2 pi u2), each step done in place.
+
+        The substreams are uniform(count, *stream, 0) and (*stream, 1); they
+        share one mix of the entry indices, and substream 1 overwrites it,
+        so no more than three arrays are live at once.
+        """
+        h = self._entries(count, offset)
+        r = self._keyed_uniform(h.copy(), (*stream, 0))
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
-        c = self.uniform(count, *stream, 1, offset=offset)
+        c = self._keyed_uniform(h, (*stream, 1))
         c *= 2.0 * np.pi
         np.cos(c, out=c)
         r *= c

@@ -10,6 +10,7 @@ training loss or validation logits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,24 +46,16 @@ class Tensor4:
         return self.data.shape
 
 
+class ChannelStats(NamedTuple):
+    """Per-channel mean/variance with the population (1/n) convention.
 
-@dataclass(frozen=True)
-class ChannelStats:
-    """Per-channel mean/variance with the population (1/n) convention."""
+    Built only inside the program (``channel_moments`` clamps ``var`` at 0),
+    so it carries no checks of its own.
+    """
 
     mean: np.ndarray
     var: np.ndarray
     count: int
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        var = np.asarray(self.var, dtype=np.float64)
-        if mean.shape != var.shape or mean.ndim != 1:
-            raise InvalidInputError("mean/var must be 1-d vectors of equal length")
-        if np.any(var < 0):
-            raise InvalidInputError("variances must be non-negative")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "var", var)
 
 
 def channel_moments(x: np.ndarray) -> ChannelStats:

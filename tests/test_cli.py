@@ -55,6 +55,20 @@ class TestUsageAndErrors:
         )
         assert code == 1
 
+    def test_negative_sample_count_exit_1_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli(["noise", "sample", "--family", "gaussian", "--n", "-1", "--seed", "1",
+                        "--out", str(out)])
+        assert code == 1
+        assert "count must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_eps_names_epsilon_exit_1(self, tmp_path, capsys):
+        code = run_cli(["risk", "gaussian", "--p", "8", "--theta-norm", "0", "--eps", "-1",
+                        "--trials", "100", "--seed", "1", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "epsilon must be non-negative" in capsys.readouterr().err
+
     def test_bare_subcommand_is_usage(self, capsys):
         assert run_cli(["risk"]) == 1
         assert run_cli(["noise"]) == 1

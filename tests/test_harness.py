@@ -1,5 +1,6 @@
 """Training-harness tests: datasets, training, evaluation, checkpoints, CSV."""
 
+import hashlib
 import json
 import os
 import warnings
@@ -290,6 +291,23 @@ class TestTraining:
         with pytest.warns(UserWarning, match="diverged at epoch 3 [(]non-finite logits[)]"):
             ckpt = train_model(cfg, ds, seed=4)
         assert ckpt.diverged and ckpt.epochs_trained == 3
+
+    def test_golden_tiny_cnn_checkpoint(self):
+        # sha256 of the trained arrays of a short TinyCNN run (80 training
+        # images: two batches of 32 and a ragged one of 16), recorded with
+        # nine-step strided im2col/col2im loops; any change to a training bit
+        # fails here
+        cfg = ExperimentConfig(
+            model="TinyCNN", bn_variant="stein", batch_size=32, hw=4, n_per_class=25,
+            max_epochs=2, learning_rate=0.05, seeds=[3],
+        )
+        ckpt = train_model(cfg, make_dataset(cfg, seed=3), seed=3)
+        assert (ckpt.epochs_trained, ckpt.best_val_acc) == (2, 70.0)
+        digest = hashlib.sha256()
+        for key in sorted(ckpt.arrays):
+            digest.update(key.encode())
+            digest.update(np.ascontiguousarray(ckpt.arrays[key]).tobytes())
+        assert digest.hexdigest() == "074ee4ed222dfdad58ab41984ab401e34164ad5e2466bf4e190262d124ae1fee"
 
     def test_lasso_ridge_zero_lambda_match_standard_trajectories(self):
         base = ExperimentConfig(**{**FAST, "bn_variant": "standard"})

@@ -3,11 +3,14 @@
 The gradient oracle is a central finite difference of the scalar
 L = sum(forward(x) * r) for a fixed random r, so dL/d(output) = r is what
 backward receives. The conv kernels are also compared with a plain einsum
-contraction of the same im2col matrix.
+contraction of the same im2col matrix, and the conv's gather and scatter
+byte for byte with nine-step strided loops.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinbn.batchnorm import BNVariant
 from steinbn.nn import Conv3x3, Dense, build_mlp2, build_tiny_cnn
@@ -89,6 +92,68 @@ def test_conv_matches_einsum_reference(dims):
     np.testing.assert_allclose(layer.dw, ref_dw, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(layer.db, g.sum(axis=(0, 2)), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(dx, ref_dx[:, :, 1:-1, 1:-1], rtol=1e-12, atol=1e-12)
+
+
+def _loop_im2col(x):
+    """The nine strided copies of a zero-padded input, tap k = dh*3 + dw."""
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2, w + 2))
+    padded[:, :, 1:-1, 1:-1] = x
+    cols = np.empty((n, c, 9, h, w))
+    for k in range(9):
+        dh, dw = divmod(k, 3)
+        cols[:, :, k] = padded[:, :, dh : dh + h, dw : dw + w]
+    return cols.reshape(n, c * 9, h * w)
+
+
+def _loop_col2im(dcols, shape):
+    """The nine strided adds onto the padded grid, in tap order from +0.0."""
+    n, c, h, w = shape
+    dcols = dcols.reshape(n, c, 9, h, w)
+    dx = np.zeros((n, c, h + 2, w + 2))
+    for k in range(9):
+        dh, dw = divmod(k, 3)
+        dx[:, :, dh : dh + h, dw : dw + w] += dcols[:, :, k]
+    return dx[:, :, 1:-1, 1:-1]
+
+
+dim = st.integers(1, 6)
+
+
+@given(n=dim, c=dim, h=dim, w=dim, o=dim, seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_conv_data_movement_equals_nine_step_loops(n, c, h, w, o, seed):
+    # byte for byte, so signed zeros count; zeroed inputs and gradients are
+    # common on the training path (relu)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c, h, w)) * (rng.random((n, c, h, w)) < 0.7)  # +0.0 and -0.0
+    cols = Conv3x3._im2col(x)
+    assert cols.flags.c_contiguous
+    assert cols.tobytes() == _loop_im2col(x).tobytes()
+
+    layer = Conv3x3(c, o, CounterRng(seed), 22)
+    grad = rng.normal(size=(n, o, h, w)) * (rng.random((n, o, h, w)) < 0.7)
+    layer.forward(x)
+    dx = layer.backward(grad)
+    dcols = np.matmul(layer.w.T, grad.reshape(n, o, h * w))
+    assert dx.shape == x.shape
+    assert dx.tobytes() == _loop_col2im(dcols, x.shape).tobytes()
+
+
+def test_conv_gradients_follow_the_batch_shape():
+    # 64, 32, then 64 again: the held scatter targets follow the input shape
+    rng = np.random.default_rng(4)
+    xs = [rng.normal(size=(n, 8, 4, 4)) for n in (64, 32, 64)]
+    gs = [rng.normal(size=(n, 16, 4, 4)) for n in (64, 32, 64)]
+    reused = Conv3x3(8, 16, CounterRng(9), 22)
+    for x, g in zip(xs, gs):
+        fresh = Conv3x3(8, 16, CounterRng(9), 22)
+        fresh.forward(x)
+        reused.forward(x)
+        want, got = fresh.backward(g), reused.backward(g)
+        assert got.tobytes() == want.tobytes()
+        assert reused.dw.tobytes() == fresh.dw.tobytes()
+        assert reused.db.tobytes() == fresh.db.tobytes()
 
 
 @pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])

@@ -103,6 +103,12 @@ class TestSampling:
         b = sample_noise_flat(spec, 96, CounterRng(5))
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("family", ["levy-gauss", "bounded-uniform", "gaussian", "none"])
+    def test_negative_count_rejected(self, family):
+        spec = NoiseSpec(family=family, sigma=1.0, epsilon_bound=1.0)
+        with pytest.raises(InvalidInputError, match="count must be non-negative"):
+            sample_noise_flat(spec, -1, CounterRng(5))
+
     def test_offset_chunks_match(self):
         spec = NoiseSpec(family="levy-gauss", sigma=1.0, epsilon_bound=1.5)
         rng = CounterRng(6)
@@ -144,6 +150,10 @@ class TestHelpers:
 
     def test_truncated_zero_eps_degrades_to_none(self):
         assert truncated_levy_gauss(0.0).family == "none"
+
+    def test_truncated_negative_eps_names_epsilon(self):
+        with pytest.raises(InvalidInputError, match="epsilon must be non-negative"):
+            truncated_levy_gauss(-1.0)
 
 
 def _full_block_levy_gauss(rng, count, sigma, eps, stream, offset):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinbn.tensor import (
-    ChannelStats,
     InvalidInputError,
     Tensor4,
     channel_moments,
@@ -43,16 +42,6 @@ class TestTensor4:
         t = Tensor4(np.zeros((1, 1, 2, 2)))
         with pytest.raises(ValueError):
             t.data[0, 0, 0, 0] = 1.0
-
-
-class TestChannelStats:
-    def test_rejects_negative_variance(self):
-        with pytest.raises(InvalidInputError):
-            ChannelStats(mean=np.zeros(2), var=np.array([1.0, -1.0]), count=4)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            ChannelStats(mean=np.zeros(2), var=np.zeros(3), count=4)
 
 
 class TestChannelMoments:
