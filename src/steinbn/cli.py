@@ -15,6 +15,7 @@ configuration plus the tool version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,8 +28,9 @@ from .harness import (
     ExperimentConfig,
     aggregate_results,
     atomic_write_bytes,
-    evaluate_under_noise,
-    make_dataset,
+    check_noise_levels,
+    make_test_split,
+    noise_sweep,
     rows_from_csv,
     rows_to_csv,
     run_sweep,
@@ -70,7 +72,10 @@ def _csv_with_config(body: str, config: dict) -> str:
     return body + "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing keeps no state
+    in it, as every call parses into a fresh namespace."""
     parser = _Parser(prog="steinbn", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"steinbn {__version__}")
     sub = parser.add_subparsers(dest="command")
@@ -243,9 +248,10 @@ def _cmd_eval(args) -> int:
     levels = (
         [float(s) for s in args.levels.split(",")] if args.levels else config.noise_levels
     )
+    check_noise_levels(levels)
     family = args.family or config.noise_family
-    dataset = make_dataset(config, ckpt.seed)
-    rows = evaluate_under_noise(ckpt, dataset, levels, family, ckpt.seed)
+    test = make_test_split(config, ckpt.seed)
+    rows = noise_sweep(ckpt, test.images, test.labels, levels, family, ckpt.seed)
     echo = config.to_dict()
     echo.update({"levels": levels, "family": family, "version": __version__})
     _atomic_write(args.out, _csv_with_config(rows_to_csv(rows), echo))

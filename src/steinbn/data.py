@@ -38,6 +38,7 @@ def make_synthetic_blobs(
     hw: int,
     sep: float,
     seed: int,
+    rows: np.ndarray | None = None,
 ) -> Dataset:
     """Gaussian class blobs in channel space.
 
@@ -45,6 +46,11 @@ def make_synthetic_blobs(
     per-channel separation between two class means is `sep` in units of the
     within-class standard deviation (which is 1). Every pixel of a channel
     shares its class mean.
+
+    With ``rows`` (integer indices into the n_classes * n_per_class samples),
+    only those samples are drawn, in that order: pixel j of sample r is entry
+    r*channels*hw*hw + j of the counter stream, so the result is bit-identical
+    to the same rows of the full dataset.
     """
     if n_classes < 2 or sep < 0:
         raise InvalidInputError("need n_classes >= 2 and sep >= 0")
@@ -54,8 +60,21 @@ def make_synthetic_blobs(
     )
     n_total = n_classes * n_per_class
     labels = np.repeat(np.arange(n_classes), n_per_class)
-    pixels = rng.normal(n_total * channels * hw * hw, 102).reshape(n_total, channels, hw, hw)
-    images = pixels + centers[labels][:, :, None, None]
+    pixels_per_sample = channels * hw * hw
+    if rows is None:
+        pixels = rng.normal(n_total * pixels_per_sample, 102)
+    else:
+        rows = np.asarray(rows)
+        if (
+            rows.ndim != 1
+            or rows.dtype.kind not in "iu"
+            or not np.all((rows >= 0) & (rows < n_total))
+        ):
+            raise InvalidInputError(f"rows must be a 1-D array of integers in [0, {n_total})")
+        labels = labels[rows]
+        entries = (rows[:, None] * pixels_per_sample + np.arange(pixels_per_sample)).ravel()
+        pixels = rng.normal(entries.size, 102, offset=entries)
+    images = pixels.reshape(-1, channels, hw, hw) + centers[labels][:, :, None, None]
     # fixed interleaved order; train/val/test splitting permutes separately
     return Dataset(images=images, labels=labels.astype(np.int64))
 

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import struct
 import tempfile
@@ -62,6 +63,13 @@ _JSON_TYPES = {
 }
 
 
+def check_noise_levels(levels) -> None:
+    """Refuse any noise level that is not a finite number of percent in [0, 100]."""
+    for level in levels:
+        if not (isinstance(level, numbers.Real) and 0 <= level <= 100):
+            raise InvalidInputError(f"noise level {level!r} is not a number in [0, 100]")
+
+
 @dataclass
 class ExperimentConfig:
     """Knobs of one training/evaluation sweep; JSON keys mirror field names
@@ -95,8 +103,7 @@ class ExperimentConfig:
             raise InvalidInputError("batch_size must be >= 2")
         if not self.seeds:
             raise InvalidInputError("need at least one seed")
-        if any(not (0 <= lv <= 100) for lv in self.noise_levels):
-            raise InvalidInputError("noise levels must lie in [0, 100]")
+        check_noise_levels(self.noise_levels)
         BNVariant(self.bn_variant)
         _unit_noise(self.noise_family)
 
@@ -305,12 +312,20 @@ def build_model(config: ExperimentConfig, input_dims, n_classes: int, seed: int)
     raise InvalidInputError(f"unknown model {config.model!r}")
 
 
-def make_dataset(config: ExperimentConfig, seed: int) -> Dataset:
+def make_dataset(config: ExperimentConfig, seed: int, rows: np.ndarray | None = None) -> Dataset:
+    """The config's dataset, or with ``rows`` only those samples of it."""
     if config.dataset == "SyntheticBlobs":
         return make_synthetic_blobs(
-            config.n_classes, config.n_per_class, config.channels, config.hw, config.sep, seed
+            config.n_classes, config.n_per_class, config.channels, config.hw, config.sep, seed,
+            rows=rows,
         )
     raise InvalidInputError(f"unknown dataset {config.dataset!r}; only 'SyntheticBlobs' exists")
+
+
+def make_test_split(config: ExperimentConfig, seed: int) -> Dataset:
+    """The test split of ``make_dataset(config, seed)``, drawing only its rows."""
+    _, _, te = split_indices(config.n_classes * config.n_per_class, seed)
+    return make_dataset(config, seed, rows=te)
 
 
 def _evaluate(model: Sequential, images: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
@@ -383,20 +398,17 @@ def _unit_noise(family: str) -> NoiseSpec:
 
 
 def _noisy_inputs(
-    images: np.ndarray, level_pct: float, family: str, seed: int
+    clean: np.ndarray, ch_std: np.ndarray, level_pct: float, family: str, seed: int
 ) -> np.ndarray:
-    """Add zero-mean noise with per-channel sigma = (level/100) * clean channel std."""
+    """Add zero-mean noise with per-channel sigma = (level/100) * ch_std."""
     if level_pct == 0:
-        return images
-    base_spec = _unit_noise(family)
-    n, c, h, w = images.shape
-    ch_std = images.transpose(1, 0, 2, 3).reshape(c, -1).std(axis=1)
+        return clean
     rng = CounterRng(seed)
-    unit = sample_noise_flat(base_spec, images.size, rng, 105, int(round(level_pct * 100))).reshape(
-        images.shape
-    )
+    unit = sample_noise_flat(
+        _unit_noise(family), clean.size, rng, 105, int(round(level_pct * 100))
+    ).reshape(clean.shape)
     sigma = (level_pct / 100.0) * ch_std
-    return images + unit * sigma[None, :, None, None]
+    return clean + unit * sigma[None, :, None, None]
 
 
 def evaluate_under_noise(
@@ -406,18 +418,49 @@ def evaluate_under_noise(
     noise_family: str,
     seed: int,
 ) -> list[ResultRow]:
-    """Test accuracy per noise level, deterministic per (seed, level)."""
-    config = checkpoint.config
+    """Test accuracy per noise level on the seed's test split of dataset."""
     _, _, te = split_indices(dataset.images.shape[0], seed)
-    x_te, y_te = dataset.images[te], dataset.labels[te]
-    model = build_model(config, dataset.input_dims, dataset.n_classes, seed)
+    return noise_sweep(
+        checkpoint, dataset.images[te], dataset.labels[te], noise_levels, noise_family, seed
+    )
+
+
+def noise_sweep(
+    checkpoint: Checkpoint,
+    images: np.ndarray,
+    labels: np.ndarray,
+    noise_levels: list,
+    noise_family: str,
+    seed: int,
+) -> list[ResultRow]:
+    """Accuracy on (images, labels) per noise level, deterministic per (seed, level).
+
+    Noise enters at the model's input, or with ``feature_noise`` after its
+    first BN layer. The clean activations at that point, and the per-channel
+    std that scales the noise, are the same at every level, so they are
+    computed once per sweep; the layers before the first BN run in eval mode,
+    where each sample's output depends on that sample alone.
+    """
+    config = checkpoint.config
+    model = build_model(config, images.shape[1:], config.n_classes, seed)
     model.load_state_arrays(checkpoint.arrays)
+    model.eval()
+    clean, tail = images, model
+    if config.feature_noise:
+        first_bn = next(i for i, l in enumerate(model.layers) if isinstance(l, BatchNorm))
+        clean = Sequential(model.layers[: first_bn + 1]).forward(images)
+        tail = Sequential(model.layers[first_bn + 1 :])
+    ch_std = clean.transpose(1, 0, 2, 3).reshape(clean.shape[1], -1).std(axis=1)
     rows = []
     for level in noise_levels:
+        x = _noisy_inputs(clean, ch_std, level, noise_family, seed)
+        # each placement keeps its scoring: 100 * correct / n in batches of
+        # 256 for input noise, 100 * mean(correct) in one pass for feature
+        # noise; the two differ in the last bit for some n
         if config.feature_noise:
-            acc = _evaluate_feature_noise(model, x_te, y_te, level, noise_family, seed)
+            acc = accuracy_pct(tail.forward(x), labels)
         else:
-            acc = _evaluate(model, _noisy_inputs(x_te, level, noise_family, seed), y_te)
+            acc = _evaluate(tail, x, labels)
         rows.append(
             ResultRow(
                 method=config.bn_variant,
@@ -430,22 +473,6 @@ def evaluate_under_noise(
             )
         )
     return rows
-
-
-def _evaluate_feature_noise(
-    model: Sequential, images: np.ndarray, labels: np.ndarray, level_pct: float,
-    family: str, seed: int,
-) -> float:
-    """Inject noise after the first BN layer instead of at the input."""
-    model.eval()
-    first_bn = next(i for i, l in enumerate(model.layers) if isinstance(l, BatchNorm))
-    x = images
-    for layer in model.layers[: first_bn + 1]:
-        x = layer.forward(x)
-    x = _noisy_inputs(x, level_pct, family, seed)
-    for layer in model.layers[first_bn + 1 :]:
-        x = layer.forward(x)
-    return accuracy_pct(x, labels)
 
 
 def run_sweep(config: ExperimentConfig, checkpoint_dir=None) -> list[ResultRow]:

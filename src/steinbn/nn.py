@@ -263,9 +263,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     n = logits.shape[0]
     flat = logits.reshape(n, -1)
     shifted = flat - flat.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(logsumexp - shifted[np.arange(n), labels]))
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    sums = probs.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(sums[:, 0]) - shifted[np.arange(n), labels]))
+    probs /= sums
     probs[np.arange(n), labels] -= 1.0
     return loss, (probs / n).reshape(logits.shape)
 

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from steinbn import __version__
-from steinbn.cli import run_cli
+from steinbn.cli import _build_parser, run_cli
 from steinbn.harness import Checkpoint, ExperimentConfig, load_arrays, rows_from_csv
 
 FAST_CONFIG = dict(
@@ -135,6 +136,22 @@ class TestRisk:
         assert code == 0
         assert json.loads(out.read_text())["holds"] is True
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        assert _build_parser() is _build_parser()
+        log, default = tmp_path / "log.json", tmp_path / "default.json"
+        lemma = ["risk", "lemma", "--alpha", "1", "--beta", "1", "--trials", "2000", "--seed", "1"]
+        assert run_cli([*lemma, "--h", "log", "--out", str(log)]) == 0
+        assert run_cli([*lemma, "--out", str(default)]) == 0
+        assert json.loads(log.read_text())["config"]["h"] == "log"
+        assert json.loads(default.read_text())["config"]["h"] == "square"
+
+    def test_version_then_next_command(self, tmp_path, capsys):
+        assert run_cli(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == f"steinbn {__version__}"
+        out = tmp_path / "n.csv"
+        assert run_cli(["noise", "sample", "--n", "3", "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_text().startswith("index,value\n0,")
+
     def test_lemma_unknown_function_exit_1(self, tmp_path):
         code = run_cli(["risk", "lemma", "--alpha", "1", "--beta", "1", "--h", "cube",
                         "--trials", "1000", "--seed", "1", "--out", str(tmp_path / "x.json")])
@@ -168,6 +185,44 @@ class TestTrainEvalReport:
         assert code == 0
         # eval of the saved checkpoint reproduces the training-run rows
         assert rows_from_csv(out.read_text()) == rows_from_csv(rows_csv.read_text())
+
+    @pytest.mark.parametrize("level", ["-10", "150", "nan", "inf"])
+    def test_eval_bad_level_exit_1_writes_nothing(self, tmp_path, capsys, level):
+        cfg_path = write_config(tmp_path)
+        ckdir = tmp_path / "ckpts"
+        run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                 "--checkpoint-dir", str(ckdir)])
+        capsys.readouterr()
+        out = tmp_path / "eval.csv"
+        code = run_cli(["eval", "--checkpoint", str(ckdir / "stein_s1.ckpt"),
+                        "--levels", f"0,{level}", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: noise level {float(level)!r} is not a number in [0, 100]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "feature_noise, digest",
+        [
+            (False, "20323eb98db95230291c5e91d8d7a037a065c0ddd4dc48ca70d720e7439ae117"),
+            (True, "bffd8a5b645135f08ec987cde461c3f48cafff2cfd715b1a8ff70e1d1a9b6db9"),
+        ],
+    )
+    def test_golden_eval_csv(self, tmp_path, feature_noise, digest):
+        # sha256 of the whole eval CSV, config echo and version included,
+        # recorded when eval still regenerated the full dataset and ran every
+        # layer at every level. With 24 test images, 100 * correct / 24 and
+        # 100 * mean(correct) differ in the last bit: input noise scores the
+        # first way, feature noise the second, and both show in the CSV.
+        cfg_path = write_config(tmp_path, model="TinyCNN", n_per_class=80, hw=4, sep=1.0,
+                                noise_family="gaussian", feature_noise=feature_noise)
+        ckdir = tmp_path / "ckpts"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                        "--checkpoint-dir", str(ckdir)]) == 0
+        out = tmp_path / "eval.csv"
+        assert run_cli(["eval", "--checkpoint", str(ckdir / "stein_s1.ckpt"),
+                        "--levels", "0,25,50,75,100", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_diverging_train_keeps_rows_and_flags_checkpoint(self, tmp_path):
         cfg_path = write_config(tmp_path, model="TinyCNN", learning_rate=1e6, n_per_class=50,
@@ -263,6 +318,7 @@ class TestTrainEvalReport:
             ({"batch_size": "32"}, "'batch_size' has a str value"),
             ([1, 2], "config must be a JSON object"),
             ({"noise_family": "gausian"}, "unknown noise family 'gausian'"),
+            ({"noise_levels": [0, "10"]}, "noise level '10' is not a number in [0, 100]"),
         ],
     )
     def test_bad_config_exit_1(self, tmp_path, capsys, config, message):

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinbn.data import Dataset, make_synthetic_blobs, split_indices
 from steinbn.harness import (
@@ -18,6 +20,7 @@ from steinbn.harness import (
     evaluate_under_noise,
     load_arrays,
     make_dataset,
+    make_test_split,
     rows_from_csv,
     rows_to_csv,
     run_sweep,
@@ -63,6 +66,40 @@ class TestData:
             make_synthetic_blobs(1, 10, 2, 2, sep=1.0, seed=0)
         with pytest.raises(InvalidInputError):
             make_synthetic_blobs(3, 10, 2, 2, sep=-1.0, seed=0)
+        for rows in (np.array([0, -1]), np.array([30]), np.array([0.0]), np.zeros((1, 1), int)):
+            with pytest.raises(InvalidInputError, match="rows must be"):
+                make_synthetic_blobs(3, 10, 2, 2, sep=1.0, seed=0, rows=rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_classes=st.integers(2, 4),
+        n_per_class=st.integers(1, 12),
+        channels=st.integers(1, 3),
+        hw=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_row_subset_draw_equals_full_rows(
+        self, n_classes, n_per_class, channels, hw, seed, data
+    ):
+        args = (n_classes, n_per_class, channels, hw, 2.0, seed)
+        full = make_synthetic_blobs(*args)
+        n = n_classes * n_per_class
+        order = data.draw(st.permutations(range(n)))
+        subset = np.array(order[: data.draw(st.integers(1, n))])
+        for rows in (subset, split_indices(n, seed)[2]):
+            part = make_synthetic_blobs(*args, rows=rows)
+            assert part.images.tobytes() == full.images[rows].tobytes()
+            assert part.labels.dtype == full.labels.dtype
+            assert part.labels.tobytes() == full.labels[rows].tobytes()
+
+    def test_test_split_equals_the_full_datasets_test_rows(self):
+        cfg = ExperimentConfig(**FAST)
+        full = make_dataset(cfg, seed=5)
+        _, _, te = split_indices(full.images.shape[0], seed=5)
+        test = make_test_split(cfg, seed=5)
+        assert test.images.tobytes() == full.images[te].tobytes()
+        assert test.labels.tobytes() == full.labels[te].tobytes()
 
     def test_dataset_validates_images_once(self):
         labels = np.array([0, 1])
@@ -103,8 +140,9 @@ class TestConfig:
             ExperimentConfig(batch_size=1)
         with pytest.raises(InvalidInputError):
             ExperimentConfig(seeds=[])
-        with pytest.raises(InvalidInputError):
-            ExperimentConfig(noise_levels=[0, 120])
+        for level in (120, -10, float("nan"), float("inf"), "10"):
+            with pytest.raises(InvalidInputError, match=f"noise level {level!r} is not a number"):
+                ExperimentConfig(noise_levels=[0, level])
         with pytest.raises(ValueError):
             ExperimentConfig(bn_variant="bogus")
         with pytest.raises(InvalidInputError, match="unknown noise family 'gausian'"):
@@ -348,6 +386,19 @@ class TestEvaluation:
         ckpt = train_model(cfg, ds, seed=1)
         rows = evaluate_under_noise(ckpt, ds, [0, 20], cfg.noise_family, seed=1)
         assert all(0.0 <= r.value <= 100.0 for r in rows)
+
+    @pytest.mark.parametrize("feature_noise", [False, True])
+    def test_sweep_equals_each_level_on_its_own(self, feature_noise):
+        # the clean prefix and the noise scale are shared across the levels
+        # of a sweep; no level may see another level's noise
+        cfg = ExperimentConfig(**{**FAST, "feature_noise": feature_noise, "sep": 1.0})
+        ds = make_dataset(cfg, seed=1)
+        ckpt = train_model(cfg, ds, seed=1)
+        levels = [0, 20, 50, 20, 0]
+        rows = evaluate_under_noise(ckpt, ds, levels, "levy-gauss", seed=1)
+        alone = [evaluate_under_noise(ckpt, ds, [lv], "levy-gauss", seed=1)[0] for lv in levels]
+        assert rows == alone
+        assert len({r.value for r in rows}) > 1
 
 
 class TestAggregate:
