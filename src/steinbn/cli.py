@@ -57,6 +57,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# namespace keys that route a call or name its artifact; _echo leaves them out
+_NOT_CONFIG = ("command", "risk_command", "noise_command", "run", "out")
+
+
 def _atomic_write(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
@@ -67,9 +71,8 @@ def _theta(p: int, norm: float) -> np.ndarray:
 
 
 def _csv_with_config(body: str, config: dict) -> str:
-    """Append the resolved config as trailing comment lines."""
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    return body + "\n".join(lines) + "\n"
+    """Append the resolved config as a trailing comment line."""
+    return body + "# config: " + json.dumps(config, sort_keys=True) + "\n"
 
 
 @functools.cache
@@ -78,10 +81,10 @@ def _build_parser() -> _Parser:
     in it, as every call parses into a fresh namespace."""
     parser = _Parser(prog="steinbn", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"steinbn {__version__}")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     risk = sub.add_parser("risk", help="Monte Carlo risk and identity checks")
-    rsub = risk.add_subparsers(dest="risk_command")
+    rsub = risk.add_subparsers(dest="risk_command", required=True)
 
     g = rsub.add_parser("gaussian", help="James-Stein vs MLE mean risk")
     g.add_argument("--p", type=int, required=True)
@@ -92,6 +95,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--k", type=float, default=3.0)
     g.add_argument("--out", required=True)
+    g.set_defaults(run=_cmd_gaussian)
 
     gm = rsub.add_parser("gamma", help="geometric-mean shrinkage vs naive variance risk")
     gm.add_argument("--p", type=int, required=True)
@@ -104,6 +108,7 @@ def _build_parser() -> _Parser:
     gm.add_argument("--seed", type=int, required=True)
     gm.add_argument("--k", type=float, default=3.0)
     gm.add_argument("--out", required=True)
+    gm.set_defaults(run=_cmd_gamma)
 
     iq = rsub.add_parser("inequality", help="key expectation inequality check")
     iq.add_argument("--p", type=int, required=True)
@@ -113,6 +118,7 @@ def _build_parser() -> _Parser:
     iq.add_argument("--seed", type=int, required=True)
     iq.add_argument("--k", type=float, default=3.0)
     iq.add_argument("--out", required=True)
+    iq.set_defaults(run=_cmd_inequality)
 
     lm = rsub.add_parser("lemma", help="Gamma Stein identity on the catalog")
     lm.add_argument("--alpha", type=float, required=True)
@@ -122,9 +128,10 @@ def _build_parser() -> _Parser:
     lm.add_argument("--seed", type=int, required=True)
     lm.add_argument("--k", type=float, default=4.0)
     lm.add_argument("--out", required=True)
+    lm.set_defaults(run=_cmd_lemma)
 
     noise = sub.add_parser("noise", help="perturbation sampling")
-    nsub = noise.add_subparsers(dest="noise_command")
+    nsub = noise.add_subparsers(dest="noise_command", required=True)
     ns = nsub.add_parser("sample", help="draw i.i.d. perturbations to CSV")
     ns.add_argument("--family", default="levy-gauss")
     ns.add_argument("--sigma", type=float, default=1.0)
@@ -132,103 +139,88 @@ def _build_parser() -> _Parser:
     ns.add_argument("--n", type=int, required=True)
     ns.add_argument("--seed", type=int, required=True)
     ns.add_argument("--out", required=True)
+    ns.set_defaults(run=_cmd_noise)
 
     tr = sub.add_parser("train", help="training sweep from a JSON config")
     tr.add_argument("--config", required=True)
     tr.add_argument("--out", required=True, help="results CSV path")
     tr.add_argument("--checkpoint-dir", default=None)
+    tr.set_defaults(run=_cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint under a noise sweep")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--levels", default=None, help="comma list; default from checkpoint config")
     ev.add_argument("--family", default=None)
     ev.add_argument("--out", required=True)
+    ev.set_defaults(run=_cmd_eval)
 
     rp = sub.add_parser("report", help="merge result CSVs into a summary table")
     rp.add_argument("inputs", nargs="+")
     rp.add_argument("--out", required=True)
     rp.add_argument("--gnuplot", default=None, help="optional whitespace-separated data file")
+    rp.set_defaults(run=_cmd_report)
 
     return parser
 
 
-def _cmd_risk(args) -> int:
-    if args.risk_command == "lemma":
-        lhs, rhs, gap = mc_stein_gamma_lemma(
-            args.alpha, args.beta, args.h, args.trials, args.seed, k=args.k
-        )
-        payload = {
-            "lhs": lhs,
-            "rhs": rhs,
-            "gap_in_se": gap,
-            "holds": abs(gap) < args.k,
-            "config": {
-                "alpha": args.alpha,
-                "beta": args.beta,
-                "h": args.h,
-                "trials": args.trials,
-                "seed": args.seed,
-                "k": args.k,
-                "version": __version__,
-            },
-        }
-        _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True))
-        return 0
+def _echo(args) -> dict:
+    """The parsed arguments that configure the run, plus the tool version."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    config["version"] = __version__
+    return config
 
+
+def _cmd_lemma(args) -> int:
+    lhs, rhs, gap = mc_stein_gamma_lemma(
+        args.alpha, args.beta, args.h, args.trials, args.seed, k=args.k
+    )
+    payload = {"lhs": lhs, "rhs": rhs, "gap_in_se": gap, "holds": abs(gap) < args.k}
+    payload["config"] = _echo(args)
+    _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
+def _cmd_inequality(args) -> int:
     noise = truncated_levy_gauss(args.eps)
-    if args.risk_command == "inequality":
-        est, se, holds = mc_key_inequality(
-            args.p, _theta(args.p, args.theta_norm), noise, args.trials, args.seed, k=args.k
-        )
-        payload = {
-            "estimate": est,
-            "se": se,
-            "holds": holds,
-            "config": {
-                "p": args.p,
-                "theta_norm": args.theta_norm,
-                "eps": args.eps,
-                "trials": args.trials,
-                "seed": args.seed,
-                "k": args.k,
-                "version": __version__,
-            },
-        }
-        _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True))
-        return 0
+    est, se, holds = mc_key_inequality(
+        args.p, _theta(args.p, args.theta_norm), noise, args.trials, args.seed, k=args.k
+    )
+    payload = {"estimate": est, "se": se, "holds": holds, "config": _echo(args)}
+    _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True))
+    return 0
 
-    if args.risk_command == "gaussian":
-        report = mc_risk_gaussian(
-            args.p, _theta(args.p, args.theta_norm), args.sigma, noise,
-            args.trials, args.seed, k=args.k,
-        )
-    else:  # gamma
-        sigmas = np.array([float(s) for s in args.sigmas_x.split(",")])
-        if sigmas.size == 1:
-            sigmas = np.full(args.p, sigmas[0])
-        alpha = (args.n - 1) / 2.0
-        c = args.c if args.c is not None else classical_c_bound(alpha, args.p) / 2.0
-        spec = GammaTrialSpec(p=args.p, n=args.n, mu=args.mu, sigmas_x=sigmas, noise=noise, c=c)
-        report = mc_risk_gamma(spec, args.trials, args.seed, k=args.k)
+
+def _write_verdict(args, report) -> int:
     report.config["version"] = __version__
     _atomic_write(args.out, report.to_json())
     print(f"{report.verdict} (margin {report.margin_se:.2f} se)")
     return 2 if report.verdict == VERDICT_VIOLATED else 0
 
 
+def _cmd_gaussian(args) -> int:
+    noise = truncated_levy_gauss(args.eps)
+    report = mc_risk_gaussian(
+        args.p, _theta(args.p, args.theta_norm), args.sigma, noise, args.trials, args.seed, k=args.k
+    )
+    return _write_verdict(args, report)
+
+
+def _cmd_gamma(args) -> int:
+    noise = truncated_levy_gauss(args.eps)
+    sigmas = np.array([float(s) for s in args.sigmas_x.split(",")])
+    if sigmas.size == 1:
+        sigmas = np.full(args.p, sigmas[0])
+    alpha = (args.n - 1) / 2.0
+    c = args.c if args.c is not None else classical_c_bound(alpha, args.p) / 2.0
+    spec = GammaTrialSpec(p=args.p, n=args.n, mu=args.mu, sigmas_x=sigmas, noise=noise, c=c)
+    return _write_verdict(args, mc_risk_gamma(spec, args.trials, args.seed, k=args.k))
+
+
 def _cmd_noise(args) -> int:
     spec = NoiseSpec(family=args.family, sigma=args.sigma, epsilon_bound=args.eps)
     draws = sample_noise_flat(spec, args.n, CounterRng(args.seed), 1)
     body = "index,value\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(draws))
-    config = {
-        "family": args.family,
-        "sigma": args.sigma,
-        "eps": args.eps,
-        "n": args.n,
-        "seed": args.seed,
-        "version": __version__,
-    }
-    _atomic_write(args.out, _csv_with_config(body, config))
+    _atomic_write(args.out, _csv_with_config(body, _echo(args)))
     return 0
 
 
@@ -236,8 +228,7 @@ def _cmd_train(args) -> int:
     with open(args.config) as f:
         config = ExperimentConfig.from_json(f.read())
     rows = run_sweep(config, args.checkpoint_dir)
-    echo = config.to_dict()
-    echo["version"] = __version__
+    echo = {**config.to_dict(), "version": __version__}
     _atomic_write(args.out, _csv_with_config(rows_to_csv(rows), echo))
     return 0
 
@@ -252,8 +243,7 @@ def _cmd_eval(args) -> int:
     family = args.family or config.noise_family
     test = make_test_split(config, ckpt.seed)
     rows = noise_sweep(ckpt, test.images, test.labels, levels, family, ckpt.seed)
-    echo = config.to_dict()
-    echo.update({"levels": levels, "family": family, "version": __version__})
+    echo = {**config.to_dict(), "levels": levels, "family": family, "version": __version__}
     _atomic_write(args.out, _csv_with_config(rows_to_csv(rows), echo))
     return 0
 
@@ -276,36 +266,15 @@ def _cmd_report(args) -> int:
 
 
 def run_cli(argv: list[str]) -> int:
-    parser = _build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "risk":
-            if not getattr(args, "risk_command", None):
-                parser.print_usage(sys.stderr)
-                return 1
-            return _cmd_risk(args)
-        if args.command == "noise":
-            if not getattr(args, "noise_command", None):
-                parser.print_usage(sys.stderr)
-                return 1
-            return _cmd_noise(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        return args.run(args)
     except (InvalidInputError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    parser.print_usage(sys.stderr)
-    return 1
 
 
 def main() -> None:

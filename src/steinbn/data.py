@@ -23,10 +23,6 @@ class Dataset:
         object.__setattr__(self, "images", images)
 
     @property
-    def input_dims(self) -> tuple[int, int, int]:
-        return self.images.shape[1:]
-
-    @property
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1
 

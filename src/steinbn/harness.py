@@ -301,14 +301,16 @@ class Checkpoint:
         )
 
 
-def build_model(config: ExperimentConfig, input_dims, n_classes: int, seed: int) -> Sequential:
+def build_model(config: ExperimentConfig, seed: int) -> Sequential:
+    """The config's model for (channels, hw, hw) inputs and n_classes outputs."""
     rng = CounterRng(seed)
+    dims, n_classes = (config.channels, config.hw, config.hw), config.n_classes
     kwargs = dict(c_tilde=config.c_tilde, lam=config.lam)
     variant = BNVariant(config.bn_variant)
     if config.model == "MLP2":
-        return build_mlp2(input_dims, n_classes, variant, rng, hidden=config.hidden, **kwargs)
+        return build_mlp2(dims, n_classes, variant, rng, hidden=config.hidden, **kwargs)
     if config.model == "TinyCNN":
-        return build_tiny_cnn(input_dims, n_classes, variant, rng, **kwargs)
+        return build_tiny_cnn(dims, n_classes, variant, rng, **kwargs)
     raise InvalidInputError(f"unknown model {config.model!r}")
 
 
@@ -345,7 +347,7 @@ def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkp
     tr, va, _ = split_indices(dataset.images.shape[0], seed)
     x_tr, y_tr = dataset.images[tr], dataset.labels[tr]
     x_va, y_va = dataset.images[va], dataset.labels[va]
-    model = build_model(config, dataset.input_dims, dataset.n_classes, seed)
+    model = build_model(config, seed)
     opt = SGDNesterov(model, config.learning_rate, config.momentum_sgd, config.nesterov)
     shuffle_rng = CounterRng(seed)
 
@@ -398,14 +400,14 @@ def _unit_noise(family: str) -> NoiseSpec:
 
 
 def _noisy_inputs(
-    clean: np.ndarray, ch_std: np.ndarray, level_pct: float, family: str, seed: int
+    clean: np.ndarray, ch_std: np.ndarray, level_pct: float, unit_spec: NoiseSpec, seed: int
 ) -> np.ndarray:
     """Add zero-mean noise with per-channel sigma = (level/100) * ch_std."""
     if level_pct == 0:
         return clean
     rng = CounterRng(seed)
     unit = sample_noise_flat(
-        _unit_noise(family), clean.size, rng, 105, int(round(level_pct * 100))
+        unit_spec, clean.size, rng, 105, int(round(level_pct * 100))
     ).reshape(clean.shape)
     sigma = (level_pct / 100.0) * ch_std
     return clean + unit * sigma[None, :, None, None]
@@ -439,10 +441,12 @@ def noise_sweep(
     first BN layer. The clean activations at that point, and the per-channel
     std that scales the noise, are the same at every level, so they are
     computed once per sweep; the layers before the first BN run in eval mode,
-    where each sample's output depends on that sample alone.
+    where each sample's output depends on that sample alone. An unknown
+    noise family is refused before any work, even when every level is 0.
     """
+    unit_spec = _unit_noise(noise_family)
     config = checkpoint.config
-    model = build_model(config, images.shape[1:], config.n_classes, seed)
+    model = build_model(config, seed)
     model.load_state_arrays(checkpoint.arrays)
     model.eval()
     clean, tail = images, model
@@ -453,7 +457,7 @@ def noise_sweep(
     ch_std = clean.transpose(1, 0, 2, 3).reshape(clean.shape[1], -1).std(axis=1)
     rows = []
     for level in noise_levels:
-        x = _noisy_inputs(clean, ch_std, level, noise_family, seed)
+        x = _noisy_inputs(clean, ch_std, level, unit_spec, seed)
         # each placement keeps its scoring: 100 * correct / n in batches of
         # 256 for input noise, 100 * mean(correct) in one pass for feature
         # noise; the two differ in the last bit for some n

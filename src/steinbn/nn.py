@@ -2,11 +2,16 @@
 
 Just enough machinery for the desk-scale BN comparison: dense and 3x3
 convolution layers, relu, global average pooling, softmax cross-entropy,
-and SGD with Nesterov momentum. Activations travel as (N, C, H, W) float64
+and SGD with Nesterov momentum. ``BatchNorm`` is a ``batchnorm.BNLayer``
+that runs the BN core as a layer. Activations travel as (N, C, H, W) float64
 arrays, through the BN core too; only a dataset's images are validated
 (see ``tensor``). Dense and Conv3x3 (via an im2col matrix) do their
 arithmetic as BLAS matrix products; Conv3x3 moves its data around those
 products with one numpy gather and one ordered scatter.
+
+A model's state is each layer's ``state_arrays()`` (its parameters, plus the
+running statistics for BN). ``Sequential`` saves and loads them through one
+path, and loading checks each array's key and shape against the model.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 
 from .batchnorm import BNLayer, BNVariant, bn_backward, bn_forward
 from .rng import CounterRng
+from .tensor import InvalidInputError
 
 
 class Layer:
@@ -25,6 +31,10 @@ class Layer:
 
     def grads(self) -> dict[str, np.ndarray]:
         return {}
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        """What a checkpoint stores of the layer: its parameters, by default."""
+        return self.params()
 
     def train(self):
         pass
@@ -170,37 +180,29 @@ class GlobalAvgPool(Layer):
         return np.broadcast_to(grad / (h * w), self._shape).copy()
 
 
-class BatchNorm(Layer):
-    """Adapter running the shrinkage-aware BN core inside the layer stack."""
+class BatchNorm(BNLayer, Layer):
+    """A BNLayer in the layer stack: its state, modes and checkpoint arrays are
+    the BNLayer's; forward and backward run the BN core on it."""
 
-    def __init__(self, num_channels: int, variant: BNVariant, c_tilde=None, lam: float = 0.0):
-        self.bn = BNLayer(num_channels=num_channels, variant=variant, c_tilde=c_tilde, lam=lam)
-        self.dgamma = np.zeros(num_channels)
-        self.dbeta = np.zeros(num_channels)
+    def __post_init__(self):
+        super().__post_init__()
+        self.dgamma = np.zeros(self.num_channels)
+        self.dbeta = np.zeros(self.num_channels)
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y, self._cache = bn_forward(self.bn, x)
+        y, self._cache = bn_forward(self, x)
         return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        gx, self.dgamma, self.dbeta = bn_backward(self.bn, self._cache, grad)
+        gx, self.dgamma, self.dbeta = bn_backward(self, self._cache, grad)
         return gx
 
-    def train(self):
-        self.bn.train()
-
-    def eval(self):
-        self.bn.eval()
-
     def params(self):
-        return {"gamma": self.bn.gamma, "beta": self.bn.beta}
+        return {"gamma": self.gamma, "beta": self.beta}
 
     def grads(self):
         return {"gamma": self.dgamma, "beta": self.dbeta}
-
-    def state_arrays(self):
-        return self.bn.state_arrays()
 
 
 class Sequential:
@@ -237,25 +239,23 @@ class Sequential:
                 yield f"layer{i}.{name}", layer, name, arr
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """All weights plus BN running statistics, checkpoint-ready."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                out[f"layer{i}.{name}"] = arr
-            if isinstance(layer, BatchNorm):
-                for name, arr in layer.bn.state_arrays().items():
-                    out[f"layer{i}.{name}"] = arr
-        return out
+        """Every layer's state arrays, keyed ``layer<i>.<name>`` in layer order."""
+        return {
+            f"layer{i}.{name}": arr
+            for i, layer in enumerate(self.layers)
+            for name, arr in layer.state_arrays().items()
+        }
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, BatchNorm):
-                layer.bn.load_state_arrays(
-                    {k: arrays[f"layer{i}.{k}"] for k in ("gamma", "beta", "running_mean", "running_var")}
-                )
-            else:
-                for name in layer.params():
-                    layer.params()[name][...] = arrays[f"layer{i}.{name}"]
+        """Copy arrays into the model's state in place; a missing array or one
+        of another shape is an InvalidInputError naming its key."""
+        for key, arr in self.state_arrays().items():
+            src = arrays.get(key)
+            if src is None:
+                raise InvalidInputError(f"checkpoint has no array {key!r}")
+            if src.shape != arr.shape:
+                raise InvalidInputError(f"checkpoint array {key!r} is {src.shape}, the model's {arr.shape}")
+            arr[...] = src
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -270,6 +270,52 @@ class TestTrainEvalReport:
         assert err.startswith("error: checkpoint") and "non-finite entries in layer3.w" in err
         assert not (tmp_path / "e.csv").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("layer1.running_mean", np.zeros(1), "'layer1.running_mean' is (1,), the model's (8,)"),
+            ("layer0.b", np.zeros(1), "'layer0.b' is (1,), the model's (8,)"),
+            ("layer7.b", None, "checkpoint has no array 'layer7.b'"),
+        ],
+        ids=["short-running-mean", "short-bias", "missing-bias"],
+    )
+    def test_eval_checkpoint_not_fitting_the_model_exit_1(self, tmp_path, capsys, key, value, message):
+        # a wrong-sized or missing array under a matching checkpoint_crc32:
+        # only the load into the model can refuse it
+        cfg_path = write_config(tmp_path, model="TinyCNN")
+        ckdir = tmp_path / "ckpts"
+        run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                 "--checkpoint-dir", str(ckdir)])
+        ckpt_path = ckdir / "stein_s1.ckpt"
+        ckpt = Checkpoint.load(ckpt_path)
+        ckpt.arrays = dict(ckpt.arrays)
+        if value is None:
+            del ckpt.arrays[key]
+        else:
+            ckpt.arrays[key] = value
+        ckpt.save(ckpt_path)
+        capsys.readouterr()
+        out = tmp_path / "e.csv"
+        code = run_cli(["eval", "--checkpoint", str(ckpt_path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint") and message in err
+        assert not out.exists()
+
+    def test_eval_unknown_family_at_level_0_exit_1(self, tmp_path, capsys):
+        # level 0 draws no noise; the family is checked all the same
+        cfg_path = write_config(tmp_path)
+        ckdir = tmp_path / "ckpts"
+        run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                 "--checkpoint-dir", str(ckdir)])
+        capsys.readouterr()
+        out = tmp_path / "e.csv"
+        code = run_cli(["eval", "--checkpoint", str(ckdir / "stein_s1.ckpt"), "--levels", "0",
+                        "--family", "bogus", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: unknown noise family 'bogus'")
+        assert not out.exists()
+
     def test_eval_mismatched_checkpoint_pair_exit_1(self, tmp_path, capsys):
         # a .ckpt beside the .json sidecar of another save
         for seed in (1, 2):

@@ -347,6 +347,18 @@ class TestTraining:
             digest.update(np.ascontiguousarray(ckpt.arrays[key]).tobytes())
         assert digest.hexdigest() == "074ee4ed222dfdad58ab41984ab401e34164ad5e2466bf4e190262d124ae1fee"
 
+    def test_golden_tiny_cnn_checkpoint_file(self, tmp_path):
+        # sha256 of the saved .ckpt file of the run above, so the order in
+        # which the model lists its arrays (w, b per affine layer; gamma,
+        # beta, running_mean, running_var per BN) is pinned too
+        cfg = ExperimentConfig(
+            model="TinyCNN", bn_variant="stein", batch_size=32, hw=4, n_per_class=25,
+            max_epochs=2, learning_rate=0.05, seeds=[3],
+        )
+        train_model(cfg, make_dataset(cfg, seed=3), seed=3).save(tmp_path / "m.ckpt")
+        digest = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
+        assert digest == "69b4e35dfadd78bb9c7c6fed19527edf66479762e467ffb92cda8af37d5add5b"
+
     def test_lasso_ridge_zero_lambda_match_standard_trajectories(self):
         base = ExperimentConfig(**{**FAST, "bn_variant": "standard"})
         ref = run_sweep(base)

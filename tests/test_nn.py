@@ -1,4 +1,4 @@
-"""Gradient and reference tests for the Conv3x3 and Dense layers.
+"""Gradient, reference and state tests for the layers.
 
 The gradient oracle is a central finite difference of the scalar
 L = sum(forward(x) * r) for a fixed random r, so dL/d(output) = r is what
@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinbn.batchnorm import BNVariant
+from steinbn.batchnorm import BNLayer, BNVariant
 from steinbn.nn import Conv3x3, Dense, build_mlp2, build_tiny_cnn
 from steinbn.rng import CounterRng
+from steinbn.tensor import InvalidInputError
 
 N, C, O, H, W = 3, 2, 5, 3, 5  # non-square, odd, every axis distinct
 
@@ -172,3 +173,35 @@ def test_sequential_backward_skips_only_the_input_gradient(build):
     for layer, before in zip(model.layers, skipped):
         for name, arr in layer.grads().items():
             assert arr.tobytes() == before[name].tobytes(), name
+
+
+def test_state_loads_in_place_and_round_trips():
+    # the state of one model loaded into another of the same shape gives
+    # the same arrays in the same order, written into the model's own arrays
+    src = build_tiny_cnn((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
+    src.train()
+    src.forward(np.random.default_rng(1).normal(size=(6, 3, 4, 4)))  # moves the running stats
+    dst = build_tiny_cnn((3, 4, 4), 4, BNVariant.STEIN, CounterRng(6))
+    own = dst.state_arrays()
+    dst.load_state_arrays({k: v.copy() for k, v in src.state_arrays().items()})
+    assert list(dst.state_arrays()) == list(src.state_arrays()) == list(own)
+    for key, arr in dst.state_arrays().items():
+        assert arr is own[key]
+        assert arr.tobytes() == src.state_arrays()[key].tobytes(), key
+    assert isinstance(dst.layers[1], BNLayer)
+    assert list(own)[:6] == [
+        "layer0.w", "layer0.b",
+        "layer1.gamma", "layer1.beta", "layer1.running_mean", "layer1.running_var",
+    ]
+
+
+@pytest.mark.parametrize("key, value", [("layer1.running_var", np.ones(3)), ("layer3.w", None)])
+def test_state_not_fitting_the_model_is_refused(key, value):
+    model = build_mlp2((3, 2, 2), 4, BNVariant.STEIN, CounterRng(5), hidden=8)
+    arrays = dict(model.state_arrays())
+    if value is None:
+        del arrays[key]
+    else:
+        arrays[key] = value
+    with pytest.raises(InvalidInputError, match=repr(key)):
+        model.load_state_arrays(arrays)
