@@ -114,10 +114,6 @@ class BNLayer:
             "running_var": self.running_var,
         }
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            setattr(self, name, np.asarray(arrays[name], dtype=np.float64).copy())
-
 
 class Correction(NamedTuple):
     """Frozen per-channel affine correction: corrected = coef * raw + offset.

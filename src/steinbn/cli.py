@@ -58,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # namespace keys that route a call or name its artifact; _echo leaves them out
-_NOT_CONFIG = ("command", "risk_command", "noise_command", "run", "out")
+_NOT_CONFIG = ("command", "risk_command", "noise_command", "run", "out", "gnuplot")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -71,8 +71,9 @@ def _theta(p: int, norm: float) -> np.ndarray:
 
 
 def _csv_with_config(body: str, config: dict) -> str:
-    """Append the resolved config as a trailing comment line."""
-    return body + "# config: " + json.dumps(config, sort_keys=True) + "\n"
+    """Append the resolved config as trailing comment lines."""
+    lines = ["# config: " + json.dumps(config, sort_keys=True)]
+    return body + "\n".join(lines) + "\n"
 
 
 @functools.cache
@@ -228,7 +229,8 @@ def _cmd_train(args) -> int:
     with open(args.config) as f:
         config = ExperimentConfig.from_json(f.read())
     rows = run_sweep(config, args.checkpoint_dir)
-    echo = {**config.to_dict(), "version": __version__}
+    echo = config.to_dict()
+    echo["version"] = __version__
     _atomic_write(args.out, _csv_with_config(rows_to_csv(rows), echo))
     return 0
 
@@ -243,7 +245,8 @@ def _cmd_eval(args) -> int:
     family = args.family or config.noise_family
     test = make_test_split(config, ckpt.seed)
     rows = noise_sweep(ckpt, test.images, test.labels, levels, family, ckpt.seed)
-    echo = {**config.to_dict(), "levels": levels, "family": family, "version": __version__}
+    echo = config.to_dict()
+    echo.update({"levels": levels, "family": family, "version": __version__})
     _atomic_write(args.out, _csv_with_config(rows_to_csv(rows), echo))
     return 0
 
@@ -256,8 +259,7 @@ def _cmd_report(args) -> int:
     if not rows:
         raise InvalidInputError("no result rows found in the given inputs")
     summary = aggregate_results(rows)
-    config = {"inputs": list(args.inputs), "version": __version__}
-    _atomic_write(args.out, _csv_with_config(summary, config))
+    _atomic_write(args.out, _csv_with_config(summary, _echo(args)))
     if args.gnuplot:
         data = summary.splitlines()
         body = "\n".join(line.replace(",", " ") for line in data if not line.startswith("#"))

@@ -22,10 +22,6 @@ class Dataset:
             raise InvalidInputError("labels must be (N,) and match the images")
         object.__setattr__(self, "images", images)
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
 
 def make_synthetic_blobs(
     n_classes: int,

@@ -384,10 +384,8 @@ def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkp
                     break
     except NonFiniteError as exc:
         warnings.warn(f"diverged at epoch {epoch} ({exc}); run marked failed")
-        model.load_state_arrays(best_state)
         return Checkpoint(config, seed, best_state, epoch, best_val, diverged=True)
 
-    model.load_state_arrays(best_state)
     return Checkpoint(config, seed, best_state, best_epoch, best_val)
 
 

@@ -10,8 +10,8 @@ arithmetic as BLAS matrix products; Conv3x3 moves its data around those
 products with one numpy gather and one ordered scatter.
 
 A model's state is each layer's ``state_arrays()`` (its parameters, plus the
-running statistics for BN). ``Sequential`` saves and loads them through one
-path, and loading checks each array's key and shape against the model.
+running statistics for BN). Each layer loads its own in place, refusing a
+missing or misshapen array and, for BN, a negative running variance.
 """
 
 from __future__ import annotations
@@ -35,6 +35,17 @@ class Layer:
     def state_arrays(self) -> dict[str, np.ndarray]:
         """What a checkpoint stores of the layer: its parameters, by default."""
         return self.params()
+
+    def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
+        """Copy each ``arrays[prefix + name]`` in place; a missing or misshapen one is refused."""
+        for name, arr in self.state_arrays().items():
+            key = prefix + name
+            src = arrays.get(key)
+            if src is None:
+                raise InvalidInputError(f"checkpoint has no array {key!r}")
+            if src.shape != arr.shape:
+                raise InvalidInputError(f"checkpoint array {key!r} is {src.shape}, the model's {arr.shape}")
+            arr[...] = src
 
     def train(self):
         pass
@@ -204,6 +215,11 @@ class BatchNorm(BNLayer, Layer):
     def grads(self):
         return {"gamma": self.dgamma, "beta": self.dbeta}
 
+    def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
+        super().load_state_arrays(arrays, prefix)
+        if np.any(self.running_var < 0):
+            raise InvalidInputError(f"checkpoint array {prefix + 'running_var'!r} has negative entries")
+
 
 class Sequential:
     def __init__(self, layers: list[Layer]):
@@ -247,15 +263,8 @@ class Sequential:
         }
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy arrays into the model's state in place; a missing array or one
-        of another shape is an InvalidInputError naming its key."""
-        for key, arr in self.state_arrays().items():
-            src = arrays.get(key)
-            if src is None:
-                raise InvalidInputError(f"checkpoint has no array {key!r}")
-            if src.shape != arr.shape:
-                raise InvalidInputError(f"checkpoint array {key!r} is {src.shape}, the model's {arr.shape}")
-            arr[...] = src
+        for i, layer in enumerate(self.layers):
+            layer.load_state_arrays(arrays, f"layer{i}.")
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -21,6 +21,7 @@ from steinbn.batchnorm import (
     correction_coefficients,
 )
 from steinbn.estimators import VAR_FLOOR
+from steinbn.nn import BatchNorm
 from steinbn.tensor import ChannelStats, InvalidInputError, channel_moments
 
 VARIANTS = ["standard", "stein", "mean-only", "khoshsirat", "lasso", "ridge"]
@@ -327,9 +328,10 @@ class TestRunningStats:
 
 class TestLayerState:
     def test_state_roundtrip(self):
-        layer = make_layer("stein", c=3)
+        # state is loaded through the layer stack's BN, which is a BNLayer
+        layer = BatchNorm(num_channels=3, variant="stein")
         bn_forward(layer, rand_batch((2, 3, 2, 2), seed=15))
-        other = make_layer("stein", c=3)
+        other = BatchNorm(num_channels=3, variant="stein")
         other.load_state_arrays(layer.state_arrays())
         np.testing.assert_array_equal(other.running_mean, layer.running_mean)
         np.testing.assert_array_equal(other.running_var, layer.running_var)

@@ -276,12 +276,13 @@ class TestTrainEvalReport:
             ("layer1.running_mean", np.zeros(1), "'layer1.running_mean' is (1,), the model's (8,)"),
             ("layer0.b", np.zeros(1), "'layer0.b' is (1,), the model's (8,)"),
             ("layer7.b", None, "checkpoint has no array 'layer7.b'"),
+            ("layer1.running_var", -np.ones(8), "'layer1.running_var' has negative entries"),
         ],
-        ids=["short-running-mean", "short-bias", "missing-bias"],
+        ids=["short-running-mean", "short-bias", "missing-bias", "negative-running-var"],
     )
     def test_eval_checkpoint_not_fitting_the_model_exit_1(self, tmp_path, capsys, key, value, message):
-        # a wrong-sized or missing array under a matching checkpoint_crc32:
-        # only the load into the model can refuse it
+        # a wrong-sized, missing or invalid array under a matching
+        # checkpoint_crc32: only the load into the model can refuse it
         cfg_path = write_config(tmp_path, model="TinyCNN")
         ckdir = tmp_path / "ckpts"
         run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),

@@ -46,7 +46,6 @@ class TestData:
     def test_blobs_shape_and_labels(self):
         ds = make_synthetic_blobs(4, 25, 3, 2, sep=3.0, seed=0)
         assert ds.images.shape == (100, 3, 2, 2)
-        assert ds.n_classes == 4
         assert np.bincount(ds.labels).tolist() == [25, 25, 25, 25]
 
     def test_blobs_deterministic(self):

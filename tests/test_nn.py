@@ -195,7 +195,10 @@ def test_state_loads_in_place_and_round_trips():
     ]
 
 
-@pytest.mark.parametrize("key, value", [("layer1.running_var", np.ones(3)), ("layer3.w", None)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("layer1.running_var", np.ones(3)), ("layer3.w", None), ("layer1.running_var", -np.ones(8))],
+)
 def test_state_not_fitting_the_model_is_refused(key, value):
     model = build_mlp2((3, 2, 2), 4, BNVariant.STEIN, CounterRng(5), hidden=8)
     arrays = dict(model.state_arrays())
