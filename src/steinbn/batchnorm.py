@@ -66,7 +66,6 @@ class BNLayer:
     c_tilde: float | None = None
     lam: float = 0.0
     mode: BNMode = BNMode.TRAIN
-    positive_part: bool = False
     gamma: np.ndarray = field(default=None)
     beta: np.ndarray = field(default=None)
     running_mean: np.ndarray = field(default=None)
@@ -158,7 +157,7 @@ def correction_coefficients(layer: BNLayer, stats: ChannelStats) -> Correction:
     mean_coef, mean_offset, var_coef, var_offset = 1.0, 0.0, 1.0, 0.0
     s_mean, degraded = 1.0, False
     if variant in (BNVariant.STEIN, BNVariant.MEAN_ONLY, BNVariant.KHOSHSIRAT):
-        s_mean, degraded = js_mean_factor(mean, positive_part=layer.positive_part)
+        s_mean, degraded = js_mean_factor(mean)
         mean_coef = s_mean
     if variant == BNVariant.STEIN:
         var_coef, var_offset = stein_variance_coefficients(var, n, _auto_c(layer, n, mean.size))

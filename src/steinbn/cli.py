@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimators import classical_c_bound
 from .harness import (
     Checkpoint,
     ExperimentConfig,
@@ -65,6 +64,18 @@ def _atomic_write(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _finite(text: str) -> float:
+    """A float flag's value; nan and inf are refused at the parser."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _finite_list(text: str) -> np.ndarray:
+    return np.array([_finite(s) for s in text.split(",")])
+
+
 def _theta(p: int, norm: float) -> np.ndarray:
     """Deterministic direction: theta = norm/sqrt(p) * (1,...,1)."""
     return np.full(p, norm / np.sqrt(p))
@@ -89,45 +100,45 @@ def _build_parser() -> _Parser:
 
     g = rsub.add_parser("gaussian", help="James-Stein vs MLE mean risk")
     g.add_argument("--p", type=int, required=True)
-    g.add_argument("--theta-norm", type=float, required=True)
-    g.add_argument("--sigma", type=float, default=1.0)
-    g.add_argument("--eps", type=float, default=0.0, help="truncation bound of the mixture noise")
+    g.add_argument("--theta-norm", type=_finite, required=True)
+    g.add_argument("--sigma", type=_finite, default=1.0)
+    g.add_argument("--eps", type=_finite, default=0.0, help="truncation bound of the mixture noise")
     g.add_argument("--trials", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--k", type=float, default=3.0)
+    g.add_argument("--k", type=_finite, default=3.0)
     g.add_argument("--out", required=True)
     g.set_defaults(run=_cmd_gaussian)
 
     gm = rsub.add_parser("gamma", help="geometric-mean shrinkage vs naive variance risk")
     gm.add_argument("--p", type=int, required=True)
     gm.add_argument("--n", type=int, required=True)
-    gm.add_argument("--mu", type=float, default=0.0)
-    gm.add_argument("--sigmas-x", default="1", help="comma list of scales; a single value is broadcast")
-    gm.add_argument("--c", type=float, default=None, help="shrinkage constant; default midpoint of the classical interval")
-    gm.add_argument("--eps", type=float, default=0.0)
+    gm.add_argument("--mu", type=_finite, default=0.0)
+    gm.add_argument("--sigmas-x", type=_finite_list, default="1", help="comma list of scales; a single value is broadcast")
+    gm.add_argument("--c", type=_finite, default=None, help="shrinkage constant; default midpoint of the classical interval")
+    gm.add_argument("--eps", type=_finite, default=0.0)
     gm.add_argument("--trials", type=int, required=True)
     gm.add_argument("--seed", type=int, required=True)
-    gm.add_argument("--k", type=float, default=3.0)
+    gm.add_argument("--k", type=_finite, default=3.0)
     gm.add_argument("--out", required=True)
     gm.set_defaults(run=_cmd_gamma)
 
     iq = rsub.add_parser("inequality", help="key expectation inequality check")
     iq.add_argument("--p", type=int, required=True)
-    iq.add_argument("--theta-norm", type=float, required=True)
-    iq.add_argument("--eps", type=float, default=0.0)
+    iq.add_argument("--theta-norm", type=_finite, required=True)
+    iq.add_argument("--eps", type=_finite, default=0.0)
     iq.add_argument("--trials", type=int, required=True)
     iq.add_argument("--seed", type=int, required=True)
-    iq.add_argument("--k", type=float, default=3.0)
+    iq.add_argument("--k", type=_finite, default=3.0)
     iq.add_argument("--out", required=True)
     iq.set_defaults(run=_cmd_inequality)
 
     lm = rsub.add_parser("lemma", help="Gamma Stein identity on the catalog")
-    lm.add_argument("--alpha", type=float, required=True)
-    lm.add_argument("--beta", type=float, required=True)
+    lm.add_argument("--alpha", type=_finite, required=True)
+    lm.add_argument("--beta", type=_finite, required=True)
     lm.add_argument("--h", default="square", help="catalog function name")
     lm.add_argument("--trials", type=int, required=True)
     lm.add_argument("--seed", type=int, required=True)
-    lm.add_argument("--k", type=float, default=4.0)
+    lm.add_argument("--k", type=_finite, default=4.0)
     lm.add_argument("--out", required=True)
     lm.set_defaults(run=_cmd_lemma)
 
@@ -135,8 +146,8 @@ def _build_parser() -> _Parser:
     nsub = noise.add_subparsers(dest="noise_command", required=True)
     ns = nsub.add_parser("sample", help="draw i.i.d. perturbations to CSV")
     ns.add_argument("--family", default="levy-gauss")
-    ns.add_argument("--sigma", type=float, default=1.0)
-    ns.add_argument("--eps", type=float, default=0.0)
+    ns.add_argument("--sigma", type=_finite, default=1.0)
+    ns.add_argument("--eps", type=_finite, default=0.0)
     ns.add_argument("--n", type=int, required=True)
     ns.add_argument("--seed", type=int, required=True)
     ns.add_argument("--out", required=True)
@@ -208,12 +219,10 @@ def _cmd_gaussian(args) -> int:
 
 def _cmd_gamma(args) -> int:
     noise = truncated_levy_gauss(args.eps)
-    sigmas = np.array([float(s) for s in args.sigmas_x.split(",")])
+    sigmas = args.sigmas_x
     if sigmas.size == 1:
         sigmas = np.full(args.p, sigmas[0])
-    alpha = (args.n - 1) / 2.0
-    c = args.c if args.c is not None else classical_c_bound(alpha, args.p) / 2.0
-    spec = GammaTrialSpec(p=args.p, n=args.n, mu=args.mu, sigmas_x=sigmas, noise=noise, c=c)
+    spec = GammaTrialSpec(p=args.p, n=args.n, mu=args.mu, sigmas_x=sigmas, noise=noise, c=args.c)
     return _write_verdict(args, mc_risk_gamma(spec, args.trials, args.seed, k=args.k))
 
 

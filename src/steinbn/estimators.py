@@ -41,10 +41,6 @@ class GammaParams:
             raise InvalidInputError("betas must be a vector of positive scales")
         object.__setattr__(self, "betas", betas)
 
-    @property
-    def p(self) -> int:
-        return self.betas.size
-
 
 def classical_c_bound(alpha: float, p: int) -> float:
     """Upper end of the admissible shrinkage interval, 2(p-1)/((a+1)(a*p+1))."""
@@ -87,18 +83,18 @@ class ShrinkageConstant:
 
 
 def js_mean_classical(z: np.ndarray, variance_scale: float = 1.0) -> np.ndarray:
-    """(1 - (p-2)*variance_scale/||z||^2) * z, without positive-part clipping."""
-    z = np.asarray(z, dtype=np.float64)
-    p = z.size
+    """(1 - (p-2)*variance_scale/||z||^2) * z over the last axis, without clipping."""
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    p = z.shape[-1]
     if p < 3:
         raise InvalidInputError(f"James-Stein mean shrinkage needs p >= 3, got {p}")
     if variance_scale <= 0:
         raise InvalidInputError("variance_scale must be positive")
-    norm_sq = float(z @ z)
-    if norm_sq == 0.0:
+    norm_sq = np.einsum("...i,...i->...", z, z)
+    if np.any(norm_sq == 0.0):
         raise ZeroDivisionError("cannot shrink the zero vector")
     factor = 1.0 - (p - 2) * variance_scale / norm_sq
-    return factor * z
+    return factor[..., None] * z
 
 
 def js_mean_factor(
@@ -138,21 +134,21 @@ def js_mean_channels(
     return factor * mu
 
 
-def geometric_mean(x: np.ndarray) -> float:
+def geometric_mean(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return float(np.exp(np.mean(np.log(x))))
+    return np.exp(np.mean(np.log(x), axis=-1))
 
 
 def gamma_scale_shrink(x: np.ndarray, alpha: float, c: float) -> np.ndarray:
-    """x_i/(alpha+1) + c*V with V the geometric mean of x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size < 2:
+    """x_i/(alpha+1) + c*V over the last axis, V the geometric mean; c=0 is naive."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if x.shape[-1] < 2:
         raise InvalidInputError("need at least 2 coordinates")
     if np.any(x <= 0):
         raise InvalidInputError("geometric mean undefined for non-positive entries")
     if alpha <= 0:
         raise InvalidInputError("alpha must be positive")
-    return x / (alpha + 1.0) + c * geometric_mean(x)
+    return x / (alpha + 1.0) + c * geometric_mean(x)[..., None]
 
 
 def stein_variance_coefficients(

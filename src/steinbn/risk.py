@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .estimators import ShrinkageConstant, gamma_scale_shrink, js_mean_classical, variance_gamma_params
 from .noise import NoiseSpec, sample_noise_flat
 from .rng import CounterRng
 from .tensor import InvalidInputError
@@ -65,8 +66,6 @@ class RiskReport:
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
     n = x.size
-    if n < 2:
-        raise InvalidInputError("need at least 2 trials for a standard error")
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(n))
 
 
@@ -138,17 +137,13 @@ def mc_risk_gaussian(
 ) -> RiskReport:
     """Risks of the James-Stein mean estimator vs the MLE on Z = X + Y."""
     theta = np.asarray(theta, dtype=np.float64)
-    if p < 3:
-        raise InvalidInputError("need p >= 3")
     if theta.shape != (p,):
         raise InvalidInputError(f"theta must have length p={p}")
     rng = CounterRng(seed)
 
     def trial(lo, hi):
         z = _perturbed(rng, theta, sigma, noise, lo, hi, (p,))
-        norm_sq = np.einsum("ij,ij->i", z, z)
-        factor = 1.0 - (p - 2) * sigma**2 / norm_sq
-        d = factor[:, None] * z - theta
+        d = js_mean_classical(z, sigma**2) - theta
         return np.einsum("ij,ij->i", z - theta, z - theta), np.einsum("ij,ij->i", d, d)
 
     err_mle, err_js = _run_trials(n_trials, _BLOCK, trial)
@@ -166,31 +161,29 @@ def mc_risk_gaussian(
 
 @dataclass(frozen=True)
 class GammaTrialSpec:
-    """One configuration of the perturbed empirical-variance experiment."""
+    """One perturbed empirical-variance experiment; c=None picks the classical midpoint."""
 
     p: int
     n: int
     mu: float
     sigmas_x: np.ndarray
     noise: NoiseSpec
-    c: float
+    c: float | None = None
+    alpha: float = field(init=False)
+    betas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sig = np.asarray(self.sigmas_x, dtype=np.float64)
-        if self.p < 2 or self.n < 2:
-            raise InvalidInputError("need p >= 2 and n >= 2")
+        if self.p < 2:
+            raise InvalidInputError("need p >= 2")
         if sig.shape != (self.p,) or np.any(sig <= 0):
             raise InvalidInputError("sigmas_x must be a length-p vector of positive scales")
+        gamma = variance_gamma_params(sig**2, self.n)
+        if self.c is None:
+            object.__setattr__(self, "c", ShrinkageConstant.midpoint(gamma.alpha, self.p).c_tilde)
         object.__setattr__(self, "sigmas_x", sig)
-
-    @property
-    def alpha(self) -> float:
-        return (self.n - 1) / 2.0
-
-    @property
-    def betas(self) -> np.ndarray:
-        """Clean Gamma scale targets 2*sigma_x^2/n."""
-        return 2.0 * self.sigmas_x**2 / self.n
+        object.__setattr__(self, "alpha", gamma.alpha)
+        object.__setattr__(self, "betas", gamma.betas)
 
 
 def mc_risk_gamma(
@@ -209,9 +202,8 @@ def mc_risk_gamma(
     def trial(lo, hi):
         z = _perturbed(rng, spec.mu, spec.sigmas_x[:, None], spec.noise, lo, hi, (p, n))
         var_z = z.var(axis=2)  # population convention, divide by n
-        naive = var_z / (alpha + 1.0)
-        v = np.exp(np.mean(np.log(np.maximum(var_z, 1e-300)), axis=1))
-        js = naive + c * v[:, None]
+        naive = gamma_scale_shrink(var_z, alpha, 0.0)
+        js = gamma_scale_shrink(var_z, alpha, c)
         return ((naive - betas) ** 2).sum(axis=1), ((js - betas) ** 2).sum(axis=1)
 
     block = max(1, _BLOCK // max(1, (p * n) // 8))

@@ -157,6 +157,70 @@ class TestRisk:
                         "--trials", "1000", "--seed", "1", "--out", str(tmp_path / "x.json")])
         assert code == 1
 
+    # the parser's last value of a repeated flag wins, so each case appends
+    # one non-finite value to a command that runs
+    GAUSSIAN = ["risk", "gaussian", "--p", "8", "--theta-norm", "1", "--trials", "200", "--seed", "1"]
+    GAMMA = ["risk", "gamma", "--p", "3", "--n", "5", "--trials", "200", "--seed", "1"]
+    INEQUALITY = ["risk", "inequality", "--p", "5", "--theta-norm", "1", "--trials", "200", "--seed", "1"]
+    LEMMA = ["risk", "lemma", "--alpha", "1", "--beta", "1", "--trials", "200", "--seed", "1"]
+    NOISE = ["noise", "sample", "--n", "5", "--seed", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*GAUSSIAN, "--theta-norm", "nan"],
+            [*GAUSSIAN, "--sigma", "nan"],
+            [*GAUSSIAN, "--eps", "nan"],
+            [*GAUSSIAN, "--k", "nan"],
+            [*GAMMA, "--c", "nan"],
+            [*GAMMA, "--mu", "inf"],
+            [*GAMMA, "--eps", "inf"],
+            [*GAMMA, "--sigmas-x", "nan"],
+            [*GAMMA, "--sigmas-x", "1,nan,1"],
+            [*INEQUALITY, "--theta-norm", "inf"],
+            [*INEQUALITY, "--k", "nan"],
+            [*LEMMA, "--alpha", "nan"],
+            [*LEMMA, "--beta", "inf"],
+            [*NOISE, "--sigma", "nan"],
+            [*NOISE, "--family", "bounded-uniform", "--eps", "inf"],
+        ],
+        ids=lambda argv: "-".join(argv[1:2] + argv[-2:]),
+    )
+    def test_non_finite_float_flag_exit_1_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--out", str(out)]) == 1
+        assert f"error: argument {argv[-2]}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gaussian_sigma_zero_exit_1_writes_nothing(self, tmp_path, capsys):
+        # James-Stein equals the MLE at sigma = 0, so no verdict is reported
+        out = tmp_path / "r.json"
+        assert run_cli([*self.GAUSSIAN, "--sigma", "0", "--out", str(out)]) == 1
+        assert "error: variance_scale must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["gaussian", "--p", "8", "--theta-norm", "1", "--eps", "0.3", "--trials", "4000"],
+             "3716ef13c2cafb3caec0eea642c40581451d3c78863917f3e629b67096ce2fa3"),
+            (["gamma", "--p", "4", "--n", "6", "--sigmas-x", "2,1,0.5,1.5", "--eps", "0.1",
+              "--trials", "3000"],
+             "d688689c588b449d528b8697287cdcd2c866e22cc76f6f068ecb96fb0b7f8e4b"),
+            (["inequality", "--p", "10", "--theta-norm", "1", "--eps", "0.1", "--trials", "4000"],
+             "fc39381487cde86f6bc85146b2955f44607cb82f2a7b994c69c61186e1c021b5"),
+            (["lemma", "--alpha", "4.5", "--beta", "0.4", "--h", "square", "--trials", "4000"],
+             "8cdbea9869317aa6297f23feb750dc9181a1ea8984163334697ac6ec3e2cce4a"),
+        ],
+        ids=["gaussian", "gamma", "inequality", "lemma"],
+    )
+    def test_golden_risk_report(self, tmp_path, argv, digest):
+        # sha256 of the whole JSON report, config echo and version included,
+        # recorded when the risk lab still wrote out its own shrinkage formulas
+        out = tmp_path / "r.json"
+        assert run_cli(["risk", *argv, "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestTrainEvalReport:
     def test_train_writes_results_and_checkpoints(self, tmp_path):

@@ -296,6 +296,30 @@ class TestLassoRidge:
         assert ridge_variance(s2, lam) <= s2 + 1e-15
 
 
+class TestBatchedRows:
+    @given(
+        p=st.integers(3, 128),
+        rows=st.integers(1, 8),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_each_row_equals_its_own_call(self, p, rows, scale, seed):
+        # a (rows, p) call is the stacked 1-D calls on its rows, bit for bit,
+        # so the risk lab scores a block exactly as it would score each trial
+        z = scale * np.random.default_rng(seed).normal(size=(rows, p))
+        x = np.exp(z / scale)
+        for fn, data in (
+            (lambda v: js_mean_classical(v, 0.7), z),
+            (lambda v: gamma_scale_shrink(v, 4.5, 0.01), x),
+            (geometric_mean, x),
+        ):
+            batched = fn(data)
+            assert len(batched) == rows
+            for row, out in zip(data, batched):
+                assert np.array_equal(fn(row), out)
+
+
 class TestGeometricMean:
     def test_constant(self):
         assert geometric_mean(np.full(5, 3.0)) == pytest.approx(3.0, abs=TOL)
