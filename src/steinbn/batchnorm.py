@@ -131,7 +131,12 @@ class Correction(NamedTuple):
 
 @dataclass
 class BNForwardCache:
-    """Everything the backward pass needs, with the forward's exact inv_std."""
+    """Everything the backward pass needs, with the forward's exact inv_std.
+
+    ``centred`` is ``x - corrected_mean`` in train mode. An eval-mode forward
+    scales it in place into ``normalized`` and stores None; a backward of an
+    eval cache recomputes it.
+    """
 
     raw: ChannelStats
     correction: Correction
@@ -140,6 +145,7 @@ class BNForwardCache:
     inv_std: np.ndarray
     normalized: np.ndarray
     x: np.ndarray
+    centred: np.ndarray | None
 
 
 def _auto_c(layer: BNLayer, n: int, p: int) -> float:
@@ -191,11 +197,19 @@ def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCach
     corrected_var = np.maximum(corr.var_coef * raw.var + corr.var_offset, VAR_FLOOR)
     inv_std = 1.0 / np.sqrt(corrected_var + layer.eps)
 
-    normalized = (x - corrected_mean[None, :, None, None]) * inv_std[None, :, None, None]
-    y = layer.gamma[None, :, None, None] * normalized + layer.beta[None, :, None, None]
+    # the backward reads the centred input in train mode; eval scales it in place
+    centred = x - corrected_mean[None, :, None, None]
+    normalized = np.multiply(
+        centred, inv_std[None, :, None, None], out=None if training else centred
+    )
+    y = normalized * layer.gamma[None, :, None, None]
+    y += layer.beta[None, :, None, None]
     if training:
         bn_update_running(layer, ChannelStats(corrected_mean, corrected_var, raw.count))
-    cache = BNForwardCache(raw, corr, corrected_mean, corrected_var, inv_std, normalized, x)
+    cache = BNForwardCache(
+        raw, corr, corrected_mean, corrected_var, inv_std, normalized, x,
+        centred if training else None,
+    )
     return y, cache
 
 
@@ -209,18 +223,20 @@ def bn_backward(
     grad_beta = g.sum(axis=(0, 2, 3))
     grad_gamma = (g * cache.normalized).sum(axis=(0, 2, 3))
 
-    inv_std = cache.inv_std[None, :, None, None]
     gx_hat = g * layer.gamma[None, :, None, None]
     corr = cache.correction
 
     n, c, h, w = x.shape
     m = n * h * w
     x_center = x - cache.raw.mean[None, :, None, None]
+    centred = cache.centred
+    if centred is None:
+        centred = x - cache.corrected_mean[None, :, None, None]
 
     # d corrected_var / d raw_var and d corrected_mean / d raw_mean are the
     # frozen coefficients; offsets drop out of the gradient
     dvar = (
-        (gx_hat * (x - cache.corrected_mean[None, :, None, None])).sum(axis=(0, 2, 3))
+        (gx_hat * centred).sum(axis=(0, 2, 3))
         * -0.5
         * cache.inv_std**3
         * corr.var_coef
@@ -229,11 +245,13 @@ def bn_backward(
         -(gx_hat.sum(axis=(0, 2, 3))) * cache.inv_std * corr.mean_coef
         + dvar * (-2.0 / m) * x_center.sum(axis=(0, 2, 3))
     )
-    grad_in = (
-        gx_hat * inv_std
-        + dvar[None, :, None, None] * (2.0 / m) * x_center
-        + dmean[None, :, None, None] / m
-    )
+    # gx_hat * inv_std + (dvar * 2/m) * x_center + dmean / m, added left to
+    # right in place on the two arrays this backward allocated
+    grad_in = gx_hat
+    grad_in *= cache.inv_std[None, :, None, None]
+    x_center *= (dvar * (2.0 / m))[None, :, None, None]
+    grad_in += x_center
+    grad_in += (dmean / m)[None, :, None, None]
     return grad_in, grad_gamma, grad_beta
 
 

@@ -72,6 +72,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """A flag that must be a finite number above 0, such as a threshold in se."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return value
+
+
 def _finite_list(text: str) -> np.ndarray:
     return np.array([_finite(s) for s in text.split(",")])
 
@@ -105,7 +113,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--eps", type=_finite, default=0.0, help="truncation bound of the mixture noise")
     g.add_argument("--trials", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--k", type=_finite, default=3.0)
+    g.add_argument("--k", type=_positive, default=3.0)
     g.add_argument("--out", required=True)
     g.set_defaults(run=_cmd_gaussian)
 
@@ -118,7 +126,7 @@ def _build_parser() -> _Parser:
     gm.add_argument("--eps", type=_finite, default=0.0)
     gm.add_argument("--trials", type=int, required=True)
     gm.add_argument("--seed", type=int, required=True)
-    gm.add_argument("--k", type=_finite, default=3.0)
+    gm.add_argument("--k", type=_positive, default=3.0)
     gm.add_argument("--out", required=True)
     gm.set_defaults(run=_cmd_gamma)
 
@@ -128,7 +136,7 @@ def _build_parser() -> _Parser:
     iq.add_argument("--eps", type=_finite, default=0.0)
     iq.add_argument("--trials", type=int, required=True)
     iq.add_argument("--seed", type=int, required=True)
-    iq.add_argument("--k", type=_finite, default=3.0)
+    iq.add_argument("--k", type=_positive, default=3.0)
     iq.add_argument("--out", required=True)
     iq.set_defaults(run=_cmd_inequality)
 
@@ -138,7 +146,7 @@ def _build_parser() -> _Parser:
     lm.add_argument("--h", default="square", help="catalog function name")
     lm.add_argument("--trials", type=int, required=True)
     lm.add_argument("--seed", type=int, required=True)
-    lm.add_argument("--k", type=_finite, default=4.0)
+    lm.add_argument("--k", type=_positive, default=4.0)
     lm.add_argument("--out", required=True)
     lm.set_defaults(run=_cmd_lemma)
 

@@ -408,7 +408,9 @@ def _noisy_inputs(
         unit_spec, clean.size, rng, 105, int(round(level_pct * 100))
     ).reshape(clean.shape)
     sigma = (level_pct / 100.0) * ch_std
-    return clean + unit * sigma[None, :, None, None]
+    unit *= sigma[None, :, None, None]
+    unit += clean
+    return unit
 
 
 def evaluate_under_noise(

@@ -12,6 +12,12 @@ products with one numpy gather and one ordered scatter.
 A model's state is each layer's ``state_arrays()`` (its parameters, plus the
 running statistics for BN). Each layer loads its own in place, refusing a
 missing or misshapen array and, for BN, a negative running variance.
+
+Every layer has a ``mode``, set by ``train()`` and ``eval()`` (BN's is its
+BNLayer mode). A forward keeps what its backward reads only in train mode; in
+eval mode it keeps nothing, and a backward after it is refused. The forward
+arithmetic is the same in both modes, so eval outputs are bit-identical to
+those of a train-mode pass with the same statistics.
 """
 
 from __future__ import annotations
@@ -20,12 +26,25 @@ import functools
 
 import numpy as np
 
-from .batchnorm import BNLayer, BNVariant, bn_backward, bn_forward
+from .batchnorm import BNLayer, BNMode, BNVariant, bn_backward, bn_forward
 from .rng import CounterRng
 from .tensor import InvalidInputError
 
 
+def _saved(arr):
+    """What a train-mode forward kept for the backward; refused if there is none."""
+    if arr is None:
+        raise InvalidInputError("backward needs a train-mode forward")
+    return arr
+
+
 class Layer:
+    mode = BNMode.TRAIN
+
+    def _keep(self, arr):
+        """arr in train mode, where a backward reads it; None in eval mode."""
+        return arr if self.mode is BNMode.TRAIN else None
+
     def params(self) -> dict[str, np.ndarray]:
         return {}
 
@@ -48,10 +67,12 @@ class Layer:
             arr[...] = src
 
     def train(self):
-        pass
+        self.mode = BNMode.TRAIN
+        return self
 
     def eval(self):
-        pass
+        self.mode = BNMode.EVAL
+        return self
 
 
 class Dense(Layer):
@@ -69,14 +90,15 @@ class Dense(Layer):
         n = x.shape[0]
         self._in_shape = x.shape
         flat = x.reshape(n, -1)
-        self._x = flat
-        out = flat @ self.w + self.b
+        self._x = self._keep(flat)
+        out = flat @ self.w
+        out += self.b
         return out.reshape(n, -1, 1, 1)
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         n = grad.shape[0]
         g = grad.reshape(n, -1)
-        self.dw = self._x.T @ g
+        self.dw = _saved(self._x).T @ g
         self.db = g.sum(axis=0)
         if not input_grad:
             return None
@@ -143,18 +165,21 @@ class Conv3x3(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         self._shape = x.shape
-        self._cols = self._im2col(x)
-        out = np.matmul(self.w, self._cols) + self.b[:, None]
+        cols = self._im2col(x)
+        self._cols = self._keep(cols)
+        out = np.matmul(self.w, cols)
+        out += self.b[:, None]
         return out.reshape(n, -1, h, w)
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        cols = _saved(self._cols)
         n, c, h, w = self._shape
         o, f = self.w.shape
         g = grad.reshape(n, o, h * w)
         self.db = g.sum(axis=(0, 2))
         # one GEMM over the flattened n*h*w axis
         g_flat = g.transpose(1, 0, 2).reshape(o, -1)
-        self.dw = g_flat @ self._cols.transpose(1, 0, 2).reshape(f, -1).T
+        self.dw = g_flat @ cols.transpose(1, 0, 2).reshape(f, -1).T
         if not input_grad:
             return None
         cells = c * (h + 2) * (w + 2)  # of one padded sample
@@ -173,12 +198,15 @@ class Conv3x3(Layer):
 
 
 class ReLU(Layer):
+    _mask = None
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = self._keep(mask)
+        return x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._mask
+        return grad * _saved(self._mask)
 
 
 class GlobalAvgPool(Layer):
@@ -192,7 +220,7 @@ class GlobalAvgPool(Layer):
 
 
 class BatchNorm(BNLayer, Layer):
-    """A BNLayer in the layer stack: its state, modes and checkpoint arrays are
+    """A BNLayer in the layer stack: its state, mode and checkpoint arrays are
     the BNLayer's; forward and backward run the BN core on it."""
 
     def __post_init__(self):
@@ -202,11 +230,12 @@ class BatchNorm(BNLayer, Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y, self._cache = bn_forward(self, x)
+        y, cache = bn_forward(self, x)
+        self._cache = self._keep(cache)
         return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        gx, self.dgamma, self.dbeta = bn_backward(self, self._cache, grad)
+        gx, self.dgamma, self.dbeta = bn_backward(self, _saved(self._cache), grad)
         return gx
 
     def params(self):

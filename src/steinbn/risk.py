@@ -139,6 +139,9 @@ def mc_risk_gaussian(
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (p,):
         raise InvalidInputError(f"theta must have length p={p}")
+    if sigma < 0:
+        # sigma**2 loses the sign; js_mean_classical refuses sigma = 0
+        raise InvalidInputError(f"sigma must be positive, got {sigma}")
     rng = CounterRng(seed)
 
     def trial(lo, hi):

@@ -192,6 +192,24 @@ class TestRisk:
         assert f"error: argument {argv[-2]}: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gaussian_negative_sigma_exit_1_writes_nothing(self, tmp_path, capsys):
+        # sigma enters the shrinkage as sigma**2, so -1 would run the sigma = 1
+        # experiment under a config echo that says -1
+        out = tmp_path / "r.json"
+        assert run_cli([*self.GAUSSIAN, "--sigma", "-1", "--out", str(out)]) == 1
+        assert "error: sigma must be positive, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("command", [GAUSSIAN, GAMMA, INEQUALITY, LEMMA], ids=lambda c: c[1])
+    def test_non_positive_k_exit_1_writes_nothing(self, tmp_path, capsys, command, k):
+        # a threshold of k <= 0 standard errors can call a worse estimator
+        # dominant, and makes the lemma fail whatever the draws
+        out = tmp_path / "out.json"
+        assert run_cli([*command, "--k", k, "--out", str(out)]) == 1
+        assert f"error: argument --k: '{k}' is not a positive number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gaussian_sigma_zero_exit_1_writes_nothing(self, tmp_path, capsys):
         # James-Stein equals the MLE at sigma = 0, so no verdict is reported
         out = tmp_path / "r.json"

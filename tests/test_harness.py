@@ -4,12 +4,14 @@ import hashlib
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinbn import harness
 from steinbn.data import Dataset, make_synthetic_blobs, split_indices
 from steinbn.harness import (
     RESULTS_HEADER,
@@ -21,12 +23,14 @@ from steinbn.harness import (
     load_arrays,
     make_dataset,
     make_test_split,
+    noise_sweep,
     rows_from_csv,
     rows_to_csv,
     run_sweep,
     save_arrays,
     train_model,
 )
+from steinbn.nn import Sequential
 from steinbn.tensor import InvalidInputError, NonFiniteError, Tensor4
 
 FAST = dict(
@@ -358,6 +362,32 @@ class TestTraining:
         digest = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
         assert digest == "69b4e35dfadd78bb9c7c6fed19527edf66479762e467ffb92cda8af37d5add5b"
 
+    @pytest.mark.parametrize("model", ["MLP2", "TinyCNN"])
+    def test_validation_passes_leave_the_training_bits_alone(self, monkeypatch, model):
+        # each epoch's validation pass runs the model in eval mode, which
+        # releases the layers' backward state; the same steps with it skipped
+        # must give the same parameters and running statistics, bit for bit
+        cfg = ExperimentConfig(**{**FAST, "model": model, "max_epochs": 3})
+        ds = make_dataset(cfg, seed=1)
+        evaluate = harness._evaluate
+
+        def train(validate):
+            scores = iter(range(10))  # every epoch improves, so the last state is kept
+
+            def validation(*args):
+                if validate:
+                    evaluate(*args)
+                return float(next(scores))
+
+            monkeypatch.setattr(harness, "_evaluate", validation)
+            return train_model(cfg, ds, seed=1)
+
+        validated, skipped = train(True), train(False)
+        assert validated.epochs_trained == skipped.epochs_trained == 3
+        assert list(validated.arrays) == list(skipped.arrays)
+        for key, arr in validated.arrays.items():
+            assert arr.tobytes() == skipped.arrays[key].tobytes(), key
+
     def test_lasso_ridge_zero_lambda_match_standard_trajectories(self):
         base = ExperimentConfig(**{**FAST, "bn_variant": "standard"})
         ref = run_sweep(base)
@@ -410,6 +440,44 @@ class TestEvaluation:
         alone = [evaluate_under_noise(ckpt, ds, [lv], "levy-gauss", seed=1)[0] for lv in levels]
         assert rows == alone
         assert len({r.value for r in rows}) > 1
+
+    # sha256 of every array a model forward returns during a noise sweep of
+    # the golden TinyCNN run's model over its whole dataset (100 images): the
+    # clean activations up to the first BN for feature noise, then the logits
+    # at each level. Recorded while eval-mode layers still kept their
+    # backward state, so the eval forward must reproduce those bits.
+    @pytest.mark.parametrize(
+        "feature_noise, family, digest",
+        [
+            (False, "levy-gauss", "4c3e313dfa882510b013a7ebcd850941fdd8a853f30079fd634bbf59583d2643"),
+            (False, "gaussian", "ad230b00ce07f44e72f5f05423c997d3b364652b04d33d96fccc3e389f8651f1"),
+            (True, "levy-gauss", "09b4de8e0af4c7ed524c8caa17673a7f8cf3612d5dfdff2352dcd47467e76599"),
+            (True, "gaussian", "56e31e00a90a95b8dd34d58a13014175cb5ad3a2a2152bd9e10ce43b206b597f"),
+        ],
+    )
+    def test_golden_eval_logits(self, monkeypatch, feature_noise, family, digest):
+        cfg = ExperimentConfig(
+            model="TinyCNN", bn_variant="stein", batch_size=32, hw=4, n_per_class=25,
+            max_epochs=2, learning_rate=0.05, seeds=[3],
+        )
+        ds = make_dataset(cfg, seed=3)
+        ckpt = train_model(cfg, ds, seed=3)
+        ckpt.config = replace(cfg, feature_noise=feature_noise)
+        outputs = []
+        forward = Sequential.forward
+
+        def recording(model, x):
+            out = forward(model, x)
+            outputs.append(out.copy())
+            return out
+
+        monkeypatch.setattr(Sequential, "forward", recording)
+        noise_sweep(ckpt, ds.images, ds.labels, [0, 10, 50, 100], family, seed=3)
+        assert len(outputs) == (5 if feature_noise else 4)
+        sha = hashlib.sha256()
+        for out in outputs:
+            sha.update(out.tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestAggregate:

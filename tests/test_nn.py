@@ -7,13 +7,15 @@ contraction of the same im2col matrix, and the conv's gather and scatter
 byte for byte with nine-step strided loops.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinbn.batchnorm import BNLayer, BNVariant
-from steinbn.nn import Conv3x3, Dense, build_mlp2, build_tiny_cnn
+from steinbn.nn import BatchNorm, Conv3x3, Dense, ReLU, build_mlp2, build_tiny_cnn
 from steinbn.rng import CounterRng
 from steinbn.tensor import InvalidInputError
 
@@ -208,3 +210,61 @@ def test_state_not_fitting_the_model_is_refused(key, value):
         arrays[key] = value
     with pytest.raises(InvalidInputError, match=repr(key)):
         model.load_state_arrays(arrays)
+
+
+def _batch_arrays(obj, n, path):
+    """Paths of the arrays with a leading batch axis of n in obj, looking
+    inside the tuples and dataclasses (such as a BN cache) that it holds."""
+    if isinstance(obj, np.ndarray):
+        return [path] if obj.ndim and obj.shape[0] == n else []
+    if isinstance(obj, tuple):
+        items = enumerate(obj)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        items = vars(obj).items()
+    else:
+        return []
+    return [p for key, value in items for p in _batch_arrays(value, n, f"{path}.{key}")]
+
+
+def _held_batch_arrays(layer, n):
+    return [p for key, value in vars(layer).items() for p in _batch_arrays(value, n, key)]
+
+
+@pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])
+def test_eval_forward_leaves_no_activation_in_any_layer(build):
+    # a train step fills every layer's backward state; an eval forward after
+    # it releases all of it, so inference holds only what it returns
+    n = 37  # no parameter has a leading axis of 37
+    model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
+    x = np.random.default_rng(1).normal(size=(n, 3, 4, 4))
+    model.backward(np.ones(model.forward(x).shape))
+    assert any(_held_batch_arrays(layer, n) for layer in model.layers)
+    model.eval()
+    assert model.forward(x).shape[0] == n
+    for i, layer in enumerate(model.layers):
+        assert layer.mode.value == "eval"
+        assert _held_batch_arrays(layer, n) == [], f"layer{i} {type(layer).__name__}"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Conv3x3(C, O, CounterRng(1), 21),
+        lambda: Dense(C * H * W, O, CounterRng(1), 11),
+        ReLU,
+        lambda: BatchNorm(C, BNVariant.STEIN),
+    ],
+    ids=["conv", "dense", "relu", "bn"],
+)
+def test_backward_needs_a_train_mode_forward(make):
+    x = np.random.default_rng(4).normal(size=(N, C, H, W))
+    layer = make().eval()
+    y = layer.forward(x)
+    for unready in (make(), layer):  # no forward yet, or an eval-mode one
+        with pytest.raises(InvalidInputError, match="backward needs a train-mode forward"):
+            unready.backward(np.ones(y.shape))
+    # back in train mode the layer runs its backward
+    train_y = layer.train().forward(x)
+    if not isinstance(layer, BatchNorm):  # BN trains on the batch statistics
+        assert train_y.tobytes() == y.tobytes()
+    layer.backward(np.ones(y.shape))
