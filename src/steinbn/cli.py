@@ -80,6 +80,16 @@ def _positive(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """A dimension flag, which must be an integer above 0."""
+    try:
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+
+
 def _finite_list(text: str) -> np.ndarray:
     return np.array([_finite(s) for s in text.split(",")])
 
@@ -107,7 +117,7 @@ def _build_parser() -> _Parser:
     rsub = risk.add_subparsers(dest="risk_command", required=True)
 
     g = rsub.add_parser("gaussian", help="James-Stein vs MLE mean risk")
-    g.add_argument("--p", type=int, required=True)
+    g.add_argument("--p", type=_positive_int, required=True)
     g.add_argument("--theta-norm", type=_finite, required=True)
     g.add_argument("--sigma", type=_finite, default=1.0)
     g.add_argument("--eps", type=_finite, default=0.0, help="truncation bound of the mixture noise")
@@ -118,7 +128,7 @@ def _build_parser() -> _Parser:
     g.set_defaults(run=_cmd_gaussian)
 
     gm = rsub.add_parser("gamma", help="geometric-mean shrinkage vs naive variance risk")
-    gm.add_argument("--p", type=int, required=True)
+    gm.add_argument("--p", type=_positive_int, required=True)
     gm.add_argument("--n", type=int, required=True)
     gm.add_argument("--mu", type=_finite, default=0.0)
     gm.add_argument("--sigmas-x", type=_finite_list, default="1", help="comma list of scales; a single value is broadcast")
@@ -131,7 +141,7 @@ def _build_parser() -> _Parser:
     gm.set_defaults(run=_cmd_gamma)
 
     iq = rsub.add_parser("inequality", help="key expectation inequality check")
-    iq.add_argument("--p", type=int, required=True)
+    iq.add_argument("--p", type=_positive_int, required=True)
     iq.add_argument("--theta-norm", type=_finite, required=True)
     iq.add_argument("--eps", type=_finite, default=0.0)
     iq.add_argument("--trials", type=int, required=True)

@@ -66,7 +66,8 @@ _JSON_TYPES = {
 def check_noise_levels(levels) -> None:
     """Refuse any noise level that is not a finite number of percent in [0, 100]."""
     for level in levels:
-        if not (isinstance(level, numbers.Real) and 0 <= level <= 100):
+        # bool is a numbers.Real, and a level of true would run as 1%
+        if isinstance(level, bool) or not (isinstance(level, numbers.Real) and 0 <= level <= 100):
             raise InvalidInputError(f"noise level {level!r} is not a number in [0, 100]")
 
 
@@ -103,6 +104,12 @@ class ExperimentConfig:
             raise InvalidInputError("batch_size must be >= 2")
         if not self.seeds:
             raise InvalidInputError("need at least one seed")
+        for seed in self.seeds:
+            # a seed of 1.5 or true would train as CounterRng(1) under its own label
+            if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+                raise InvalidInputError(f"seed {seed!r} is not an integer")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise InvalidInputError(f"seeds must be distinct, got {self.seeds}")
         check_noise_levels(self.noise_levels)
         BNVariant(self.bn_variant)
         _unit_noise(self.noise_family)

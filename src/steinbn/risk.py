@@ -11,15 +11,24 @@ error than either risk alone. Per-estimator risks and standard errors are
 still reported.
 
 Every check is a per-block trial function run by one blocked driver,
-``_run_trials``. A trial's values depend only on its own counter-stream
-entries and every reduction runs over the full per-trial columns, so results
-do not depend on the block size.
+``_run_trials``, which cuts the trials into blocks of about ``_BLOCK`` draws,
+so a block's memory does not grow with the trial count or with the draws per
+trial. A trial's values depend only on its own counter-stream entries and
+every reduction runs over the full per-trial columns, so results do not
+depend on the block size.
+
+Each check also takes a sequence of the one parameter that does not enter its
+draws (theta for Theorem 1 and the key inequality, a list of specs that
+differ only in scales, mean and c for Theorem 2, the test function for the
+lemma), draws once and scores every entry on the same draws. A sequence
+gives a list of results, each ``==`` to the result of its entry alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -34,7 +43,10 @@ _TAG_CLEAN = 1
 _TAG_NOISE = 2
 _TAG_GAMMA = 3
 
-_BLOCK = 1 << 15  # trials per block; bounds the memory of one block's draws
+# draws per block, whatever the draws per trial: each array a block allocates
+# holds about this many floats (512 KiB), and a trial larger than a block
+# runs as a block of its own
+_BLOCK = 1 << 16
 
 VERDICT_DOMINATES = "Dominates"
 VERDICT_INCONCLUSIVE = "Inconclusive"
@@ -83,13 +95,15 @@ def _verdict(diff: np.ndarray, k: float) -> tuple[str, float]:
     return VERDICT_INCONCLUSIVE, float(margin)
 
 
-def _run_trials(n_trials: int, block: int, trial) -> list[np.ndarray]:
-    """Per-trial columns of ``trial(lo, hi)`` run over consecutive blocks.
+def _run_trials(n_trials: int, draws_per_trial: int, trial) -> list[np.ndarray]:
+    """Per-trial columns of ``trial(lo, hi)`` run over consecutive blocks of
+    about ``_BLOCK`` draws, and of at least one trial.
 
     ``trial`` returns one array of hi - lo values per column.
     """
     if n_trials < 2:
         raise InvalidInputError("need at least 2 trials")
+    block = max(1, _BLOCK // draws_per_trial)
     columns = None
     for lo in range(0, n_trials, block):
         hi = min(lo + block, n_trials)
@@ -101,14 +115,31 @@ def _run_trials(n_trials: int, block: int, trial) -> list[np.ndarray]:
     return columns
 
 
-def _perturbed(rng: CounterRng, loc, scale, noise: NoiseSpec, lo: int, hi: int, shape):
-    """Z = X + Y for trials lo..hi, shaped (hi - lo, *shape): X = loc + scale *
-    N(0, 1) entrywise and Y drawn from the noise spec."""
+def _draws(rng: CounterRng, noise: NoiseSpec, lo: int, hi: int, shape):
+    """Unit normals N and noise Y for trials lo..hi, each shaped (hi - lo, *shape).
+
+    A check forms Z = (loc + scale * N) + Y from them, in that order, for
+    every entry it scores on the block.
+    """
     per = math.prod(shape)
     cnt = (hi - lo) * per
-    x = loc + scale * rng.normal(cnt, _TAG_CLEAN, offset=lo * per).reshape(-1, *shape)
+    unit = rng.normal(cnt, _TAG_CLEAN, offset=lo * per).reshape(-1, *shape)
     y = sample_noise_flat(noise, cnt, rng, _TAG_NOISE, offset=lo * per).reshape(-1, *shape)
-    return x + y
+    return unit, y
+
+
+def _thetas(p: int, theta) -> tuple[np.ndarray, bool]:
+    """theta as (m, p) rows, and whether it was one vector; a theta whose
+    squared norm overflows is refused, as no risk of it is finite."""
+    thetas = np.asarray(theta, dtype=np.float64)
+    single = thetas.ndim == 1
+    if thetas.ndim not in (1, 2) or thetas.shape[-1] != p or thetas.size == 0:
+        raise InvalidInputError(f"theta must have length p={p}, or be a sequence of such vectors")
+    thetas = thetas.reshape(-1, p)
+    norm_sq = np.einsum("ij,ij->i", thetas, thetas)
+    if not np.all(np.isfinite(norm_sq)):
+        raise InvalidInputError(f"theta's squared norm must be finite, got {norm_sq.max()}")
+    return thetas, single
 
 
 def _paired_report(errors: dict[str, np.ndarray], k: float, config: dict) -> RiskReport:
@@ -128,38 +159,51 @@ def _paired_report(errors: dict[str, np.ndarray], k: float, config: dict) -> Ris
 
 def mc_risk_gaussian(
     p: int,
-    theta: np.ndarray,
+    theta,
     sigma: float,
     noise: NoiseSpec,
     n_trials: int,
     seed: int,
     k: float = 3.0,
-) -> RiskReport:
-    """Risks of the James-Stein mean estimator vs the MLE on Z = X + Y."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (p,):
-        raise InvalidInputError(f"theta must have length p={p}")
+) -> RiskReport | list[RiskReport]:
+    """Risks of the James-Stein mean estimator vs the MLE on Z = X + Y.
+
+    ``theta`` is one length-p vector, or a sequence of them scored on the
+    same draws (a list of reports then comes back).
+    """
+    thetas, single = _thetas(p, theta)
     if sigma < 0:
         # sigma**2 loses the sign; js_mean_classical refuses sigma = 0
         raise InvalidInputError(f"sigma must be positive, got {sigma}")
     rng = CounterRng(seed)
 
     def trial(lo, hi):
-        z = _perturbed(rng, theta, sigma, noise, lo, hi, (p,))
-        d = js_mean_classical(z, sigma**2) - theta
-        return np.einsum("ij,ij->i", z - theta, z - theta), np.einsum("ij,ij->i", d, d)
+        scaled, y = _draws(rng, noise, lo, hi, (p,))
+        scaled *= sigma
+        columns = []
+        for t in thetas:
+            z = t + scaled
+            z += y
+            d = js_mean_classical(z, sigma**2)
+            d -= t
+            z -= t
+            columns += [np.einsum("ij,ij->i", z, z), np.einsum("ij,ij->i", d, d)]
+        return columns
 
-    err_mle, err_js = _run_trials(n_trials, _BLOCK, trial)
-    config = {
-        "model": "gaussian",
-        "p": p,
-        "theta_norm": float(np.linalg.norm(theta)),
-        "sigma": sigma,
-        "noise": asdict(noise),
-        "seed": seed,
-        "k": k,
-    }
-    return _paired_report({"mle": err_mle, "js": err_js}, k, config)
+    columns = _run_trials(n_trials, p, trial)
+    reports = []
+    for t, err_mle, err_js in zip(thetas, columns[::2], columns[1::2]):
+        config = {
+            "model": "gaussian",
+            "p": p,
+            "theta_norm": float(np.linalg.norm(t)),
+            "sigma": sigma,
+            "noise": asdict(noise),
+            "seed": seed,
+            "k": k,
+        }
+        reports.append(_paired_report({"mle": err_mle, "js": err_js}, k, config))
+    return reports[0] if single else reports
 
 
 @dataclass(frozen=True)
@@ -190,63 +234,89 @@ class GammaTrialSpec:
 
 
 def mc_risk_gamma(
-    spec: GammaTrialSpec, n_trials: int, seed: int, k: float = 3.0
-) -> RiskReport:
+    spec: GammaTrialSpec | Sequence[GammaTrialSpec], n_trials: int, seed: int, k: float = 3.0
+) -> RiskReport | list[RiskReport]:
     """Risks of the geometric-mean shrinkage vs the naive Gamma-scale estimator.
 
     Per trial, n samples per coordinate of Z = X + Y are drawn, empirical
     variances (population convention) are formed, and both estimators of the
     CLEAN scale parameters beta_i = 2*sigma_x_i^2/n are scored.
+
+    ``spec`` is one spec, or a sequence of specs scored on the same draws (a
+    list of reports then comes back); those must agree on p, n and noise.
     """
+    specs = [spec] if isinstance(spec, GammaTrialSpec) else list(spec)
+    if not specs:
+        raise InvalidInputError("need at least one spec")
+    p, n, noise = specs[0].p, specs[0].n, specs[0].noise
+    if any((s.p, s.n, s.noise) != (p, n, noise) for s in specs):
+        raise InvalidInputError("specs scored on shared draws must agree on p, n and noise")
     rng = CounterRng(seed)
-    p, n, alpha, c = spec.p, spec.n, spec.alpha, spec.c
-    betas = spec.betas
 
     def trial(lo, hi):
-        z = _perturbed(rng, spec.mu, spec.sigmas_x[:, None], spec.noise, lo, hi, (p, n))
-        var_z = z.var(axis=2)  # population convention, divide by n
-        naive = gamma_scale_shrink(var_z, alpha, 0.0)
-        js = gamma_scale_shrink(var_z, alpha, c)
-        return ((naive - betas) ** 2).sum(axis=1), ((js - betas) ** 2).sum(axis=1)
+        unit, y = _draws(rng, noise, lo, hi, (p, n))
+        columns = []
+        for s in specs:
+            z = s.sigmas_x[:, None] * unit
+            z += s.mu
+            z += y
+            var_z = z.var(axis=2)  # population convention, divide by n
+            naive = gamma_scale_shrink(var_z, s.alpha, 0.0)
+            js = gamma_scale_shrink(var_z, s.alpha, s.c)
+            columns += [((naive - s.betas) ** 2).sum(axis=1), ((js - s.betas) ** 2).sum(axis=1)]
+        return columns
 
-    block = max(1, _BLOCK // max(1, (p * n) // 8))
-    err_naive, err_js = _run_trials(n_trials, block, trial)
-    config = {
-        "model": "gamma",
-        "p": p,
-        "n": n,
-        "mu": spec.mu,
-        "sigmas_x": spec.sigmas_x.tolist(),
-        "alpha": alpha,
-        "c": c,
-        "noise": asdict(spec.noise),
-        "seed": seed,
-        "k": k,
-    }
-    return _paired_report({"naive": err_naive, "js": err_js}, k, config)
+    columns = _run_trials(n_trials, p * n, trial)
+    reports = []
+    for s, err_naive, err_js in zip(specs, columns[::2], columns[1::2]):
+        config = {
+            "model": "gamma",
+            "p": p,
+            "n": n,
+            "mu": s.mu,
+            "sigmas_x": s.sigmas_x.tolist(),
+            "alpha": s.alpha,
+            "c": s.c,
+            "noise": asdict(noise),
+            "seed": seed,
+            "k": k,
+        }
+        reports.append(_paired_report({"naive": err_naive, "js": err_js}, k, config))
+    return reports[0] if isinstance(spec, GammaTrialSpec) else reports
 
 
 def mc_key_inequality(
     p: int,
-    theta: np.ndarray,
+    theta,
     noise: NoiseSpec,
     n_trials: int,
     seed: int,
     k: float = 3.0,
-) -> tuple[float, float, bool]:
-    """Monte Carlo estimate of E[(2 Z'theta + p - 2) / Z'Z] and whether it is < 2."""
-    theta = np.asarray(theta, dtype=np.float64)
+) -> tuple[float, float, bool] | list[tuple[float, float, bool]]:
+    """Monte Carlo estimate of E[(2 Z'theta + p - 2) / Z'Z] and whether it is < 2.
+
+    ``theta`` is one length-p vector, or a sequence of them scored on the
+    same draws (a list of results then comes back).
+    """
     if p < 3:
         raise InvalidInputError("need p >= 3")
+    thetas, single = _thetas(p, theta)
     rng = CounterRng(seed)
 
     def trial(lo, hi):
-        z = _perturbed(rng, theta, 1.0, noise, lo, hi, (p,))
-        return ((2.0 * np.einsum("ij,j->i", z, theta) + p - 2) / np.einsum("ij,ij->i", z, z),)
+        unit, y = _draws(rng, noise, lo, hi, (p,))
+        columns = []
+        for t in thetas:
+            z = t + unit
+            z += y
+            columns.append((2.0 * np.einsum("ij,j->i", z, t) + p - 2) / np.einsum("ij,ij->i", z, z))
+        return columns
 
-    (vals,) = _run_trials(n_trials, _BLOCK, trial)
-    est, se = _mean_se(vals)
-    return est, se, est + k * se < 2.0
+    results = []
+    for vals in _run_trials(n_trials, p, trial):
+        est, se = _mean_se(vals)
+        results.append((est, se, est + k * se < 2.0))
+    return results[0] if single else results
 
 
 # Gamma Stein-identity catalog: name -> (h, x*h', minimum admissible alpha)
@@ -263,30 +333,46 @@ STEIN_CATALOG = {
 def mc_stein_gamma_lemma(
     alpha: float,
     beta: float,
-    h: str,
+    h: str | Sequence[str],
     n_trials: int,
     seed: int,
     k: float = 4.0,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float] | list[tuple[float, float, float]]:
     """Both sides of E[(X - a*b) h(X)] = b E[X h'(X)] for X ~ Gamma(a, b).
 
     Returns (lhs, rhs, gap_in_se) where the gap is paired over draws; the
-    identity is taken to hold when |gap_in_se| < k.
+    identity is taken to hold when |gap_in_se| < k. ``h`` is one catalog
+    name, or a sequence of names scored on the same draws (a list of results
+    then comes back).
     """
-    if h not in STEIN_CATALOG:
-        raise InvalidInputError(f"unknown catalog function {h!r}")
+    names = [h] if isinstance(h, str) else list(h)
+    if not names:
+        raise InvalidInputError("need at least one catalog function")
     if alpha <= 0 or beta <= 0:
         raise InvalidInputError("alpha and beta must be positive")
-    fn, x_dfn, floor = STEIN_CATALOG[h]
-    if alpha <= floor:
-        raise InvalidInputError(f"{h!r} needs alpha > {floor} for integrable moments")
+    for name in names:
+        if name not in STEIN_CATALOG:
+            raise InvalidInputError(f"unknown catalog function {name!r}")
+        floor = STEIN_CATALOG[name][2]
+        if alpha <= floor:
+            raise InvalidInputError(f"{name!r} needs alpha > {floor} for integrable moments")
     rng = CounterRng(seed)
 
     def trial(lo, hi):
-        x = beta * rng.gamma(hi - lo, alpha, _TAG_GAMMA, offset=lo)
-        return (x - alpha * beta) * fn(x), beta * x_dfn(x)
+        return (beta * rng.gamma(hi - lo, alpha, _TAG_GAMMA, offset=lo),)
 
-    lhs, rhs = _run_trials(n_trials, _BLOCK, trial)
-    gap_mean, gap_se = _mean_se(lhs - rhs)
-    gap_in_se = gap_mean / gap_se if gap_se > 0 else 0.0
-    return float(lhs.mean()), float(rhs.mean()), float(gap_in_se)
+    # a trial draws one value, so the draws column is no larger than a
+    # per-trial column; each function is scored on it whole, which keeps the
+    # columns of one function live at a time instead of those of all
+    (x,) = _run_trials(n_trials, 1, trial)
+    results = []
+    for name in names:
+        fn, x_dfn, _ = STEIN_CATALOG[name]
+        lhs = x - alpha * beta
+        lhs *= fn(x)
+        rhs = beta * x_dfn(x)
+        means = float(lhs.mean()), float(rhs.mean())
+        gap_mean, gap_se = _mean_se(np.subtract(lhs, rhs, out=rhs))
+        gap_in_se = gap_mean / gap_se if gap_se > 0 else 0.0
+        results.append((*means, float(gap_in_se)))
+    return results[0] if isinstance(h, str) else results

@@ -58,11 +58,13 @@ def report(name, ok, detail=""):
 def test_criterion_1_theorem_1_gaussian_dominance():
     start = time.time()
     worst = np.inf
+    norms = (0.0, 1.0, 10.0)
     for p in (3, 8, 64):
-        for norm in (0.0, 1.0, 10.0):
-            theta = np.full(p, norm / np.sqrt(p))
-            for eps in (0.0, 0.1, 0.3):
-                rep = mc_risk_gaussian(p, theta, 1.0, truncated_levy_gauss(eps), 100_000, seed=1)
+        # the three norms of one (p, eps) cell share their draws
+        thetas = [np.full(p, norm / np.sqrt(p)) for norm in norms]
+        for eps in (0.0, 0.1, 0.3):
+            reps = mc_risk_gaussian(p, thetas, 1.0, truncated_levy_gauss(eps), 100_000, seed=1)
+            for norm, rep in zip(norms, reps):
                 assert rep.verdict == VERDICT_DOMINATES, (p, norm, eps, rep.margin_se)
                 assert rep.margin_se >= 3.0, (p, norm, eps, rep.margin_se)
                 worst = min(worst, rep.margin_se)
@@ -85,14 +87,17 @@ def test_criterion_2_theorem_2_gamma_dominance():
         for n in (10, 32):
             alpha = (n - 1) / 2.0
             c = classical_c_bound(alpha, p) / 2.0
-            for spread in ("equal", "hetero"):
-                sigmas = np.ones(p) if spread == "equal" else np.linspace(2.0, 0.5, p)
-                for eps in (0.0, 0.1):
-                    spec = GammaTrialSpec(
+            spreads = {"equal": np.ones(p), "hetero": np.linspace(2.0, 0.5, p)}
+            for eps in (0.0, 0.1):
+                # the two spreads of one (p, n, eps) cell share their draws
+                specs = [
+                    GammaTrialSpec(
                         p=p, n=n, mu=0.0, sigmas_x=sigmas,
                         noise=truncated_levy_gauss(eps), c=c,
                     )
-                    rep = mc_risk_gamma(spec, 50_000, seed=2)
+                    for sigmas in spreads.values()
+                ]
+                for spread, rep in zip(spreads, mc_risk_gamma(specs, 50_000, seed=2)):
                     assert rep.verdict == VERDICT_DOMINATES, (p, n, spread, eps, rep.margin_se)
                     assert rep.margin_se >= 3.0, (p, n, spread, eps, rep.margin_se)
                     worst = min(worst, rep.margin_se)
@@ -109,10 +114,12 @@ def test_criterion_2_theorem_2_gamma_dominance():
 
 def test_criterion_3_key_inequality():
     worst = np.inf
+    norms = (0.0, 1.0, 100.0)
     for p in (3, 10):
-        for norm in (0.0, 1.0, 100.0):
-            theta = np.full(p, norm / np.sqrt(p))
-            est, se, holds = mc_key_inequality(p, theta, NoiseSpec("none"), 1_000_000, seed=3)
+        # the three norms of one p share their draws
+        thetas = [np.full(p, norm / np.sqrt(p)) for norm in norms]
+        results = mc_key_inequality(p, thetas, NoiseSpec("none"), 1_000_000, seed=3)
+        for norm, (est, se, holds) in zip(norms, results):
             assert holds, (p, norm, est, se)
             worst = min(worst, (2.0 - est) / se)
             if norm == 0.0:
@@ -122,9 +129,11 @@ def test_criterion_3_key_inequality():
 
 def test_criterion_4_stein_gamma_lemma():
     worst = 0.0
+    names = sorted(STEIN_CATALOG)
     for alpha, beta in ((1.0, 1.0), (4.5, 0.4)):
-        for h in sorted(STEIN_CATALOG):
-            _, _, gap = mc_stein_gamma_lemma(alpha, beta, h, 1_000_000, seed=4)
+        # the six functions of one (alpha, beta) share their gamma draws
+        results = mc_stein_gamma_lemma(alpha, beta, names, 1_000_000, seed=4)
+        for h, (_, _, gap) in zip(names, results):
             assert abs(gap) < 4.0, (alpha, beta, h, gap)
             worst = max(worst, abs(gap))
     report("4 Stein Gamma lemma", True, f"(12 cases, worst gap {worst:.2f} se)")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,32 @@ class TestRisk:
         out = tmp_path / "r.json"
         assert run_cli([*self.GAUSSIAN, "--sigma", "0", "--out", str(out)]) == 1
         assert "error: variance_scale must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gaussian", "--p", "8", "--theta-norm", "1e300"],
+            ["inequality", "--p", "8", "--theta-norm", "1e200"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_theta_norm_overflow_exit_1_writes_nothing(self, tmp_path, capsys, argv):
+        # theta . theta is inf: gaussian wrote a vacuous Dominates with zero
+        # risks, inequality an estimate of NaN
+        out = tmp_path / "r.json"
+        assert run_cli(["risk", *argv, "--trials", "200", "--seed", "1", "--out", str(out)]) == 1
+        assert "error: theta's squared norm must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", ["0", "-3"])
+    @pytest.mark.parametrize("command", [GAUSSIAN, GAMMA, INEQUALITY], ids=lambda c: c[1])
+    def test_non_positive_p_exit_1_names_p(self, tmp_path, capsys, command, p):
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([*command, "--p", p, "--out", str(out)]) == 1
+        assert f"error: argument --p: '{p}' is not a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -448,6 +475,12 @@ class TestTrainEvalReport:
             ([1, 2], "config must be a JSON object"),
             ({"noise_family": "gausian"}, "unknown noise family 'gausian'"),
             ({"noise_levels": [0, "10"]}, "noise level '10' is not a number in [0, 100]"),
+            # each of these ran and labelled its rows with a value it did not run
+            ({"seeds": [1.5]}, "seed 1.5 is not an integer"),
+            ({"seeds": [True]}, "seed True is not an integer"),
+            ({"seeds": ["1"]}, "seed '1' is not an integer"),
+            ({"seeds": [1, 1]}, "seeds must be distinct, got [1, 1]"),
+            ({"noise_levels": [True]}, "noise level True is not a number in [0, 100]"),
         ],
     )
     def test_bad_config_exit_1(self, tmp_path, capsys, config, message):

@@ -5,6 +5,7 @@ James-Stein risk is p - (p-2)^2 * E[1/chi2_p] = p - (p-2) = 2. For the Gamma
 Stein identity the catalog functions have closed-form moments.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -67,6 +68,17 @@ class TestGaussianRisk:
             mc_risk_gaussian(2, np.zeros(2), 1.0, NONE, 1_000, seed=0)
         with pytest.raises(InvalidInputError):
             mc_risk_gaussian(4, np.zeros(3), 1.0, NONE, 1_000, seed=0)
+
+    @pytest.mark.parametrize("theta", [np.full(8, 3.6e299), np.array([np.inf, 0, 0]), np.array([np.nan, 0, 0])])
+    def test_theta_with_overflowing_norm_rejected(self, theta):
+        # the risks would read 0 or NaN under a vacuous verdict
+        p = theta.size
+        with pytest.raises(InvalidInputError, match="squared norm must be finite"):
+            mc_risk_gaussian(p, theta, 1.0, NONE, 1_000, seed=0)
+        with pytest.raises(InvalidInputError, match="squared norm must be finite"):
+            mc_key_inequality(p, theta, NONE, 1_000, seed=0)
+        with pytest.raises(InvalidInputError, match="squared norm must be finite"):
+            mc_risk_gaussian(p, [np.zeros(p), theta], 1.0, NONE, 1_000, seed=0)
 
     def test_report_json_roundtrip(self):
         report = mc_risk_gaussian(4, np.zeros(4), 1.0, NONE, 10_000, seed=6)
@@ -209,3 +221,114 @@ class TestBlockIndependence:
         reference = mc_stein_gamma_lemma(4.5, 0.4, "square", 100_000, seed=1)
         with mock.patch.object(risk, "_BLOCK", block):
             assert mc_stein_gamma_lemma(4.5, 0.4, "square", 100_000, seed=1) == reference
+
+    @pytest.mark.parametrize("block", [1, 4, 23])
+    def test_trial_larger_than_a_block(self, block):
+        # a Theorem-2 trial here draws 24 values and a Theorem-1 or inequality
+        # trial 5, so at these block sizes (in draws) a block holds one trial
+        # of Theorem 2, and at 1 and 4 one trial of the others as well
+        reference = self.run_all(50, seed=9)
+        with mock.patch.object(risk, "_BLOCK", block):
+            assert self.run_all(50, seed=9) == reference
+
+
+GRID_NOISES = [NONE, truncated_levy_gauss(0.3), NoiseSpec(family="gaussian", sigma=0.5)]
+
+
+class TestSharedDraws:
+    """A sequence of entries scored on shared draws gives, entry by entry,
+    exactly what each entry gives alone."""
+
+    @staticmethod
+    def gamma_specs(noise):
+        return [
+            GammaTrialSpec(p=3, n=5, mu=mu, sigmas_x=np.array(sig), noise=noise, c=c)
+            for mu, sig, c in ((0.0, [1.0, 1.0, 1.0], None), (0.5, [2.0, 1.0, 0.5], 0.02),
+                               (-1.0, [0.3, 3.0, 1.0], 0.0))
+        ]
+
+    @given(
+        block=st.integers(1, 300),
+        n_trials=st.integers(2, 200),
+        seed=st.integers(0, 2**31),
+        noise=st.sampled_from(GRID_NOISES),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_shared_equals_per_entry(self, block, n_trials, seed, noise):
+        thetas = [np.zeros(4), np.full(4, 0.5), np.array([3.0, -1.0, 0.0, 2.0])]
+        specs = self.gamma_specs(noise)
+        names = sorted(STEIN_CATALOG)
+        with mock.patch.object(risk, "_BLOCK", block):
+            shared = mc_risk_gaussian(4, thetas, 1.3, noise, n_trials, seed)
+            assert [r.to_json() for r in shared] == [
+                mc_risk_gaussian(4, t, 1.3, noise, n_trials, seed).to_json() for t in thetas
+            ]
+            assert [r.to_json() for r in mc_risk_gamma(specs, n_trials, seed)] == [
+                mc_risk_gamma(s, n_trials, seed).to_json() for s in specs
+            ]
+            assert mc_key_inequality(4, np.array(thetas), noise, n_trials, seed) == [
+                mc_key_inequality(4, t, noise, n_trials, seed) for t in thetas
+            ]
+            assert mc_stein_gamma_lemma(2.5, 0.7, names, n_trials, seed) == [
+                mc_stein_gamma_lemma(2.5, 0.7, h, n_trials, seed) for h in names
+            ]
+
+    def test_single_entry_sequence_gives_a_list(self):
+        theta = np.full(4, 0.5)
+        single = mc_risk_gaussian(4, theta, 1.0, NONE, 100, seed=1)
+        (listed,) = mc_risk_gaussian(4, [theta], 1.0, NONE, 100, seed=1)
+        assert listed == single
+        assert mc_stein_gamma_lemma(1.0, 1.0, ["log"], 100, seed=1) == [
+            mc_stein_gamma_lemma(1.0, 1.0, "log", 100, seed=1)
+        ]
+
+    def test_gamma_specs_must_share_their_draws(self):
+        specs = self.gamma_specs(NONE)
+        other_n = GammaTrialSpec(p=3, n=6, mu=0.0, sigmas_x=np.ones(3), noise=NONE)
+        other_noise = self.gamma_specs(truncated_levy_gauss(0.1))[0]
+        for odd in (other_n, other_noise):
+            with pytest.raises(InvalidInputError, match="agree on p, n and noise"):
+                mc_risk_gamma([*specs, odd], 100, seed=1)
+        with pytest.raises(InvalidInputError):
+            mc_risk_gamma([], 100, seed=1)
+
+    def test_every_lemma_name_checked(self):
+        with pytest.raises(InvalidInputError, match="'cube'"):
+            mc_stein_gamma_lemma(1.0, 1.0, ["square", "cube"], 100, seed=1)
+        with pytest.raises(InvalidInputError, match="'log' needs alpha"):
+            mc_stein_gamma_lemma(0.005, 1.0, ["square", "log"], 100, seed=1)
+        with pytest.raises(InvalidInputError):
+            mc_stein_gamma_lemma(1.0, 1.0, [], 100, seed=1)
+
+
+class TestBlockMemory:
+    """A check's peak memory is a few block-sized arrays plus a few floats per
+    trial (its per-trial columns and the reductions over them), however many
+    draws a trial takes; the block arrays do not grow with n_trials."""
+
+    N_TRIALS = 100_000
+    PER_TRIAL = 6 * 8  # bytes: six float64 per trial
+    BLOCK_ARRAYS = 6  # arrays of _BLOCK float64 live at once
+
+    SPEC = GammaTrialSpec(
+        p=8, n=10, mu=0.0, sigmas_x=np.linspace(2.0, 0.5, 8), noise=truncated_levy_gauss(0.1), c=0.01
+    )
+    CHECKS = {
+        "gaussian-p64": lambda n: mc_risk_gaussian(64, np.full(64, 0.125), 1.0, truncated_levy_gauss(0.3), n, 1),
+        "gamma-p8-n10": lambda n: mc_risk_gamma(TestBlockMemory.SPEC, n, 1),
+        "inequality-p10": lambda n: mc_key_inequality(10, np.full(10, 0.3), truncated_levy_gauss(0.1), n, 1),
+        "lemma": lambda n: mc_stein_gamma_lemma(4.5, 0.4, "square", n, 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_peak_is_bounded_by_the_block(self, name):
+        check = self.CHECKS[name]
+        check(100)  # imports and first-call caches are not the block's
+        tracemalloc.start()
+        try:
+            check(self.N_TRIALS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = self.PER_TRIAL * self.N_TRIALS + self.BLOCK_ARRAYS * 8 * risk._BLOCK
+        assert peak <= bound, f"{name}: peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
