@@ -105,6 +105,19 @@ def _csv_with_config(body: str, config: dict) -> str:
     return body + "\n".join(lines) + "\n"
 
 
+def _risk_flags(k: float = 3.0) -> argparse.ArgumentParser:
+    """Parent parser of the flags every risk check takes, with k the check's
+    default threshold in standard errors. Each check gets its own: subparsers
+    share their parents' actions, so a set_defaults(k=...) on one check would
+    set the default of all four."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--trials", type=int, required=True)
+    flags.add_argument("--seed", type=int, required=True)
+    flags.add_argument("--k", type=_positive, default=k)
+    flags.add_argument("--out", required=True)
+    return flags
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process; parsing keeps no state
@@ -116,48 +129,32 @@ def _build_parser() -> _Parser:
     risk = sub.add_parser("risk", help="Monte Carlo risk and identity checks")
     rsub = risk.add_subparsers(dest="risk_command", required=True)
 
-    g = rsub.add_parser("gaussian", help="James-Stein vs MLE mean risk")
+    g = rsub.add_parser("gaussian", parents=[_risk_flags()], help="James-Stein vs MLE mean risk")
     g.add_argument("--p", type=_positive_int, required=True)
     g.add_argument("--theta-norm", type=_finite, required=True)
     g.add_argument("--sigma", type=_finite, default=1.0)
     g.add_argument("--eps", type=_finite, default=0.0, help="truncation bound of the mixture noise")
-    g.add_argument("--trials", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--k", type=_positive, default=3.0)
-    g.add_argument("--out", required=True)
     g.set_defaults(run=_cmd_gaussian)
 
-    gm = rsub.add_parser("gamma", help="geometric-mean shrinkage vs naive variance risk")
+    gm = rsub.add_parser("gamma", parents=[_risk_flags()], help="geometric-mean shrinkage vs naive variance risk")
     gm.add_argument("--p", type=_positive_int, required=True)
     gm.add_argument("--n", type=int, required=True)
     gm.add_argument("--mu", type=_finite, default=0.0)
     gm.add_argument("--sigmas-x", type=_finite_list, default="1", help="comma list of scales; a single value is broadcast")
     gm.add_argument("--c", type=_finite, default=None, help="shrinkage constant; default midpoint of the classical interval")
     gm.add_argument("--eps", type=_finite, default=0.0)
-    gm.add_argument("--trials", type=int, required=True)
-    gm.add_argument("--seed", type=int, required=True)
-    gm.add_argument("--k", type=_positive, default=3.0)
-    gm.add_argument("--out", required=True)
     gm.set_defaults(run=_cmd_gamma)
 
-    iq = rsub.add_parser("inequality", help="key expectation inequality check")
+    iq = rsub.add_parser("inequality", parents=[_risk_flags()], help="key expectation inequality check")
     iq.add_argument("--p", type=_positive_int, required=True)
     iq.add_argument("--theta-norm", type=_finite, required=True)
     iq.add_argument("--eps", type=_finite, default=0.0)
-    iq.add_argument("--trials", type=int, required=True)
-    iq.add_argument("--seed", type=int, required=True)
-    iq.add_argument("--k", type=_positive, default=3.0)
-    iq.add_argument("--out", required=True)
     iq.set_defaults(run=_cmd_inequality)
 
-    lm = rsub.add_parser("lemma", help="Gamma Stein identity on the catalog")
+    lm = rsub.add_parser("lemma", parents=[_risk_flags(k=4.0)], help="Gamma Stein identity on the catalog")
     lm.add_argument("--alpha", type=_finite, required=True)
     lm.add_argument("--beta", type=_finite, required=True)
     lm.add_argument("--h", default="square", help="catalog function name")
-    lm.add_argument("--trials", type=int, required=True)
-    lm.add_argument("--seed", type=int, required=True)
-    lm.add_argument("--k", type=_positive, default=4.0)
-    lm.add_argument("--out", required=True)
     lm.set_defaults(run=_cmd_lemma)
 
     noise = sub.add_parser("noise", help="perturbation sampling")

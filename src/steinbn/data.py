@@ -71,9 +71,14 @@ def make_synthetic_blobs(
     return Dataset(images=images, labels=labels.astype(np.int64))
 
 
+def split_sizes(n: int) -> tuple[int, int, int]:
+    """Train, validation and test sizes of the 80/10/10 split of n samples."""
+    n_train, n_val = int(0.8 * n), int(0.1 * n)
+    return n_train, n_val, n - n_train - n_val
+
+
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic 80/10/10 train/val/test permutation split."""
     order = np.argsort(CounterRng(seed).uniform(n, 103), kind="stable")
-    n_train = int(0.8 * n)
-    n_val = int(0.1 * n)
+    n_train, n_val, _ = split_sizes(n)
     return order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :]

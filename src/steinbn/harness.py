@@ -22,12 +22,11 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .batchnorm import BNVariant
-from .data import Dataset, make_synthetic_blobs, split_indices
+from .data import Dataset, make_synthetic_blobs, split_indices, split_sizes
 from .nn import (
     BatchNorm,
     SGDNesterov,
     Sequential,
-    accuracy_pct,
     build_mlp2,
     build_tiny_cnn,
     softmax_cross_entropy,
@@ -60,6 +59,24 @@ _JSON_TYPES = {
     "float | None": (int, float, type(None)),
     "bool": bool,
     "list": list,
+}
+
+# domain of each numeric ExperimentConfig field, as (what it must be, test);
+# a comparison with NaN is false, so each test refuses NaN as well
+_DOMAINS = {
+    "batch_size": ("an integer >= 2", lambda v: v >= 2),  # BN needs 2 samples
+    "n_classes": ("a positive integer", lambda v: v > 0),
+    "n_per_class": ("a positive integer", lambda v: v > 0),
+    "channels": ("a positive integer", lambda v: v > 0),
+    "hw": ("a positive integer", lambda v: v > 0),
+    "hidden": ("a positive integer", lambda v: v > 0),
+    "max_epochs": ("an integer >= 0", lambda v: v >= 0),
+    "early_stop_patience": ("an integer >= 0", lambda v: v >= 0),
+    "learning_rate": ("a finite number > 0", lambda v: 0 < v < math.inf),
+    "momentum_sgd": ("a number in [0, 1)", lambda v: 0 <= v < 1),
+    "lam": ("a finite number >= 0", lambda v: 0 <= v < math.inf),
+    "sep": ("a finite number >= 0", lambda v: 0 <= v < math.inf),
+    "c_tilde": ("null or a finite number >= 0", lambda v: v is None or 0 <= v < math.inf),
 }
 
 
@@ -100,8 +117,18 @@ class ExperimentConfig:
     feature_noise: bool = False
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise InvalidInputError("batch_size must be >= 2")
+        for name, (domain, ok) in _DOMAINS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                key = "lambda" if name == "lam" else name
+                raise InvalidInputError(f"config key {key!r} must be {domain}, got {value!r}")
+        n = self.n_classes * self.n_per_class
+        sizes = split_sizes(n)
+        if not all(sizes):
+            raise InvalidInputError(
+                f"{n} samples split into {sizes[0]} train, {sizes[1]} validation and "
+                f"{sizes[2]} test; need at least one of each"
+            )
         if not self.seeds:
             raise InvalidInputError("need at least one seed")
         for seed in self.seeds:
@@ -136,7 +163,8 @@ class ExperimentConfig:
         for key, value in d.items():
             if key not in types:
                 raise InvalidInputError(f"unknown config key {key!r}")
-            if not isinstance(value, types[key]):
+            # JSON true is a Python int; only a bool field takes it
+            if not isinstance(value, types[key]) or (isinstance(value, bool) and types[key] is not bool):
                 raise InvalidInputError(
                     f"config key {key!r} has a {type(value).__name__} value: {value!r}"
                 )
@@ -337,15 +365,14 @@ def make_test_split(config: ExperimentConfig, seed: int) -> Dataset:
     return make_dataset(config, seed, rows=te)
 
 
-def _evaluate(model: Sequential, images: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
+def _evaluate(model: Sequential, images: np.ndarray, labels: np.ndarray) -> float:
+    """Percent of images whose logits rank their label first, as 100 * correct / n,
+    from one eval-mode forward over the whole split."""
     model.eval()
-    correct = 0
-    for lo in range(0, images.shape[0], batch):
-        logits = model.forward(images[lo : lo + batch])
-        if not np.isfinite(logits).all():
-            raise NonFiniteError("non-finite logits")
-        pred = logits.reshape(logits.shape[0], -1).argmax(axis=1)
-        correct += int(np.sum(pred == labels[lo : lo + batch]))
+    logits = model.forward(images)
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("non-finite logits")
+    correct = int(np.sum(logits.reshape(logits.shape[0], -1).argmax(axis=1) == labels))
     return 100.0 * correct / images.shape[0]
 
 
@@ -448,8 +475,10 @@ def noise_sweep(
     first BN layer. The clean activations at that point, and the per-channel
     std that scales the noise, are the same at every level, so they are
     computed once per sweep; the layers before the first BN run in eval mode,
-    where each sample's output depends on that sample alone. An unknown
-    noise family is refused before any work, even when every level is 0.
+    where each sample's output depends on that sample alone. Both placements
+    score each level with ``_evaluate``, so a count of correct samples gives
+    the same value either way. An unknown noise family is refused before any
+    work, even when every level is 0.
     """
     unit_spec = _unit_noise(noise_family)
     config = checkpoint.config
@@ -465,13 +494,6 @@ def noise_sweep(
     rows = []
     for level in noise_levels:
         x = _noisy_inputs(clean, ch_std, level, unit_spec, seed)
-        # each placement keeps its scoring: 100 * correct / n in batches of
-        # 256 for input noise, 100 * mean(correct) in one pass for feature
-        # noise; the two differ in the last bit for some n
-        if config.feature_noise:
-            acc = accuracy_pct(tail.forward(x), labels)
-        else:
-            acc = _evaluate(tail, x, labels)
         rows.append(
             ResultRow(
                 method=config.bn_variant,
@@ -479,7 +501,7 @@ def noise_sweep(
                 noise_pct=float(level),
                 seed=seed,
                 metric="accuracy",
-                value=acc,
+                value=_evaluate(tail, x, labels),
                 epochs=checkpoint.epochs_trained,
             )
         )

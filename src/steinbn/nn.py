@@ -309,11 +309,6 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     return loss, (probs / n).reshape(logits.shape)
 
 
-def accuracy_pct(logits: np.ndarray, labels: np.ndarray) -> float:
-    pred = logits.reshape(logits.shape[0], -1).argmax(axis=1)
-    return 100.0 * float(np.mean(pred == labels))
-
-
 class SGDNesterov:
     """SGD with Nesterov acceleration, momentum 0.9 by default."""
 

@@ -48,6 +48,13 @@ _TAG_GAMMA = 3
 # runs as a block of its own
 _BLOCK = 1 << 16
 
+# the largest float64 spacing of theta's entries, as a share of sigma, that a
+# check accepts. Z = theta + draw rounds each draw to that spacing; at 1e-6
+# sigma the rounding moves a squared error by about 1e-6 of itself, which
+# only some 1e12 trials could resolve. Far beyond it, the draws are lost and
+# every error reads 0
+_THETA_SPACING_SHARE = 1e-6
+
 VERDICT_DOMINATES = "Dominates"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 VERDICT_VIOLATED = "Violated"
@@ -128,9 +135,14 @@ def _draws(rng: CounterRng, noise: NoiseSpec, lo: int, hi: int, shape):
     return unit, y
 
 
-def _thetas(p: int, theta) -> tuple[np.ndarray, bool]:
-    """theta as (m, p) rows, and whether it was one vector; a theta whose
-    squared norm overflows is refused, as no risk of it is finite."""
+def _thetas(p: int, theta, sigma: float) -> tuple[np.ndarray, bool]:
+    """theta as (m, p) rows, and whether it was one vector.
+
+    A theta whose squared norm overflows is refused, as no risk of it is
+    finite, and so is one whose largest entry is so large that adding draws
+    of scale sigma to it rounds them off (see _THETA_SPACING_SHARE); a
+    sigma <= 0 is left to the caller.
+    """
     thetas = np.asarray(theta, dtype=np.float64)
     single = thetas.ndim == 1
     if thetas.ndim not in (1, 2) or thetas.shape[-1] != p or thetas.size == 0:
@@ -139,6 +151,12 @@ def _thetas(p: int, theta) -> tuple[np.ndarray, bool]:
     norm_sq = np.einsum("ij,ij->i", thetas, thetas)
     if not np.all(np.isfinite(norm_sq)):
         raise InvalidInputError(f"theta's squared norm must be finite, got {norm_sq.max()}")
+    top = np.abs(thetas).max()
+    if np.spacing(top) > _THETA_SPACING_SHARE * sigma > 0:
+        raise InvalidInputError(
+            f"theta's entry {top:g} rounds draws of scale sigma={sigma:g} to steps of "
+            f"{np.spacing(top):g}, above {_THETA_SPACING_SHARE:g} sigma"
+        )
     return thetas, single
 
 
@@ -171,7 +189,7 @@ def mc_risk_gaussian(
     ``theta`` is one length-p vector, or a sequence of them scored on the
     same draws (a list of reports then comes back).
     """
-    thetas, single = _thetas(p, theta)
+    thetas, single = _thetas(p, theta, sigma)
     if sigma < 0:
         # sigma**2 loses the sign; js_mean_classical refuses sigma = 0
         raise InvalidInputError(f"sigma must be positive, got {sigma}")
@@ -300,7 +318,7 @@ def mc_key_inequality(
     """
     if p < 3:
         raise InvalidInputError("need p >= 3")
-    thetas, single = _thetas(p, theta)
+    thetas, single = _thetas(p, theta, 1.0)
     rng = CounterRng(seed)
 
     def trial(lo, hi):

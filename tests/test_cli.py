@@ -234,6 +234,28 @@ class TestRisk:
         assert "error: theta's squared norm must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gaussian", "--p", "8", "--theta-norm", "1e154"],
+            ["inequality", "--p", "3", "--theta-norm", "1e150"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_theta_too_large_for_the_draws_exit_1_writes_nothing(self, tmp_path, capsys, argv):
+        # theta + draw rounds every draw away: gaussian wrote risks of 0 and
+        # Dominates at a margin of inf se, inequality a se of 0
+        out = tmp_path / "r.json"
+        assert run_cli(["risk", *argv, "--trials", "50", "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: theta's entry ")
+        assert not out.exists()
+
+    def test_risk_flags_keep_each_checks_default_k(self):
+        parse = _build_parser().parse_args
+        for command in (self.GAUSSIAN, self.GAMMA, self.INEQUALITY):
+            assert parse([*command, "--out", "x"]).k == 3.0
+        assert parse([*self.LEMMA, "--out", "x"]).k == 4.0
+
     @pytest.mark.parametrize("p", ["0", "-3"])
     @pytest.mark.parametrize("command", [GAUSSIAN, GAMMA, INEQUALITY], ids=lambda c: c[1])
     def test_non_positive_p_exit_1_names_p(self, tmp_path, capsys, command, p):
@@ -314,15 +336,29 @@ class TestTrainEvalReport:
         "feature_noise, digest",
         [
             (False, "20323eb98db95230291c5e91d8d7a037a065c0ddd4dc48ca70d720e7439ae117"),
-            (True, "bffd8a5b645135f08ec987cde461c3f48cafff2cfd715b1a8ff70e1d1a9b6db9"),
+            (True, "8c4cf909d00ddfb99071abc52e59f44166f450d0882e275cd7b7f084fe39569b"),
         ],
     )
     def test_golden_eval_csv(self, tmp_path, feature_noise, digest):
-        # sha256 of the whole eval CSV, config echo and version included,
-        # recorded when eval still regenerated the full dataset and ran every
-        # layer at every level. With 24 test images, 100 * correct / 24 and
-        # 100 * mean(correct) differ in the last bit: input noise scores the
-        # first way, feature noise the second, and both show in the CSV.
+        # sha256 of the whole eval CSV, config echo and version included. The
+        # input-noise digest was recorded when eval still regenerated the full
+        # dataset and ran every layer at every level; the feature-noise one
+        # when both placements came to score as 100 * correct / n (it had
+        # pinned 100 * mean(correct), which is one bit off for 23 of 24).
+        out = self._eval_golden_model(tmp_path, feature_noise, "0,25,50,75,100")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("feature_noise", [False, True])
+    def test_both_placements_write_the_same_value_for_a_count(self, tmp_path, feature_noise):
+        # the golden model gets 23 of its 24 test images right at level 0,
+        # where input and feature noise score the same clean logits
+        out = self._eval_golden_model(tmp_path, feature_noise, "0")
+        (row,) = rows_from_csv(out.read_text())
+        assert f"accuracy,{row.value!r}," in out.read_text()
+        assert repr(row.value) == repr(100.0 * 23 / 24) == "95.83333333333333"
+
+    @staticmethod
+    def _eval_golden_model(tmp_path, feature_noise, levels):
         cfg_path = write_config(tmp_path, model="TinyCNN", n_per_class=80, hw=4, sep=1.0,
                                 noise_family="gaussian", feature_noise=feature_noise)
         ckdir = tmp_path / "ckpts"
@@ -330,8 +366,8 @@ class TestTrainEvalReport:
                         "--checkpoint-dir", str(ckdir)]) == 0
         out = tmp_path / "eval.csv"
         assert run_cli(["eval", "--checkpoint", str(ckdir / "stein_s1.ckpt"),
-                        "--levels", "0,25,50,75,100", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+                        "--levels", levels, "--out", str(out)]) == 0
+        return out
 
     def test_diverging_train_keeps_rows_and_flags_checkpoint(self, tmp_path):
         cfg_path = write_config(tmp_path, model="TinyCNN", learning_rate=1e6, n_per_class=50,
@@ -481,6 +517,35 @@ class TestTrainEvalReport:
             ({"seeds": ["1"]}, "seed '1' is not an integer"),
             ({"seeds": [1, 1]}, "seeds must be distinct, got [1, 1]"),
             ({"noise_levels": [True]}, "noise level True is not a number in [0, 100]"),
+            # each of these ran meaninglessly, diverged or failed naming nothing
+            ({"batch_size": 1}, "'batch_size' must be an integer >= 2, got 1"),
+            ({"n_classes": 0}, "'n_classes' must be a positive integer, got 0"),
+            ({"n_per_class": 0}, "'n_per_class' must be a positive integer, got 0"),
+            ({"channels": 0}, "'channels' must be a positive integer, got 0"),
+            ({"hw": 0}, "'hw' must be a positive integer, got 0"),
+            ({"hidden": 0}, "'hidden' must be a positive integer, got 0"),
+            ({"max_epochs": -3}, "'max_epochs' must be an integer >= 0, got -3"),
+            ({"early_stop_patience": -1}, "'early_stop_patience' must be an integer >= 0, got -1"),
+            ({"learning_rate": -1}, "'learning_rate' must be a finite number > 0, got -1"),
+            ({"learning_rate": 0}, "'learning_rate' must be a finite number > 0, got 0"),
+            ({"learning_rate": float("nan")}, "'learning_rate' must be a finite number > 0, got nan"),
+            ({"learning_rate": float("inf")}, "'learning_rate' must be a finite number > 0, got inf"),
+            ({"momentum_sgd": float("nan")}, "'momentum_sgd' must be a number in [0, 1), got nan"),
+            ({"momentum_sgd": 1}, "'momentum_sgd' must be a number in [0, 1), got 1"),
+            ({"momentum_sgd": -0.5}, "'momentum_sgd' must be a number in [0, 1), got -0.5"),
+            ({"lambda": -0.1}, "'lambda' must be a finite number >= 0, got -0.1"),
+            ({"lambda": float("inf")}, "'lambda' must be a finite number >= 0, got inf"),
+            ({"sep": -1.0}, "'sep' must be a finite number >= 0, got -1.0"),
+            ({"sep": float("nan")}, "'sep' must be a finite number >= 0, got nan"),
+            ({"c_tilde": -5}, "'c_tilde' must be null or a finite number >= 0, got -5"),
+            ({"c_tilde": float("nan")}, "'c_tilde' must be null or a finite number >= 0, got nan"),
+            ({"n_per_class": 1},
+             "4 samples split into 3 train, 0 validation and 1 test; need at least one of each"),
+            ({"n_classes": 3, "n_per_class": 3},
+             "9 samples split into 7 train, 0 validation and 2 test; need at least one of each"),
+            # true passed as the int 1 and crashed in Dense with a TypeError
+            ({"hidden": True}, "'hidden' has a bool value: True"),
+            ({"learning_rate": True}, "'learning_rate' has a bool value: True"),
         ],
     )
     def test_bad_config_exit_1(self, tmp_path, capsys, config, message):

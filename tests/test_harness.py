@@ -19,6 +19,7 @@ from steinbn.harness import (
     ExperimentConfig,
     ResultRow,
     aggregate_results,
+    build_model,
     evaluate_under_noise,
     load_arrays,
     make_dataset,
@@ -31,6 +32,7 @@ from steinbn.harness import (
     train_model,
 )
 from steinbn.nn import Sequential
+from steinbn.rng import CounterRng
 from steinbn.tensor import InvalidInputError, NonFiniteError, Tensor4
 
 FAST = dict(
@@ -440,6 +442,32 @@ class TestEvaluation:
         alone = [evaluate_under_noise(ckpt, ds, [lv], "levy-gauss", seed=1)[0] for lv in levels]
         assert rows == alone
         assert len({r.value for r in rows}) > 1
+
+    @pytest.mark.parametrize("model", ["MLP2", "TinyCNN"])
+    @pytest.mark.parametrize("n", [2, 256, 257])
+    def test_evaluate_scores_a_split_in_one_forward(self, monkeypatch, model, n):
+        # a 257-image split was scored in chunks of 256, its last image alone;
+        # a 1-row Dense forward takes numpy's GEMV path and can give that
+        # image other logits than the full batch gives it
+        cfg = ExperimentConfig(**{**FAST, "model": model})
+        net = build_model(cfg, seed=1)
+        net.eval()
+        images = CounterRng(2).normal(n * 12, 1).reshape(n, 3, 2, 2)
+        labels = np.arange(n) % cfg.n_classes
+        full = net.forward(images)
+        calls = []
+        forward = Sequential.forward
+
+        def recording(model, x):
+            calls.append(forward(model, x))
+            return calls[-1]
+
+        monkeypatch.setattr(Sequential, "forward", recording)
+        acc = harness._evaluate(net, images, labels)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == full.tobytes()
+        correct = int(np.sum(full.reshape(n, -1).argmax(axis=1) == labels))
+        assert acc == 100.0 * correct / n
 
     # sha256 of every array a model forward returns during a noise sweep of
     # the golden TinyCNN run's model over its whole dataset (100 images): the

@@ -80,6 +80,18 @@ class TestGaussianRisk:
         with pytest.raises(InvalidInputError, match="squared norm must be finite"):
             mc_risk_gaussian(p, [np.zeros(p), theta], 1.0, NONE, 1_000, seed=0)
 
+    def test_theta_that_rounds_off_the_draws_rejected(self):
+        # float64 spacing at 2**33 is 2**-19 (1.9e-6), at 2**32 it is 2**-20
+        # (9.5e-7); the refusal sits between them at sigma = 1 and moves with sigma
+        big, ok = np.array([2.0**33, 0, 0]), np.array([2.0**32, 0, 0])
+        with pytest.raises(InvalidInputError, match="theta's entry 8.58993e"):
+            mc_risk_gaussian(3, big, 1.0, NONE, 100, seed=0)
+        with pytest.raises(InvalidInputError, match="theta's entry 8.58993e"):
+            mc_key_inequality(3, [ok, big], NONE, 100, seed=0)
+        mc_risk_gaussian(3, big, 4.0, NONE, 100, seed=0)
+        mc_risk_gaussian(3, ok, 1.0, NONE, 100, seed=0)
+        mc_key_inequality(3, ok, NONE, 100, seed=0)
+
     def test_report_json_roundtrip(self):
         report = mc_risk_gaussian(4, np.zeros(4), 1.0, NONE, 10_000, seed=6)
         back = RiskReport.from_json(report.to_json())
