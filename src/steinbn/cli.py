@@ -198,8 +198,8 @@ def _echo(args) -> dict:
 
 
 def _cmd_lemma(args) -> int:
-    lhs, rhs, gap = mc_stein_gamma_lemma(
-        args.alpha, args.beta, args.h, args.trials, args.seed, k=args.k
+    ((lhs, rhs, gap),) = mc_stein_gamma_lemma(
+        args.alpha, args.beta, [args.h], args.trials, args.seed, k=args.k
     )
     payload = {"lhs": lhs, "rhs": rhs, "gap_in_se": gap, "holds": abs(gap) < args.k}
     payload["config"] = _echo(args)
@@ -209,8 +209,8 @@ def _cmd_lemma(args) -> int:
 
 def _cmd_inequality(args) -> int:
     noise = truncated_levy_gauss(args.eps)
-    est, se, holds = mc_key_inequality(
-        args.p, _theta(args.p, args.theta_norm), noise, args.trials, args.seed, k=args.k
+    ((est, se, holds),) = mc_key_inequality(
+        [_theta(args.p, args.theta_norm)], noise, args.trials, args.seed, k=args.k
     )
     payload = {"estimate": est, "se": se, "holds": holds, "config": _echo(args)}
     _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True))
@@ -226,8 +226,8 @@ def _write_verdict(args, report) -> int:
 
 def _cmd_gaussian(args) -> int:
     noise = truncated_levy_gauss(args.eps)
-    report = mc_risk_gaussian(
-        args.p, _theta(args.p, args.theta_norm), args.sigma, noise, args.trials, args.seed, k=args.k
+    (report,) = mc_risk_gaussian(
+        [_theta(args.p, args.theta_norm)], args.sigma, noise, args.trials, args.seed, k=args.k
     )
     return _write_verdict(args, report)
 
@@ -237,8 +237,11 @@ def _cmd_gamma(args) -> int:
     sigmas = args.sigmas_x
     if sigmas.size == 1:
         sigmas = np.full(args.p, sigmas[0])
-    spec = GammaTrialSpec(p=args.p, n=args.n, mu=args.mu, sigmas_x=sigmas, noise=noise, c=args.c)
-    return _write_verdict(args, mc_risk_gamma(spec, args.trials, args.seed, k=args.k))
+    if sigmas.size != args.p:
+        raise InvalidInputError(f"--sigmas-x gives {sigmas.size} scales; need 1 or --p={args.p}")
+    spec = GammaTrialSpec(n=args.n, mu=args.mu, sigmas_x=sigmas, noise=noise, c=args.c)
+    (report,) = mc_risk_gamma([spec], args.trials, args.seed, k=args.k)
+    return _write_verdict(args, report)
 
 
 def _cmd_noise(args) -> int:

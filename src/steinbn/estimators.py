@@ -5,6 +5,10 @@ correction, Gamma-scale shrinkage of variances toward their geometric mean,
 the Gaussian-form variance shrinkage used by prior work (kept for
 comparison), and Lasso/Ridge mean and variance estimators.
 
+The channel-wise JS factor lies in [2/C, 1], so it needs no positive-part
+clip, and every variance floor but the Lasso rule's (0 in ``lasso_variance``)
+is the constant ``VAR_FLOOR``.
+
 Each statistic correction that batch norm applies is written once, as a
 ``*_coefficients`` rule returning the per-channel affine map
 ``corrected = coef * raw + offset``; the BN variants and the public
@@ -97,40 +101,27 @@ def js_mean_classical(z: np.ndarray, variance_scale: float = 1.0) -> np.ndarray:
     return factor[..., None] * z
 
 
-def js_mean_factor(
-    mu: np.ndarray,
-    variance_convention: str = "population",
-    positive_part: bool = False,
-) -> tuple[float, bool]:
+def js_mean_factor(mu: np.ndarray) -> tuple[float, bool]:
     """Shrinkage factor for a vector of channel means and a degraded flag.
 
-    The factor is 1 - (C-2)*var(mu)/||mu||^2 where var(mu) is the dispersion
-    of the entries of mu. For C < 3 or a zero vector the factor degrades to
-    the identity (flag True) so BN still functions on tiny channel counts.
+    The factor is 1 - (C-2)*var(mu)/||mu||^2 where var(mu) is the population
+    dispersion of the C entries of mu. As var(mu) <= ||mu||^2/C, the factor
+    lies in [2/C, 1], so it never needs a positive-part clip. For C < 3 or a
+    zero vector the factor degrades to the identity (flag True) so BN still
+    functions on tiny channel counts.
     """
-    if variance_convention not in ("population", "sample"):
-        raise InvalidInputError(f"unknown variance convention {variance_convention!r}")
     mu = np.asarray(mu, dtype=np.float64)
     c = mu.size
     norm_sq = float(mu @ mu)
     if c < 3 or norm_sq == 0.0:
         return 1.0, True
-    ddof = 0 if variance_convention == "population" else 1
-    disp = float(np.var(mu, ddof=ddof))
-    factor = 1.0 - (c - 2) * disp / norm_sq
-    if positive_part:
-        factor = max(factor, 0.0)
-    return factor, False
+    return 1.0 - (c - 2) * float(np.var(mu)) / norm_sq, False
 
 
-def js_mean_channels(
-    mu: np.ndarray,
-    variance_convention: str = "population",
-    positive_part: bool = False,
-) -> np.ndarray:
+def js_mean_channels(mu: np.ndarray) -> np.ndarray:
     """Channel-mean vector scaled by the James-Stein factor."""
     mu = np.asarray(mu, dtype=np.float64)
-    factor, _ = js_mean_factor(mu, variance_convention, positive_part)
+    factor, _ = js_mean_factor(mu)
     return factor * mu
 
 
@@ -151,21 +142,17 @@ def gamma_scale_shrink(x: np.ndarray, alpha: float, c: float) -> np.ndarray:
     return x / (alpha + 1.0) + c * geometric_mean(x)[..., None]
 
 
-def stein_variance_coefficients(
-    var: np.ndarray, n: int, c: float, floor: float = VAR_FLOOR
-) -> tuple[float, float]:
-    """(n/(n+1), c*V) with V the geometric mean of the floored variances."""
-    return n / (n + 1.0), c * geometric_mean(np.maximum(var, floor))
+def stein_variance_coefficients(var: np.ndarray, n: int, c: float) -> tuple[float, float]:
+    """(n/(n+1), c*V) with V the geometric mean of the variances floored at VAR_FLOOR."""
+    return n / (n + 1.0), c * geometric_mean(np.maximum(var, VAR_FLOOR))
 
 
-def js_variance_channels(
-    var: np.ndarray, n: int, c: float, floor: float = VAR_FLOOR
-) -> np.ndarray:
-    """n/(n+1)*var_i + c*V with V the geometric mean of the (floored) variances."""
+def js_variance_channels(var: np.ndarray, n: int, c: float) -> np.ndarray:
+    """n/(n+1)*var_i + c*V over the variances floored at VAR_FLOOR, V their geometric mean."""
     if n < 2:
         raise InvalidInputError(f"need n >= 2 samples per channel, got {n}")
-    var = np.maximum(np.asarray(var, dtype=np.float64), floor)
-    coef, offset = stein_variance_coefficients(var, n, c, floor)
+    var = np.maximum(np.asarray(var, dtype=np.float64), VAR_FLOOR)
+    coef, offset = stein_variance_coefficients(var, n, c)
     return coef * var + offset
 
 
@@ -179,29 +166,27 @@ def variance_gamma_params(sigma2: np.ndarray, n: int) -> GammaParams:
     return GammaParams(alpha=(n - 1) / 2.0, betas=2.0 * sigma2 / n)
 
 
-def khoshsirat_variance_coefficients(
-    var: np.ndarray, floor: float = VAR_FLOOR
-) -> tuple[np.ndarray, np.ndarray]:
+def khoshsirat_variance_coefficients(var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-form JS factor t on the variance vector; channels with t*var
-    below `floor` are clamped to it (coef 0, offset floor)."""
+    below VAR_FLOOR are clamped to it (coef 0, offset VAR_FLOOR)."""
     t, _ = js_mean_factor(var)
-    clamped = t * var < floor
-    return np.where(clamped, 0.0, t), np.where(clamped, floor, 0.0)
+    clamped = t * var < VAR_FLOOR
+    return np.where(clamped, 0.0, t), np.where(clamped, VAR_FLOOR, 0.0)
 
 
-def khoshsirat_variance(var: np.ndarray, floor: float = VAR_FLOOR) -> np.ndarray:
+def khoshsirat_variance(var: np.ndarray) -> np.ndarray:
     """Gaussian-form JS shrinkage applied to a variance vector.
 
     Reproduces the prior-work baseline that shrinks variances with the same
-    formula as means; outputs are clamped at `floor` since the formula can go
-    negative on strongly dispersed variance vectors.
+    formula as means; outputs below VAR_FLOOR, which only near-zero variances
+    reach as the factor is at least 2/C, are clamped to it.
     """
     var = np.asarray(var, dtype=np.float64)
     if var.size < 3:
         raise InvalidInputError("need at least 3 channels")
     if float(var @ var) == 0.0:
         raise ZeroDivisionError("cannot shrink the zero vector")
-    coef, offset = khoshsirat_variance_coefficients(var, floor)
+    coef, offset = khoshsirat_variance_coefficients(var)
     return coef * var + offset
 
 

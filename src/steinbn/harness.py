@@ -61,9 +61,13 @@ _JSON_TYPES = {
     "list": list,
 }
 
-# domain of each numeric ExperimentConfig field, as (what it must be, test);
+# domain of each checked ExperimentConfig field, as (what it must be, test);
 # a comparison with NaN is false, so each test refuses NaN as well
 _DOMAINS = {
+    "dataset": ("'SyntheticBlobs'", lambda v: v == "SyntheticBlobs"),
+    "model": ("one of 'MLP2', 'TinyCNN'", lambda v: v in ("MLP2", "TinyCNN")),
+    "bn_variant": ("one of " + ", ".join(repr(b.value) for b in BNVariant),
+                   lambda v: v in tuple(BNVariant)),
     "batch_size": ("an integer >= 2", lambda v: v >= 2),  # BN needs 2 samples
     "n_classes": ("a positive integer", lambda v: v > 0),
     "n_per_class": ("a positive integer", lambda v: v > 0),
@@ -138,7 +142,6 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise InvalidInputError(f"seeds must be distinct, got {self.seeds}")
         check_noise_levels(self.noise_levels)
-        BNVariant(self.bn_variant)
         _unit_noise(self.noise_family)
 
     def to_dict(self) -> dict:
@@ -344,19 +347,15 @@ def build_model(config: ExperimentConfig, seed: int) -> Sequential:
     variant = BNVariant(config.bn_variant)
     if config.model == "MLP2":
         return build_mlp2(dims, n_classes, variant, rng, hidden=config.hidden, **kwargs)
-    if config.model == "TinyCNN":
-        return build_tiny_cnn(dims, n_classes, variant, rng, **kwargs)
-    raise InvalidInputError(f"unknown model {config.model!r}")
+    return build_tiny_cnn(dims, n_classes, variant, rng, **kwargs)
 
 
 def make_dataset(config: ExperimentConfig, seed: int, rows: np.ndarray | None = None) -> Dataset:
-    """The config's dataset, or with ``rows`` only those samples of it."""
-    if config.dataset == "SyntheticBlobs":
-        return make_synthetic_blobs(
-            config.n_classes, config.n_per_class, config.channels, config.hw, config.sep, seed,
-            rows=rows,
-        )
-    raise InvalidInputError(f"unknown dataset {config.dataset!r}; only 'SyntheticBlobs' exists")
+    """The config's dataset (SyntheticBlobs), or with ``rows`` only those samples of it."""
+    return make_synthetic_blobs(
+        config.n_classes, config.n_per_class, config.channels, config.hw, config.sep, seed,
+        rows=rows,
+    )
 
 
 def make_test_split(config: ExperimentConfig, seed: int) -> Dataset:

@@ -355,21 +355,21 @@ def build_tiny_cnn(
     n_classes: int,
     variant: BNVariant,
     rng: CounterRng,
-    width: int = 8,
     c_tilde=None,
     lam: float = 0.0,
 ) -> Sequential:
-    """Two conv3x3+BN+relu blocks, then global average pooling and a dense head."""
+    """Two conv3x3+BN+relu blocks of 8 and 16 channels, then global average
+    pooling and a dense head."""
     c, h, w = input_dims
     return Sequential(
         [
-            Conv3x3(c, width, rng, 21),
-            BatchNorm(width, variant, c_tilde=c_tilde, lam=lam),
+            Conv3x3(c, 8, rng, 21),
+            BatchNorm(8, variant, c_tilde=c_tilde, lam=lam),
             ReLU(),
-            Conv3x3(width, 2 * width, rng, 22),
-            BatchNorm(2 * width, variant, c_tilde=c_tilde, lam=lam),
+            Conv3x3(8, 16, rng, 22),
+            BatchNorm(16, variant, c_tilde=c_tilde, lam=lam),
             ReLU(),
             GlobalAvgPool(),
-            Dense(2 * width, n_classes, rng, 23),
+            Dense(16, n_classes, rng, 23),
         ]
     )

@@ -115,7 +115,7 @@ def subgaussian_proxy_of_bound(epsilon: float) -> float:
     return 2.0 * epsilon**2
 
 
-def truncated_levy_gauss(epsilon: float, sigma: float | None = None) -> NoiseSpec:
+def truncated_levy_gauss(epsilon: float) -> NoiseSpec:
     """Default experimental noise: mixture density truncated at eps = 3*sigma.
 
     epsilon == 0 degrades to the zero-noise spec so level sweeps can include
@@ -125,6 +125,4 @@ def truncated_levy_gauss(epsilon: float, sigma: float | None = None) -> NoiseSpe
         raise InvalidInputError("epsilon must be non-negative")
     if epsilon == 0:
         return NoiseSpec(family="none")
-    if sigma is None:
-        sigma = epsilon / 3.0
-    return NoiseSpec(family="levy-gauss", sigma=sigma, epsilon_bound=epsilon)
+    return NoiseSpec(family="levy-gauss", sigma=epsilon / 3.0, epsilon_bound=epsilon)

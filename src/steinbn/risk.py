@@ -17,11 +17,11 @@ trial. A trial's values depend only on its own counter-stream entries and
 every reduction runs over the full per-trial columns, so results do not
 depend on the block size.
 
-Each check also takes a sequence of the one parameter that does not enter its
-draws (theta for Theorem 1 and the key inequality, a list of specs that
-differ only in scales, mean and c for Theorem 2, the test function for the
-lemma), draws once and scores every entry on the same draws. A sequence
-gives a list of results, each ``==`` to the result of its entry alone.
+Each check takes a grid of the one parameter that does not enter its draws
+(theta vectors for Theorem 1 and the key inequality, specs that differ only
+in scales, mean and c for Theorem 2, catalog names for the lemma), draws
+once, scores every entry on the same draws and returns a list of results,
+one per entry, each ``==`` to the result of a grid of that entry alone.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ _TAG_GAMMA = 3
 # runs as a block of its own
 _BLOCK = 1 << 16
 
-# the largest float64 spacing of theta's entries, as a share of sigma, that a
-# check accepts. Z = theta + draw rounds each draw to that spacing; at 1e-6
-# sigma the rounding moves a squared error by about 1e-6 of itself, which
-# only some 1e12 trials could resolve. Far beyond it, the draws are lost and
-# every error reads 0
+# the largest float64 spacing of theta's entries (or of mu), as a share of the
+# draws' scale, that a check accepts. Z = theta + draw rounds each draw to
+# that spacing; at 1e-6 of the scale the rounding moves a squared error by
+# about 1e-6 of itself, which only some 1e12 trials could resolve. Far beyond
+# it, the draws are lost and every error reads 0
 _THETA_SPACING_SHARE = 1e-6
 
 VERDICT_DOMINATES = "Dominates"
@@ -135,8 +135,8 @@ def _draws(rng: CounterRng, noise: NoiseSpec, lo: int, hi: int, shape):
     return unit, y
 
 
-def _thetas(p: int, theta, sigma: float) -> tuple[np.ndarray, bool]:
-    """theta as (m, p) rows, and whether it was one vector.
+def _thetas(theta, sigma: float) -> np.ndarray:
+    """The grid theta as (m, p) rows, one per vector.
 
     A theta whose squared norm overflows is refused, as no risk of it is
     finite, and so is one whose largest entry is so large that adding draws
@@ -144,10 +144,8 @@ def _thetas(p: int, theta, sigma: float) -> tuple[np.ndarray, bool]:
     sigma <= 0 is left to the caller.
     """
     thetas = np.asarray(theta, dtype=np.float64)
-    single = thetas.ndim == 1
-    if thetas.ndim not in (1, 2) or thetas.shape[-1] != p or thetas.size == 0:
-        raise InvalidInputError(f"theta must have length p={p}, or be a sequence of such vectors")
-    thetas = thetas.reshape(-1, p)
+    if thetas.ndim != 2 or thetas.size == 0:
+        raise InvalidInputError(f"theta must be a sequence of vectors, got shape {thetas.shape}")
     norm_sq = np.einsum("ij,ij->i", thetas, thetas)
     if not np.all(np.isfinite(norm_sq)):
         raise InvalidInputError(f"theta's squared norm must be finite, got {norm_sq.max()}")
@@ -157,7 +155,7 @@ def _thetas(p: int, theta, sigma: float) -> tuple[np.ndarray, bool]:
             f"theta's entry {top:g} rounds draws of scale sigma={sigma:g} to steps of "
             f"{np.spacing(top):g}, above {_THETA_SPACING_SHARE:g} sigma"
         )
-    return thetas, single
+    return thetas
 
 
 def _paired_report(errors: dict[str, np.ndarray], k: float, config: dict) -> RiskReport:
@@ -176,20 +174,17 @@ def _paired_report(errors: dict[str, np.ndarray], k: float, config: dict) -> Ris
 
 
 def mc_risk_gaussian(
-    p: int,
     theta,
     sigma: float,
     noise: NoiseSpec,
     n_trials: int,
     seed: int,
     k: float = 3.0,
-) -> RiskReport | list[RiskReport]:
-    """Risks of the James-Stein mean estimator vs the MLE on Z = X + Y.
-
-    ``theta`` is one length-p vector, or a sequence of them scored on the
-    same draws (a list of reports then comes back).
-    """
-    thetas, single = _thetas(p, theta, sigma)
+) -> list[RiskReport]:
+    """Risks of the James-Stein mean estimator vs the MLE on Z = X + Y, one
+    report per vector of the sequence ``theta``, all scored on the same draws."""
+    thetas = _thetas(theta, sigma)
+    p = thetas.shape[1]
     if sigma < 0:
         # sigma**2 loses the sign; js_mean_classical refuses sigma = 0
         raise InvalidInputError(f"sigma must be positive, got {sigma}")
@@ -221,14 +216,14 @@ def mc_risk_gaussian(
             "k": k,
         }
         reports.append(_paired_report({"mle": err_mle, "js": err_js}, k, config))
-    return reports[0] if single else reports
+    return reports
 
 
 @dataclass(frozen=True)
 class GammaTrialSpec:
-    """One perturbed empirical-variance experiment; c=None picks the classical midpoint."""
+    """One perturbed empirical-variance experiment on p = len(sigmas_x)
+    coordinates; c=None picks the classical midpoint."""
 
-    p: int
     n: int
     mu: float
     sigmas_x: np.ndarray
@@ -237,33 +232,41 @@ class GammaTrialSpec:
     alpha: float = field(init=False)
     betas: np.ndarray = field(init=False, repr=False)
 
+    @property
+    def p(self) -> int:
+        return self.sigmas_x.size
+
     def __post_init__(self):
         sig = np.asarray(self.sigmas_x, dtype=np.float64)
-        if self.p < 2:
-            raise InvalidInputError("need p >= 2")
-        if sig.shape != (self.p,) or np.any(sig <= 0):
-            raise InvalidInputError("sigmas_x must be a length-p vector of positive scales")
+        if sig.ndim != 1 or sig.size < 2 or np.any(sig <= 0):
+            raise InvalidInputError("sigmas_x must be a vector of p >= 2 positive scales")
+        step = np.spacing(abs(self.mu))  # of Z = sigma_x * N + mu; see _THETA_SPACING_SHARE
+        if step > _THETA_SPACING_SHARE * sig.min():
+            raise InvalidInputError(
+                f"mu={self.mu:g} rounds draws of scale min(sigmas_x)={sig.min():g} to steps of "
+                f"{step:g}, above {_THETA_SPACING_SHARE:g} of that scale"
+            )
         gamma = variance_gamma_params(sig**2, self.n)
         if self.c is None:
-            object.__setattr__(self, "c", ShrinkageConstant.midpoint(gamma.alpha, self.p).c_tilde)
+            object.__setattr__(self, "c", ShrinkageConstant.midpoint(gamma.alpha, sig.size).c_tilde)
         object.__setattr__(self, "sigmas_x", sig)
         object.__setattr__(self, "alpha", gamma.alpha)
         object.__setattr__(self, "betas", gamma.betas)
 
 
 def mc_risk_gamma(
-    spec: GammaTrialSpec | Sequence[GammaTrialSpec], n_trials: int, seed: int, k: float = 3.0
-) -> RiskReport | list[RiskReport]:
+    specs: Sequence[GammaTrialSpec], n_trials: int, seed: int, k: float = 3.0
+) -> list[RiskReport]:
     """Risks of the geometric-mean shrinkage vs the naive Gamma-scale estimator.
 
     Per trial, n samples per coordinate of Z = X + Y are drawn, empirical
     variances (population convention) are formed, and both estimators of the
     CLEAN scale parameters beta_i = 2*sigma_x_i^2/n are scored.
 
-    ``spec`` is one spec, or a sequence of specs scored on the same draws (a
-    list of reports then comes back); those must agree on p, n and noise.
+    One report per spec of ``specs``, all scored on the same draws; the specs
+    must agree on p, n and noise.
     """
-    specs = [spec] if isinstance(spec, GammaTrialSpec) else list(spec)
+    specs = list(specs)
     if not specs:
         raise InvalidInputError("need at least one spec")
     p, n, noise = specs[0].p, specs[0].n, specs[0].noise
@@ -300,25 +303,22 @@ def mc_risk_gamma(
             "k": k,
         }
         reports.append(_paired_report({"naive": err_naive, "js": err_js}, k, config))
-    return reports[0] if isinstance(spec, GammaTrialSpec) else reports
+    return reports
 
 
 def mc_key_inequality(
-    p: int,
     theta,
     noise: NoiseSpec,
     n_trials: int,
     seed: int,
     k: float = 3.0,
-) -> tuple[float, float, bool] | list[tuple[float, float, bool]]:
-    """Monte Carlo estimate of E[(2 Z'theta + p - 2) / Z'Z] and whether it is < 2.
-
-    ``theta`` is one length-p vector, or a sequence of them scored on the
-    same draws (a list of results then comes back).
-    """
+) -> list[tuple[float, float, bool]]:
+    """Monte Carlo estimate of E[(2 Z'theta + p - 2) / Z'Z] and whether it is < 2,
+    one result per vector of the sequence ``theta``, all scored on the same draws."""
+    thetas = _thetas(theta, 1.0)
+    p = thetas.shape[1]
     if p < 3:
         raise InvalidInputError("need p >= 3")
-    thetas, single = _thetas(p, theta, 1.0)
     rng = CounterRng(seed)
 
     def trial(lo, hi):
@@ -334,7 +334,7 @@ def mc_key_inequality(
     for vals in _run_trials(n_trials, p, trial):
         est, se = _mean_se(vals)
         results.append((est, se, est + k * se < 2.0))
-    return results[0] if single else results
+    return results
 
 
 # Gamma Stein-identity catalog: name -> (h, x*h', minimum admissible alpha)
@@ -351,19 +351,18 @@ STEIN_CATALOG = {
 def mc_stein_gamma_lemma(
     alpha: float,
     beta: float,
-    h: str | Sequence[str],
+    h: Sequence[str],
     n_trials: int,
     seed: int,
     k: float = 4.0,
-) -> tuple[float, float, float] | list[tuple[float, float, float]]:
+) -> list[tuple[float, float, float]]:
     """Both sides of E[(X - a*b) h(X)] = b E[X h'(X)] for X ~ Gamma(a, b).
 
-    Returns (lhs, rhs, gap_in_se) where the gap is paired over draws; the
-    identity is taken to hold when |gap_in_se| < k. ``h`` is one catalog
-    name, or a sequence of names scored on the same draws (a list of results
-    then comes back).
+    Returns (lhs, rhs, gap_in_se) per catalog name of the sequence ``h``, all
+    scored on the same draws, where the gap is paired over draws; the
+    identity is taken to hold when |gap_in_se| < k.
     """
-    names = [h] if isinstance(h, str) else list(h)
+    names = list(h)
     if not names:
         raise InvalidInputError("need at least one catalog function")
     if alpha <= 0 or beta <= 0:
@@ -393,4 +392,4 @@ def mc_stein_gamma_lemma(
         gap_mean, gap_se = _mean_se(np.subtract(lhs, rhs, out=rhs))
         gap_in_se = gap_mean / gap_se if gap_se > 0 else 0.0
         results.append((*means, float(gap_in_se)))
-    return results[0] if isinstance(h, str) else results
+    return results

@@ -63,7 +63,7 @@ def test_criterion_1_theorem_1_gaussian_dominance():
         # the three norms of one (p, eps) cell share their draws
         thetas = [np.full(p, norm / np.sqrt(p)) for norm in norms]
         for eps in (0.0, 0.1, 0.3):
-            reps = mc_risk_gaussian(p, thetas, 1.0, truncated_levy_gauss(eps), 100_000, seed=1)
+            reps = mc_risk_gaussian(thetas, 1.0, truncated_levy_gauss(eps), 100_000, seed=1)
             for norm, rep in zip(norms, reps):
                 assert rep.verdict == VERDICT_DOMINATES, (p, norm, eps, rep.margin_se)
                 assert rep.margin_se >= 3.0, (p, norm, eps, rep.margin_se)
@@ -91,10 +91,7 @@ def test_criterion_2_theorem_2_gamma_dominance():
             for eps in (0.0, 0.1):
                 # the two spreads of one (p, n, eps) cell share their draws
                 specs = [
-                    GammaTrialSpec(
-                        p=p, n=n, mu=0.0, sigmas_x=sigmas,
-                        noise=truncated_levy_gauss(eps), c=c,
-                    )
+                    GammaTrialSpec(n=n, mu=0.0, sigmas_x=sigmas, noise=truncated_levy_gauss(eps), c=c)
                     for sigmas in spreads.values()
                 ]
                 for spread, rep in zip(spreads, mc_risk_gamma(specs, 50_000, seed=2)):
@@ -102,8 +99,8 @@ def test_criterion_2_theorem_2_gamma_dominance():
                     assert rep.margin_se >= 3.0, (p, n, spread, eps, rep.margin_se)
                     worst = min(worst, rep.margin_se)
     # exact equality at c = 0
-    spec0 = GammaTrialSpec(p=3, n=10, mu=0.0, sigmas_x=np.ones(3), noise=NoiseSpec("none"), c=0.0)
-    rep0 = mc_risk_gamma(spec0, 10_000, seed=2)
+    spec0 = GammaTrialSpec(n=10, mu=0.0, sigmas_x=np.ones(3), noise=NoiseSpec("none"), c=0.0)
+    (rep0,) = mc_risk_gamma([spec0], 10_000, seed=2)
     assert rep0.estimator_risks["js"] == rep0.estimator_risks["naive"]
     # interval containment over the full grid
     for alpha in (0.5, 1.0, 2.0, 4.5, 10.0):
@@ -118,7 +115,7 @@ def test_criterion_3_key_inequality():
     for p in (3, 10):
         # the three norms of one p share their draws
         thetas = [np.full(p, norm / np.sqrt(p)) for norm in norms]
-        results = mc_key_inequality(p, thetas, NoiseSpec("none"), 1_000_000, seed=3)
+        results = mc_key_inequality(thetas, NoiseSpec("none"), 1_000_000, seed=3)
         for norm, (est, se, holds) in zip(norms, results):
             assert holds, (p, norm, est, se)
             worst = min(worst, (2.0 - est) / se)

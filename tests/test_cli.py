@@ -250,6 +250,24 @@ class TestRisk:
         assert capsys.readouterr().err.startswith("error: theta's entry ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mu, sigmas, code", [("1e15", "1", 1), ("1e17", "1", 1), ("1e15", "2e5", 0)])
+    def test_mu_too_large_for_the_draws_refused(self, tmp_path, capsys, mu, sigmas, code):
+        # mu + draw rounds the draws: at 1e15 to steps of 0.125, where the report
+        # read Dominates at 21.18 se against 22.59 at mu 0, and at 1e17 the error
+        # named the geometric mean; the refusal moves with min(sigmas_x)
+        out = tmp_path / "r.json"
+        assert run_cli([*self.GAMMA, "--mu", mu, "--sigmas-x", sigmas, "--out", str(out)]) == code
+        if code:
+            assert capsys.readouterr().err.startswith(f"error: mu={float(mu):g} rounds draws ")
+        assert out.exists() == (code == 0)
+
+    def test_gamma_sigmas_x_not_matching_p_exit_1_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(["risk", "gamma", "--p", "8", "--n", "5", "--sigmas-x", "1,2,3",
+                        "--trials", "200", "--seed", "1", "--out", str(out)]) == 1
+        assert "error: --sigmas-x gives 3 scales; need 1 or --p=8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_risk_flags_keep_each_checks_default_k(self):
         parse = _build_parser().parse_args
         for command in (self.GAUSSIAN, self.GAMMA, self.INEQUALITY):
@@ -546,16 +564,26 @@ class TestTrainEvalReport:
             # true passed as the int 1 and crashed in Dense with a TypeError
             ({"hidden": True}, "'hidden' has a bool value: True"),
             ({"learning_rate": True}, "'learning_rate' has a bool value: True"),
+            # each of these passed the check: train made the checkpoint directory
+            # and drew a dataset before refusing a model or dataset, and the
+            # bn_variant error named no key
+            ({"model": "ResNet"}, "'model' must be one of 'MLP2', 'TinyCNN', got 'ResNet'"),
+            ({"dataset": "CIFAR10"}, "'dataset' must be 'SyntheticBlobs', got 'CIFAR10'"),
+            ({"bn_variant": "steins"}, "'bn_variant' must be one of 'standard', 'stein', "
+             "'mean-only', 'khoshsirat', 'lasso', 'ridge', got 'steins'"),
         ],
     )
     def test_bad_config_exit_1(self, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "o.csv"
-        assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        bad_ckdir = tmp_path / "bad_ckpts"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(out),
+                        "--checkpoint-dir", str(bad_ckdir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+        assert not bad_ckdir.exists()
         # eval reads the same config from a checkpoint's .json sidecar
         cfg_ok = write_config(tmp_path)
         ckdir = tmp_path / "ckpts"

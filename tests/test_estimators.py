@@ -100,11 +100,6 @@ class TestJsMeanChannels:
         assert factor == 1.0 and degraded
         np.testing.assert_array_equal(js_mean_channels(mu), mu)
 
-    @pytest.mark.parametrize("mu", [np.array([1.0, 2.0]), np.zeros(4)])
-    def test_unknown_convention_rejected_before_degrading(self, mu):
-        with pytest.raises(InvalidInputError, match="variance convention"):
-            js_mean_factor(mu, variance_convention="bessel")
-
     def test_zero_vector_degrades_to_identity(self):
         factor, degraded = js_mean_factor(np.zeros(4))
         assert factor == 1.0 and degraded
@@ -112,8 +107,8 @@ class TestJsMeanChannels:
     @given(st.lists(st.floats(-5, 5), min_size=3, max_size=16))
     @settings(max_examples=50, deadline=None)
     def test_factor_bounded_below_by_2_over_c(self, vals):
-        # var(mu) <= ||mu||^2/C forces the factor into [2/C, 1], so the
-        # positive-part option can never change it
+        # var(mu) <= ||mu||^2/C forces the factor into [2/C, 1], so a
+        # positive-part clip could never change it
         mu = np.asarray(vals)
         if float(mu @ mu) == 0.0:
             return
@@ -121,19 +116,6 @@ class TestJsMeanChannels:
         if degraded:
             return
         assert 2.0 / mu.size - 1e-12 <= factor <= 1.0 + 1e-12
-        clipped, _ = js_mean_factor(mu, positive_part=True)
-        assert clipped == factor
-
-    def test_sample_convention_option(self):
-        mu = np.array([2.0, 0.0, 0.0, 0.0])
-        f_pop, _ = js_mean_factor(mu, variance_convention="population")
-        f_smp, _ = js_mean_factor(mu, variance_convention="sample")
-        assert f_pop == pytest.approx(0.625, abs=TOL)
-        assert f_smp == pytest.approx(1.0 - 2.0 * 1.0 / 4.0, abs=TOL)
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(InvalidInputError):
-            js_mean_factor(np.ones(4), variance_convention="bogus")
 
 
 class TestGammaScaleShrink:

@@ -32,7 +32,7 @@ NONE = NoiseSpec(family="none")
 
 class TestGaussianRisk:
     def test_analytic_oracles_at_origin(self):
-        report = mc_risk_gaussian(8, np.zeros(8), 1.0, NONE, 50_000, seed=1)
+        (report,) = mc_risk_gaussian([np.zeros(8)], 1.0, NONE, 50_000, seed=1)
         mle, mle_se = report.estimator_risks["mle"]
         js, js_se = report.estimator_risks["js"]
         assert abs(mle - 8.0) < 3 * mle_se
@@ -40,60 +40,68 @@ class TestGaussianRisk:
         assert report.verdict == VERDICT_DOMINATES
 
     def test_dominance_under_truncated_noise(self):
-        report = mc_risk_gaussian(8, np.zeros(8), 1.0, truncated_levy_gauss(0.1), 50_000, seed=2)
+        (report,) = mc_risk_gaussian([np.zeros(8)], 1.0, truncated_levy_gauss(0.1), 50_000, seed=2)
         assert report.verdict == VERDICT_DOMINATES
         assert report.margin_se >= 3.0
 
     def test_scaling_reduction(self):
         # (theta, sigma) and (theta/sigma, 1) give the same JS/MLE risk ratio
         theta = np.array([1.0, -2.0, 0.5, 1.5])
-        r1 = mc_risk_gaussian(4, theta, 2.0, NONE, 100_000, seed=3)
-        r2 = mc_risk_gaussian(4, theta / 2.0, 1.0, NONE, 100_000, seed=3)
+        (r1,) = mc_risk_gaussian([theta], 2.0, NONE, 100_000, seed=3)
+        (r2,) = mc_risk_gaussian([theta / 2.0], 1.0, NONE, 100_000, seed=3)
         ratio1 = r1.estimator_risks["js"][0] / r1.estimator_risks["mle"][0]
         ratio2 = r2.estimator_risks["js"][0] / r2.estimator_risks["mle"][0]
         assert ratio1 == pytest.approx(ratio2, rel=0.02)
 
     def test_se_shrinks_with_trials(self):
-        se_small = mc_risk_gaussian(4, np.zeros(4), 1.0, NONE, 10_000, seed=4).estimator_risks["mle"][1]
-        se_large = mc_risk_gaussian(4, np.zeros(4), 1.0, NONE, 100_000, seed=4).estimator_risks["mle"][1]
+        (small,) = mc_risk_gaussian([np.zeros(4)], 1.0, NONE, 10_000, seed=4)
+        (large,) = mc_risk_gaussian([np.zeros(4)], 1.0, NONE, 100_000, seed=4)
+        se_small, se_large = small.estimator_risks["mle"][1], large.estimator_risks["mle"][1]
         assert se_small / se_large == pytest.approx(np.sqrt(10), rel=0.2)
 
     def test_reproducibility(self):
-        a = mc_risk_gaussian(4, np.zeros(4), 1.0, NONE, 20_000, seed=5)
-        b = mc_risk_gaussian(4, np.zeros(4), 1.0, NONE, 20_000, seed=5)
+        (a,) = mc_risk_gaussian([np.zeros(4)], 1.0, NONE, 20_000, seed=5)
+        (b,) = mc_risk_gaussian([np.zeros(4)], 1.0, NONE, 20_000, seed=5)
         assert a.to_json() == b.to_json()
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):
-            mc_risk_gaussian(2, np.zeros(2), 1.0, NONE, 1_000, seed=0)
-        with pytest.raises(InvalidInputError):
-            mc_risk_gaussian(4, np.zeros(3), 1.0, NONE, 1_000, seed=0)
+            mc_risk_gaussian([np.zeros(2)], 1.0, NONE, 1_000, seed=0)
+
+    def test_one_vector_theta_rejected_before_running(self):
+        # a grid of one vector is [theta]; a bare vector is not read as a
+        # grid of p one-entry vectors
+        with mock.patch.object(risk, "_run_trials", side_effect=AssertionError("ran")):
+            with pytest.raises(InvalidInputError, match=r"got shape \(4,\)"):
+                mc_risk_gaussian(np.zeros(4), 1.0, NONE, 1_000, seed=0)
+            with pytest.raises(InvalidInputError, match=r"got shape \(4,\)"):
+                mc_key_inequality(np.zeros(4), NONE, 1_000, seed=0)
 
     @pytest.mark.parametrize("theta", [np.full(8, 3.6e299), np.array([np.inf, 0, 0]), np.array([np.nan, 0, 0])])
     def test_theta_with_overflowing_norm_rejected(self, theta):
         # the risks would read 0 or NaN under a vacuous verdict
         p = theta.size
         with pytest.raises(InvalidInputError, match="squared norm must be finite"):
-            mc_risk_gaussian(p, theta, 1.0, NONE, 1_000, seed=0)
+            mc_risk_gaussian([theta], 1.0, NONE, 1_000, seed=0)
         with pytest.raises(InvalidInputError, match="squared norm must be finite"):
-            mc_key_inequality(p, theta, NONE, 1_000, seed=0)
+            mc_key_inequality([theta], NONE, 1_000, seed=0)
         with pytest.raises(InvalidInputError, match="squared norm must be finite"):
-            mc_risk_gaussian(p, [np.zeros(p), theta], 1.0, NONE, 1_000, seed=0)
+            mc_risk_gaussian([np.zeros(p), theta], 1.0, NONE, 1_000, seed=0)
 
     def test_theta_that_rounds_off_the_draws_rejected(self):
         # float64 spacing at 2**33 is 2**-19 (1.9e-6), at 2**32 it is 2**-20
         # (9.5e-7); the refusal sits between them at sigma = 1 and moves with sigma
         big, ok = np.array([2.0**33, 0, 0]), np.array([2.0**32, 0, 0])
         with pytest.raises(InvalidInputError, match="theta's entry 8.58993e"):
-            mc_risk_gaussian(3, big, 1.0, NONE, 100, seed=0)
+            mc_risk_gaussian([big], 1.0, NONE, 100, seed=0)
         with pytest.raises(InvalidInputError, match="theta's entry 8.58993e"):
-            mc_key_inequality(3, [ok, big], NONE, 100, seed=0)
-        mc_risk_gaussian(3, big, 4.0, NONE, 100, seed=0)
-        mc_risk_gaussian(3, ok, 1.0, NONE, 100, seed=0)
-        mc_key_inequality(3, ok, NONE, 100, seed=0)
+            mc_key_inequality([ok, big], NONE, 100, seed=0)
+        mc_risk_gaussian([big], 4.0, NONE, 100, seed=0)
+        mc_risk_gaussian([ok], 1.0, NONE, 100, seed=0)
+        mc_key_inequality([ok], NONE, 100, seed=0)
 
     def test_report_json_roundtrip(self):
-        report = mc_risk_gaussian(4, np.zeros(4), 1.0, NONE, 10_000, seed=6)
+        (report,) = mc_risk_gaussian([np.zeros(4)], 1.0, NONE, 10_000, seed=6)
         back = RiskReport.from_json(report.to_json())
         assert back.verdict == report.verdict
         assert back.estimator_risks == report.estimator_risks
@@ -102,10 +110,10 @@ class TestGaussianRisk:
 class TestGammaRisk:
     def make_spec(self, c, noise=NONE, p=3, n=10, sigmas=None):
         sigmas = np.ones(p) if sigmas is None else sigmas
-        return GammaTrialSpec(p=p, n=n, mu=0.0, sigmas_x=sigmas, noise=noise, c=c)
+        return GammaTrialSpec(n=n, mu=0.0, sigmas_x=sigmas, noise=noise, c=c)
 
     def test_c_zero_exact_equality(self):
-        report = mc_risk_gamma(self.make_spec(0.0), 5_000, seed=1)
+        (report,) = mc_risk_gamma([self.make_spec(0.0)], 5_000, seed=1)
         naive, _ = report.estimator_risks["naive"]
         js, _ = report.estimator_risks["js"]
         assert js == naive
@@ -117,7 +125,7 @@ class TestGammaRisk:
         from steinbn.estimators import classical_c_bound
 
         c = classical_c_bound(alpha, 3) / 2.0
-        report = mc_risk_gamma(self.make_spec(c), 100_000, seed=2)
+        (report,) = mc_risk_gamma([self.make_spec(c)], 100_000, seed=2)
         assert report.verdict == VERDICT_DOMINATES
         assert report.margin_se >= 3.0
 
@@ -126,7 +134,7 @@ class TestGammaRisk:
         from steinbn.estimators import classical_c_bound
 
         c = classical_c_bound(alpha, 3) / 2.0
-        report = mc_risk_gamma(self.make_spec(c, noise=truncated_levy_gauss(0.1)), 100_000, seed=3)
+        (report,) = mc_risk_gamma([self.make_spec(c, noise=truncated_levy_gauss(0.1))], 100_000, seed=3)
         assert report.verdict == VERDICT_DOMINATES
 
     def test_heteroscedastic_spec(self):
@@ -135,16 +143,16 @@ class TestGammaRisk:
         alpha = (10 - 1) / 2.0
         sigmas = np.array([2.0, 0.5, 0.5])  # 4:1 spread
         c = classical_c_bound(alpha, 3) / 2.0
-        report = mc_risk_gamma(self.make_spec(c, sigmas=sigmas), 100_000, seed=4)
+        (report,) = mc_risk_gamma([self.make_spec(c, sigmas=sigmas)], 100_000, seed=4)
         assert report.verdict == VERDICT_DOMINATES
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
-            GammaTrialSpec(p=1, n=10, mu=0.0, sigmas_x=np.ones(1), noise=NONE, c=0.0)
+            GammaTrialSpec(n=10, mu=0.0, sigmas_x=np.ones(1), noise=NONE, c=0.0)
         with pytest.raises(InvalidInputError):
-            GammaTrialSpec(p=3, n=1, mu=0.0, sigmas_x=np.ones(3), noise=NONE, c=0.0)
+            GammaTrialSpec(n=1, mu=0.0, sigmas_x=np.ones(3), noise=NONE, c=0.0)
         with pytest.raises(InvalidInputError):
-            GammaTrialSpec(p=3, n=10, mu=0.0, sigmas_x=np.array([1.0, -1.0, 1.0]), noise=NONE, c=0.0)
+            GammaTrialSpec(n=10, mu=0.0, sigmas_x=np.array([1.0, -1.0, 1.0]), noise=NONE, c=0.0)
 
     def test_alpha_beta_mapping(self):
         spec = self.make_spec(0.0, n=10, sigmas=np.array([1.0, 2.0, 0.5]))
@@ -155,25 +163,25 @@ class TestGammaRisk:
 class TestKeyInequality:
     def test_analytic_value_at_origin(self):
         for p in (3, 10):
-            est, se, holds = mc_key_inequality(p, np.zeros(p), NONE, 200_000, seed=1)
+            ((est, se, holds),) = mc_key_inequality([np.zeros(p)], NONE, 200_000, seed=1)
             assert abs(est - 1.0) < 3 * se
             assert holds
 
     def test_large_theta_margin_shrinks_but_holds(self):
         theta = np.full(3, 100.0 / np.sqrt(3))
-        est, se, holds = mc_key_inequality(3, theta, NONE, 1_000_000, seed=2)
+        ((est, se, holds),) = mc_key_inequality([theta], NONE, 1_000_000, seed=2)
         assert holds
         assert est == pytest.approx(2.0, abs=0.01)  # estimate approaches 2 from below
 
     def test_small_p_rejected(self):
         with pytest.raises(InvalidInputError):
-            mc_key_inequality(2, np.zeros(2), NONE, 1_000, seed=0)
+            mc_key_inequality([np.zeros(2)], NONE, 1_000, seed=0)
 
 
 class TestSteinGammaLemma:
     def test_identity_function_moments(self):
         # lhs = Var(X) = alpha*beta^2 = rhs = beta*E[X]
-        lhs, rhs, gap = mc_stein_gamma_lemma(4.5, 0.4, "identity", 200_000, seed=1)
+        ((lhs, rhs, gap),) = mc_stein_gamma_lemma(4.5, 0.4, ["identity"], 200_000, seed=1)
         assert lhs == pytest.approx(4.5 * 0.16, rel=0.05)
         assert rhs == pytest.approx(4.5 * 0.16, rel=0.05)
         assert abs(gap) < 4.0
@@ -181,27 +189,27 @@ class TestSteinGammaLemma:
     def test_square_function_moments(self):
         # both sides equal 2*alpha*beta^3*(alpha+1)
         alpha, beta = 1.0, 1.0
-        lhs, rhs, gap = mc_stein_gamma_lemma(alpha, beta, "square", 400_000, seed=2)
+        ((lhs, rhs, gap),) = mc_stein_gamma_lemma(alpha, beta, ["square"], 400_000, seed=2)
         expected = 2.0 * alpha * beta**3 * (alpha + 1.0)
         assert rhs == pytest.approx(expected, rel=0.05)
         assert abs(gap) < 4.0
 
     @pytest.mark.parametrize("h", sorted(STEIN_CATALOG))
     def test_catalog_within_four_se(self, h):
-        _, _, gap = mc_stein_gamma_lemma(4.5, 0.4, h, 200_000, seed=3)
+        ((_, _, gap),) = mc_stein_gamma_lemma(4.5, 0.4, [h], 200_000, seed=3)
         assert abs(gap) < 4.0
 
     def test_unknown_function_rejected(self):
         with pytest.raises(InvalidInputError):
-            mc_stein_gamma_lemma(1.0, 1.0, "cube", 1_000, seed=0)
+            mc_stein_gamma_lemma(1.0, 1.0, ["cube"], 1_000, seed=0)
 
     def test_alpha_floor_enforced(self):
         with pytest.raises(InvalidInputError):
-            mc_stein_gamma_lemma(0.005, 1.0, "log", 1_000, seed=0)
+            mc_stein_gamma_lemma(0.005, 1.0, ["log"], 1_000, seed=0)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidInputError):
-            mc_stein_gamma_lemma(-1.0, 1.0, "square", 1_000, seed=0)
+            mc_stein_gamma_lemma(-1.0, 1.0, ["square"], 1_000, seed=0)
 
 
 class TestBlockIndependence:
@@ -211,14 +219,12 @@ class TestBlockIndependence:
     def run_all(n_trials, seed):
         noise = truncated_levy_gauss(0.3)
         theta = np.linspace(-1.0, 1.0, 5)
-        spec = GammaTrialSpec(
-            p=4, n=6, mu=0.5, sigmas_x=np.array([2.0, 1.0, 0.5, 1.5]), noise=noise, c=0.01
-        )
+        spec = GammaTrialSpec(n=6, mu=0.5, sigmas_x=np.array([2.0, 1.0, 0.5, 1.5]), noise=noise, c=0.01)
         return (
-            mc_risk_gaussian(5, theta, 1.3, noise, n_trials, seed).to_json(),
-            mc_risk_gamma(spec, n_trials, seed).to_json(),
-            mc_key_inequality(5, theta, noise, n_trials, seed),
-            mc_stein_gamma_lemma(4.5, 0.4, "square", n_trials, seed),
+            mc_risk_gaussian([theta], 1.3, noise, n_trials, seed)[0].to_json(),
+            mc_risk_gamma([spec], n_trials, seed)[0].to_json(),
+            mc_key_inequality([theta], noise, n_trials, seed),
+            mc_stein_gamma_lemma(4.5, 0.4, ["square"], n_trials, seed),
         )
 
     @given(block=st.integers(1, 700), n_trials=st.integers(2, 600), seed=st.integers(0, 2**31))
@@ -230,9 +236,9 @@ class TestBlockIndependence:
 
     @pytest.mark.parametrize("block", [1000, 777])
     def test_lemma_at_100k_trials(self, block):
-        reference = mc_stein_gamma_lemma(4.5, 0.4, "square", 100_000, seed=1)
+        reference = mc_stein_gamma_lemma(4.5, 0.4, ["square"], 100_000, seed=1)
         with mock.patch.object(risk, "_BLOCK", block):
-            assert mc_stein_gamma_lemma(4.5, 0.4, "square", 100_000, seed=1) == reference
+            assert mc_stein_gamma_lemma(4.5, 0.4, ["square"], 100_000, seed=1) == reference
 
     @pytest.mark.parametrize("block", [1, 4, 23])
     def test_trial_larger_than_a_block(self, block):
@@ -248,13 +254,13 @@ GRID_NOISES = [NONE, truncated_levy_gauss(0.3), NoiseSpec(family="gaussian", sig
 
 
 class TestSharedDraws:
-    """A sequence of entries scored on shared draws gives, entry by entry,
-    exactly what each entry gives alone."""
+    """A grid of entries scored on shared draws gives, entry by entry,
+    exactly what a grid of each entry alone gives."""
 
     @staticmethod
     def gamma_specs(noise):
         return [
-            GammaTrialSpec(p=3, n=5, mu=mu, sigmas_x=np.array(sig), noise=noise, c=c)
+            GammaTrialSpec(n=5, mu=mu, sigmas_x=np.array(sig), noise=noise, c=c)
             for mu, sig, c in ((0.0, [1.0, 1.0, 1.0], None), (0.5, [2.0, 1.0, 0.5], 0.02),
                                (-1.0, [0.3, 3.0, 1.0], 0.0))
         ]
@@ -271,32 +277,23 @@ class TestSharedDraws:
         specs = self.gamma_specs(noise)
         names = sorted(STEIN_CATALOG)
         with mock.patch.object(risk, "_BLOCK", block):
-            shared = mc_risk_gaussian(4, thetas, 1.3, noise, n_trials, seed)
+            shared = mc_risk_gaussian(thetas, 1.3, noise, n_trials, seed)
             assert [r.to_json() for r in shared] == [
-                mc_risk_gaussian(4, t, 1.3, noise, n_trials, seed).to_json() for t in thetas
+                r.to_json() for t in thetas for r in mc_risk_gaussian([t], 1.3, noise, n_trials, seed)
             ]
             assert [r.to_json() for r in mc_risk_gamma(specs, n_trials, seed)] == [
-                mc_risk_gamma(s, n_trials, seed).to_json() for s in specs
+                r.to_json() for s in specs for r in mc_risk_gamma([s], n_trials, seed)
             ]
-            assert mc_key_inequality(4, np.array(thetas), noise, n_trials, seed) == [
-                mc_key_inequality(4, t, noise, n_trials, seed) for t in thetas
+            assert mc_key_inequality(np.array(thetas), noise, n_trials, seed) == [
+                r for t in thetas for r in mc_key_inequality([t], noise, n_trials, seed)
             ]
             assert mc_stein_gamma_lemma(2.5, 0.7, names, n_trials, seed) == [
-                mc_stein_gamma_lemma(2.5, 0.7, h, n_trials, seed) for h in names
+                r for h in names for r in mc_stein_gamma_lemma(2.5, 0.7, [h], n_trials, seed)
             ]
-
-    def test_single_entry_sequence_gives_a_list(self):
-        theta = np.full(4, 0.5)
-        single = mc_risk_gaussian(4, theta, 1.0, NONE, 100, seed=1)
-        (listed,) = mc_risk_gaussian(4, [theta], 1.0, NONE, 100, seed=1)
-        assert listed == single
-        assert mc_stein_gamma_lemma(1.0, 1.0, ["log"], 100, seed=1) == [
-            mc_stein_gamma_lemma(1.0, 1.0, "log", 100, seed=1)
-        ]
 
     def test_gamma_specs_must_share_their_draws(self):
         specs = self.gamma_specs(NONE)
-        other_n = GammaTrialSpec(p=3, n=6, mu=0.0, sigmas_x=np.ones(3), noise=NONE)
+        other_n = GammaTrialSpec(n=6, mu=0.0, sigmas_x=np.ones(3), noise=NONE)
         other_noise = self.gamma_specs(truncated_levy_gauss(0.1))[0]
         for odd in (other_n, other_noise):
             with pytest.raises(InvalidInputError, match="agree on p, n and noise"):
@@ -323,13 +320,13 @@ class TestBlockMemory:
     BLOCK_ARRAYS = 6  # arrays of _BLOCK float64 live at once
 
     SPEC = GammaTrialSpec(
-        p=8, n=10, mu=0.0, sigmas_x=np.linspace(2.0, 0.5, 8), noise=truncated_levy_gauss(0.1), c=0.01
+        n=10, mu=0.0, sigmas_x=np.linspace(2.0, 0.5, 8), noise=truncated_levy_gauss(0.1), c=0.01
     )
     CHECKS = {
-        "gaussian-p64": lambda n: mc_risk_gaussian(64, np.full(64, 0.125), 1.0, truncated_levy_gauss(0.3), n, 1),
-        "gamma-p8-n10": lambda n: mc_risk_gamma(TestBlockMemory.SPEC, n, 1),
-        "inequality-p10": lambda n: mc_key_inequality(10, np.full(10, 0.3), truncated_levy_gauss(0.1), n, 1),
-        "lemma": lambda n: mc_stein_gamma_lemma(4.5, 0.4, "square", n, 1),
+        "gaussian-p64": lambda n: mc_risk_gaussian([np.full(64, 0.125)], 1.0, truncated_levy_gauss(0.3), n, 1),
+        "gamma-p8-n10": lambda n: mc_risk_gamma([TestBlockMemory.SPEC], n, 1),
+        "inequality-p10": lambda n: mc_key_inequality([np.full(10, 0.3)], truncated_levy_gauss(0.1), n, 1),
+        "lemma": lambda n: mc_stein_gamma_lemma(4.5, 0.4, ["square"], n, 1),
     }
 
     @pytest.mark.parametrize("name", sorted(CHECKS))
