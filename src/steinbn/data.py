@@ -43,6 +43,10 @@ def make_synthetic_blobs(
     only those samples are drawn, in that order: pixel j of sample r is entry
     r*channels*hw*hw + j of the counter stream, so the result is bit-identical
     to the same rows of the full dataset.
+
+    The class means are added in place to the fresh pixel draw, so besides
+    the images only the draw's blocks and an (N, channels) array of means
+    are built.
     """
     if n_classes < 2 or sep < 0:
         raise InvalidInputError("need n_classes >= 2 and sep >= 0")
@@ -66,7 +70,8 @@ def make_synthetic_blobs(
         labels = labels[rows]
         entries = (rows[:, None] * pixels_per_sample + np.arange(pixels_per_sample)).ravel()
         pixels = rng.normal(entries.size, 102, offset=entries)
-    images = pixels.reshape(-1, channels, hw, hw) + centers[labels][:, :, None, None]
+    images = pixels.reshape(-1, channels, hw, hw)
+    images += centers[labels][:, :, None, None]
     # fixed interleaved order; train/val/test splitting permutes separately
     return Dataset(images=images, labels=labels.astype(np.int64))
 

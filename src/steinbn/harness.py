@@ -378,7 +378,6 @@ def _evaluate(model: Sequential, images: np.ndarray, labels: np.ndarray) -> floa
 def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkpoint:
     """Train one model; early stopping on clean validation accuracy."""
     tr, va, _ = split_indices(dataset.images.shape[0], seed)
-    x_tr, y_tr = dataset.images[tr], dataset.labels[tr]
     x_va, y_va = dataset.images[va], dataset.labels[va]
     model = build_model(config, seed)
     opt = SGDNesterov(model, config.learning_rate, config.momentum_sgd, config.nesterov)
@@ -395,13 +394,14 @@ def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkp
     try:
         for epoch in range(1, config.max_epochs + 1):
             model.train()
-            order = np.argsort(shuffle_rng.uniform(x_tr.shape[0], 104, epoch), kind="stable")
-            for lo in range(0, x_tr.shape[0] - 1, config.batch_size):
-                idx = order[lo : lo + config.batch_size]
+            order = np.argsort(shuffle_rng.uniform(tr.size, 104, epoch), kind="stable")
+            for lo in range(0, tr.size - 1, config.batch_size):
+                # each batch is gathered from the dataset; the training split is never copied
+                idx = tr[order[lo : lo + config.batch_size]]
                 if idx.size < 2:
                     continue  # BN needs at least 2 samples
-                logits = model.forward(x_tr[idx])
-                loss, grad = softmax_cross_entropy(logits, y_tr[idx])
+                logits = model.forward(dataset.images[idx])
+                loss, grad = softmax_cross_entropy(logits, dataset.labels[idx])
                 if not np.isfinite(loss):
                     raise NonFiniteError(f"loss={loss}")
                 model.backward(grad)

@@ -7,7 +7,8 @@ that runs the BN core as a layer. Activations travel as (N, C, H, W) float64
 arrays, through the BN core too; only a dataset's images are validated
 (see ``tensor``). Dense and Conv3x3 (via an im2col matrix) do their
 arithmetic as BLAS matrix products; Conv3x3 moves its data around those
-products with one numpy gather and one ordered scatter.
+products with one numpy gather and one ordered scatter, and in eval mode
+builds its im2col matrix a block of samples at a time.
 
 A model's state is each layer's ``state_arrays()`` (its parameters, plus the
 running statistics for BN). Each layer loads its own in place, refusing a
@@ -111,6 +112,10 @@ class Dense(Layer):
         return {"w": self.dw, "b": self.db}
 
 
+# floats of im2col columns an eval-mode Conv3x3 forward builds at a time
+_COL_BLOCK = 1 << 17
+
+
 @functools.lru_cache(maxsize=16)
 def _tap_index(c: int, h: int, w: int) -> np.ndarray:
     """Flat (c, dh*3+dw, h, w) index of each tap into one zero-padded sample."""
@@ -141,6 +146,12 @@ class Conv3x3(Layer):
     taps in increasing k from +0.0, as nine strided adds would, so the
     result is bit-identical to theirs. The scatter targets depend on N, so
     the layer holds them for the input shape of its last backward only.
+
+    An eval-mode forward keeps no columns, so it builds them for a block of
+    samples at a time, at most ``_COL_BLOCK`` floats or one sample's, and
+    multiplies each block into its rows of one preallocated output. Each
+    sample's product is the same GEMM in any block, so the output is
+    bit-identical to that of one whole-batch block.
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: CounterRng, tag: int):
@@ -165,9 +176,13 @@ class Conv3x3(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         self._shape = x.shape
-        cols = self._im2col(x)
+        # the backward reads every column, so train mode takes one block
+        block = n if self.mode is BNMode.TRAIN else max(1, _COL_BLOCK // (c * 9 * h * w))
+        out = np.empty((n, self.w.shape[0], h * w))
+        for lo in range(0, n, block):
+            cols = self._im2col(x[lo : lo + block])
+            np.matmul(self.w, cols, out=out[lo : lo + block])
         self._cols = self._keep(cols)
-        out = np.matmul(self.w, cols)
         out += self.b[:, None]
         return out.reshape(n, -1, h, w)
 

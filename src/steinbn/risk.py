@@ -238,7 +238,7 @@ class GammaTrialSpec:
 
     def __post_init__(self):
         sig = np.asarray(self.sigmas_x, dtype=np.float64)
-        if sig.ndim != 1 or sig.size < 2 or np.any(sig <= 0):
+        if sig.ndim != 1 or sig.size < 2 or not np.all(np.isfinite(sig) & (sig > 0)):
             raise InvalidInputError("sigmas_x must be a vector of p >= 2 positive scales")
         step = np.spacing(abs(self.mu))  # of Z = sigma_x * N + mu; see _THETA_SPACING_SHARE
         if step > _THETA_SPACING_SHARE * sig.min():
@@ -362,6 +362,8 @@ def mc_stein_gamma_lemma(
     scored on the same draws, where the gap is paired over draws; the
     identity is taken to hold when |gap_in_se| < k.
     """
+    if isinstance(h, str):  # a bare name would be read as a sequence of letters
+        raise InvalidInputError(f"h must be a sequence of catalog names, got the string {h!r}")
     names = list(h)
     if not names:
         raise InvalidInputError("need at least one catalog function")

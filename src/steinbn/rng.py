@@ -11,6 +11,11 @@ uint64 arrays. ``_mix`` works in place: it overwrites its argument with the
 mixed values and returns it, so callers pass an array they own. uint64
 arithmetic wraps modulo 2^64, which is exactly splitmix64's arithmetic, so no
 masking is needed.
+
+``uniform`` and ``normal`` fill a preallocated output in blocks of ``_BLOCK``
+draws, so besides the output a draw keeps only a few block-sized arrays live
+whatever its count. Each draw depends on its entry index alone, so the
+blocking does not change a bit.
 """
 
 from __future__ import annotations
@@ -24,6 +29,12 @@ _S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
 
 # 2^-53; uniforms are (h >> 11 + 0.5) * 2^-53, strictly inside (0, 1)
 _INV_2_53 = float(2.0**-53)
+
+# draws per block of a fill. On a 2-vCPU Xeon (2 MiB L2), a normal of 40k-160k
+# draws (the size of the Monte Carlo checks' draw blocks and of the datasets)
+# took a median 55-59 ns per draw at 2^14, 61-74 ns at 2^16 and 58-70 ns as
+# one whole-array pass
+_BLOCK = 1 << 14
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -52,25 +63,31 @@ class CounterRng:
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def _entries(self, count: int, offset) -> np.ndarray:
-        """Mixed entry indices, in a fresh uint64 array the caller owns."""
-        if isinstance(offset, np.ndarray):
-            if offset.shape != (count,):
-                raise ValueError(f"index array of shape {offset.shape} for {count} draws")
-            h = offset.astype(np.uint64)  # a copy: _mix overwrites it
-        else:
-            h = np.arange(offset, offset + count, dtype=np.uint64)
-        return _mix(h)
+    @staticmethod
+    def _entry_blocks(count: int, offset):
+        """(lo, hi, mixed entry indices of draws lo..hi) per block of at most
+        ``_BLOCK`` draws; each index array is fresh, so the caller may overwrite it."""
+        indexed = isinstance(offset, np.ndarray)
+        if indexed and offset.shape != (count,):
+            raise ValueError(f"index array of shape {offset.shape} for {count} draws")
+        for lo in range(0, count, _BLOCK):
+            hi = min(lo + _BLOCK, count)
+            if indexed:
+                h = offset[lo:hi].astype(np.uint64)  # a copy: _mix overwrites it
+            else:
+                h = np.arange(offset + lo, offset + hi, dtype=np.uint64)
+            yield lo, hi, _mix(h)
 
-    def _keyed_uniform(self, h: np.ndarray, stream: tuple[int, ...]) -> np.ndarray:
-        """Uniforms of one stream from mixed entry indices; overwrites h."""
-        h ^= _key_state(self.seed, stream)
+    @staticmethod
+    def _keyed_uniform(h: np.ndarray, key: np.ndarray, out: np.ndarray) -> None:
+        """Write to out the uniforms of stream state key at mixed entry indices h;
+        overwrites h."""
+        h ^= key
         _mix(h)
         h >>= _S11
-        u = h.astype(np.float64)
-        u += 0.5
-        u *= _INV_2_53
-        return u
+        out[...] = h
+        out += 0.5
+        out *= _INV_2_53
 
     def uniform(self, count: int, *stream: int, offset=0) -> np.ndarray:
         """i.i.d. uniforms strictly inside (0, 1).
@@ -78,26 +95,35 @@ class CounterRng:
         ``offset`` is either the first entry index (the draw covers entries
         offset..offset+count) or an integer array of ``count`` entry indices.
         """
-        return self._keyed_uniform(self._entries(count, offset), stream)
+        out = np.empty(count)
+        key = _key_state(self.seed, stream)
+        for lo, hi, h in self._entry_blocks(count, offset):
+            self._keyed_uniform(h, key, out[lo:hi])
+        return out
 
     def normal(self, count: int, *stream: int, offset=0) -> np.ndarray:
         """Standard normals via Box-Muller on two counter substreams:
         sqrt(-2 log u1) * cos(2 pi u2), each step done in place.
 
         The substreams are uniform(count, *stream, 0) and (*stream, 1); they
-        share one mix of the entry indices, and substream 1 overwrites it,
-        so no more than three arrays are live at once.
+        share one mix of the entry indices. Each block of draws is built in
+        the output itself, so besides it no more than three block-sized
+        arrays are live at once.
         """
-        h = self._entries(count, offset)
-        r = self._keyed_uniform(h.copy(), (*stream, 0))
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        c = self._keyed_uniform(h, (*stream, 1))
-        c *= 2.0 * np.pi
-        np.cos(c, out=c)
-        r *= c
-        return r
+        out = np.empty(count)
+        key_r, key_c = (_key_state(self.seed, (*stream, sub)) for sub in (0, 1))
+        c = np.empty(min(count, _BLOCK))
+        for lo, hi, h in self._entry_blocks(count, offset):
+            r, cb = out[lo:hi], c[: hi - lo]
+            self._keyed_uniform(h.copy(), key_r, r)
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            self._keyed_uniform(h, key_c, cb)
+            cb *= 2.0 * np.pi
+            np.cos(cb, out=cb)
+            r *= cb
+        return out
 
     def gamma(self, count: int, alpha: float, *stream: int, offset=0) -> np.ndarray:
         """Gamma(alpha, 1) draws via inverse-CDF on counter uniforms.

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinbn import harness
+from steinbn import harness, rng
 from steinbn.data import Dataset, make_synthetic_blobs, split_indices
 from steinbn.harness import (
     RESULTS_HEADER,
@@ -97,6 +98,20 @@ class TestData:
             assert part.images.tobytes() == full.images[rows].tobytes()
             assert part.labels.dtype == full.labels.dtype
             assert part.labels.tobytes() == full.labels[rows].tobytes()
+
+    def test_blobs_memory_is_the_images_and_a_few_draw_blocks(self):
+        make_synthetic_blobs(4, 10, 3, 8, sep=3.0, seed=1)  # first-call caches
+        tracemalloc.start()
+        try:
+            ds = make_synthetic_blobs(4, 640, 3, 8, sep=3.0, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.images.shape == (2560, 3, 8, 8)
+        # the images, a byte per entry for the finite check, and at most four
+        # arrays of one draw block, whatever the number of draws
+        bound = ds.images.nbytes * 9 // 8 + 4 * 8 * rng._BLOCK
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
     def test_test_split_equals_the_full_datasets_test_rows(self):
         cfg = ExperimentConfig(**FAST)

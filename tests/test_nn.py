@@ -8,12 +8,14 @@ byte for byte with nine-step strided loops.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinbn import nn
 from steinbn.batchnorm import BNLayer, BNVariant
 from steinbn.nn import BatchNorm, Conv3x3, Dense, ReLU, build_mlp2, build_tiny_cnn
 from steinbn.rng import CounterRng
@@ -268,3 +270,38 @@ def test_backward_needs_a_train_mode_forward(make):
     if not isinstance(layer, BatchNorm):  # BN trains on the batch statistics
         assert train_y.tobytes() == y.tobytes()
     layer.backward(np.ones(y.shape))
+
+
+def test_eval_forward_in_column_blocks_equals_whole_and_per_sample_forwards():
+    # conv #2 of TinyCNN at hw=8 takes 28 samples per column block, so a batch
+    # of 60 runs as blocks of 28, 28 and 4
+    n, c, hw = 60, 8, 8
+    assert n % (nn._COL_BLOCK // (c * 9 * hw * hw)) != 0
+    layer = Conv3x3(c, 16, CounterRng(2), 22)
+    layer.b[:] = np.linspace(-1.0, 1.0, 16)
+    x = np.random.default_rng(6).normal(size=(n, c, hw, hw))
+    whole = layer.forward(x)  # train mode: one block
+    blocked = layer.eval().forward(x)
+    assert blocked.tobytes() == whole.tobytes()
+    per_sample = np.concatenate([layer.forward(x[i : i + 1]) for i in range(n)])
+    assert blocked.tobytes() == per_sample.tobytes()
+
+
+def test_eval_forward_memory_is_bounded_by_activations_and_a_column_block():
+    # the widest activation (conv #2's output) is live at most three times
+    # over, at BN's input, centred copy and output; the columns add at most a
+    # block and its padded input (conv #2's whole im2col matrix is 9.4 MB)
+    n, hw = 256, 8
+    model = build_tiny_cnn((3, hw, hw), 4, BNVariant.STEIN, CounterRng(5))
+    model.eval()
+    x = np.random.default_rng(1).normal(size=(n, 3, hw, hw))
+    model.forward(x[:2])  # first-call caches are not the forward's
+    tracemalloc.start()
+    try:
+        model.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    widest = 8 * n * 16 * hw * hw
+    bound = 3 * widest + 2 * 8 * nn._COL_BLOCK
+    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"

@@ -154,6 +154,11 @@ class TestGammaRisk:
         with pytest.raises(InvalidInputError):
             GammaTrialSpec(n=10, mu=0.0, sigmas_x=np.array([1.0, -1.0, 1.0]), noise=NONE, c=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scale_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="positive scales"):
+            GammaTrialSpec(n=10, mu=0.0, sigmas_x=np.array([1.0, bad, 1.0]), noise=NONE)
+
     def test_alpha_beta_mapping(self):
         spec = self.make_spec(0.0, n=10, sigmas=np.array([1.0, 2.0, 0.5]))
         assert spec.alpha == 4.5
@@ -202,6 +207,10 @@ class TestSteinGammaLemma:
     def test_unknown_function_rejected(self):
         with pytest.raises(InvalidInputError):
             mc_stein_gamma_lemma(1.0, 1.0, ["cube"], 1_000, seed=0)
+
+    def test_bare_name_rejected(self):
+        with pytest.raises(InvalidInputError, match="sequence of catalog names"):
+            mc_stein_gamma_lemma(1.0, 1.0, "square", 1_000, seed=0)
 
     def test_alpha_floor_enforced(self):
         with pytest.raises(InvalidInputError):

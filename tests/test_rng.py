@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from steinbn import rng as rng_module
 from steinbn.noise import NoiseSpec, sample_noise_flat, truncated_levy_gauss
 from steinbn.rng import CounterRng
 
@@ -67,6 +68,43 @@ class TestDeterminism:
     def test_multipart_stream_keys(self):
         rng = CounterRng(4)
         assert not np.array_equal(rng.uniform(50, 1, 2), rng.uniform(50, 2, 1))
+
+
+class TestBlockFill:
+    """A fill cut into blocks of ``_BLOCK`` draws gives the same bits as the
+    same entries cut into separate calls at any points."""
+
+    BLOCK = rng_module._BLOCK
+    COUNTS = (BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        count=st.sampled_from(COUNTS),
+        offset=st.integers(0, 2**62),
+        stride=st.integers(1, 2**40),
+        indexed=st.booleans(),
+        data=st.data(),
+    )
+    def test_fill_equals_pieces_drawn_apart(self, seed, count, offset, stride, indexed, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=4)))
+        bounds = [0, *cuts, count]
+        # an index array visits entries out of order and far apart (uint64 wraps)
+        entries = np.arange(count, dtype=np.uint64) * np.uint64(stride) + np.uint64(offset)
+
+        def at(lo, hi):
+            return entries[lo:hi] if indexed else offset + lo
+
+        rng = CounterRng(seed)
+        draws = {
+            "uniform": rng.uniform,
+            "normal": rng.normal,
+            "gamma": lambda n, *stream, offset: rng.gamma(n, 2.5, *stream, offset=offset),
+        }
+        for name, draw in draws.items():
+            whole = draw(count, 6, offset=at(0, count))
+            pieces = [draw(hi - lo, 6, offset=at(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+            assert whole.tobytes() == np.concatenate(pieces).tobytes(), name
 
 
 class TestDistributions:
