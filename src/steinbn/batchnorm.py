@@ -90,7 +90,7 @@ class BNLayer:
         if self.running_var is None:
             self.running_var = np.ones(c)
         for name in ("gamma", "beta", "running_mean", "running_var"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
+            v = np.array(getattr(self, name), dtype=np.float64)
             if v.shape != (c,):
                 raise InvalidInputError(f"{name} must have length C={c}")
             setattr(self, name, v)
@@ -133,9 +133,10 @@ class Correction(NamedTuple):
 class BNForwardCache:
     """Everything the backward pass needs, with the forward's exact inv_std.
 
-    ``centred`` is ``x - corrected_mean`` in train mode. An eval-mode forward
-    scales it in place into ``normalized`` and stores None; a backward of an
-    eval cache recomputes it.
+    ``centred`` is ``x - corrected_mean`` and ``normalized`` is ``centred *
+    inv_std``, in train mode. An eval-mode forward scales and shifts its
+    centred copy in place into the output and stores None for both; a
+    backward of an eval cache recomputes them.
     """
 
     raw: ChannelStats
@@ -143,7 +144,7 @@ class BNForwardCache:
     corrected_mean: np.ndarray
     corrected_var: np.ndarray
     inv_std: np.ndarray
-    normalized: np.ndarray
+    normalized: np.ndarray | None
     x: np.ndarray
     centred: np.ndarray | None
 
@@ -175,8 +176,10 @@ def correction_coefficients(layer: BNLayer, stats: ChannelStats) -> Correction:
     elif variant == BNVariant.RIDGE:
         # ridge is linear: its coefficient is its estimate at a unit statistic
         mean_coef, var_coef = ridge_mean(n, n, lam), ridge_variance(1.0, lam)
-    coefs = (mean_coef, mean_offset, var_coef, var_offset)
-    return Correction(*(np.full(mean.size, v, dtype=np.float64) for v in coefs), s_mean, degraded)
+    coefs = np.empty((4, mean.size))
+    for row, value in zip(coefs, (mean_coef, mean_offset, var_coef, var_offset)):
+        row[...] = value
+    return Correction(*coefs, s_mean, degraded)
 
 
 def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCache]:
@@ -193,19 +196,27 @@ def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCach
         zeros = np.zeros(c)
         raw = ChannelStats(zeros, zeros, n * h * w)
         corr = Correction(zeros, layer.running_mean, zeros, layer.running_var)
-    corrected_mean = corr.mean_coef * raw.mean + corr.mean_offset
-    corrected_var = np.maximum(corr.var_coef * raw.var + corr.var_offset, VAR_FLOOR)
-    inv_std = 1.0 / np.sqrt(corrected_var + layer.eps)
+    corrected_mean = corr.mean_coef * raw.mean
+    corrected_mean += corr.mean_offset
+    corrected_var = corr.var_coef * raw.var
+    corrected_var += corr.var_offset
+    np.maximum(corrected_var, VAR_FLOOR, out=corrected_var)
+    inv_std = corrected_var + layer.eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
 
-    # the backward reads the centred input in train mode; eval scales it in place
     centred = x - corrected_mean[None, :, None, None]
-    normalized = np.multiply(
-        centred, inv_std[None, :, None, None], out=None if training else centred
-    )
-    y = normalized * layer.gamma[None, :, None, None]
-    y += layer.beta[None, :, None, None]
     if training:
+        # the backward reads the centred and the normalized input
+        normalized = centred * inv_std[None, :, None, None]
+        y = normalized * layer.gamma[None, :, None, None]
         bn_update_running(layer, ChannelStats(corrected_mean, corrected_var, raw.count))
+    else:
+        # nothing reads them, so the centred copy becomes the output
+        normalized, y = None, centred
+        y *= inv_std[None, :, None, None]
+        y *= layer.gamma[None, :, None, None]
+    y += layer.beta[None, :, None, None]
     cache = BNForwardCache(
         raw, corr, corrected_mean, corrected_var, inv_std, normalized, x,
         centred if training else None,
@@ -220,8 +231,13 @@ def bn_backward(
     g, x = grad_out, cache.x
     if g.shape != x.shape:
         raise InvalidInputError("grad_out shape does not match cached forward input")
-    grad_beta = g.sum(axis=(0, 2, 3))
-    grad_gamma = (g * cache.normalized).sum(axis=(0, 2, 3))
+    axes = (0, 2, 3)
+    centred, normalized = cache.centred, cache.normalized
+    if centred is None:  # an eval-mode cache
+        centred = x - cache.corrected_mean[None, :, None, None]
+        normalized = centred * cache.inv_std[None, :, None, None]
+    grad_beta = np.add.reduce(g, axis=axes)
+    grad_gamma = np.add.reduce(g * normalized, axis=axes)
 
     gx_hat = g * layer.gamma[None, :, None, None]
     corr = cache.correction
@@ -229,21 +245,18 @@ def bn_backward(
     n, c, h, w = x.shape
     m = n * h * w
     x_center = x - cache.raw.mean[None, :, None, None]
-    centred = cache.centred
-    if centred is None:
-        centred = x - cache.corrected_mean[None, :, None, None]
 
     # d corrected_var / d raw_var and d corrected_mean / d raw_mean are the
     # frozen coefficients; offsets drop out of the gradient
     dvar = (
-        (gx_hat * centred).sum(axis=(0, 2, 3))
+        np.add.reduce(gx_hat * centred, axis=axes)
         * -0.5
         * cache.inv_std**3
         * corr.var_coef
     )
     dmean = (
-        -(gx_hat.sum(axis=(0, 2, 3))) * cache.inv_std * corr.mean_coef
-        + dvar * (-2.0 / m) * x_center.sum(axis=(0, 2, 3))
+        -np.add.reduce(gx_hat, axis=axes) * cache.inv_std * corr.mean_coef
+        + dvar * (-2.0 / m) * np.add.reduce(x_center, axis=axes)
     )
     # gx_hat * inv_std + (dvar * 2/m) * x_center + dmean / m, added left to
     # right in place on the two arrays this backward allocated
@@ -260,6 +273,7 @@ def bn_update_running(layer: BNLayer, corrected: ChannelStats) -> BNLayer:
     if layer.mode != BNMode.TRAIN:
         raise InvalidInputError("running statistics update requires train mode")
     mom = layer.momentum
-    layer.running_mean = (1.0 - mom) * layer.running_mean + mom * corrected.mean
-    layer.running_var = (1.0 - mom) * layer.running_var + mom * corrected.var
+    for running, stat in ((layer.running_mean, corrected.mean), (layer.running_var, corrected.var)):
+        running *= 1.0 - mom
+        running += mom * stat
     return layer

@@ -7,18 +7,21 @@ that runs the BN core as a layer. Activations travel as (N, C, H, W) float64
 arrays, through the BN core too; only a dataset's images are validated
 (see ``tensor``). Dense and Conv3x3 (via an im2col matrix) do their
 arithmetic as BLAS matrix products; Conv3x3 moves its data around those
-products with one numpy gather and one ordered scatter, and in eval mode
-builds its im2col matrix a block of samples at a time.
+products with numpy gathers and one ordered scatter, and in both modes
+builds its forward's im2col matrix a block of samples at a time.
 
 A model's state is each layer's ``state_arrays()`` (its parameters, plus the
 running statistics for BN). Each layer loads its own in place, refusing a
 missing or misshapen array and, for BN, a negative running variance.
 
 Every layer has a ``mode``, set by ``train()`` and ``eval()`` (BN's is its
-BNLayer mode). A forward keeps what its backward reads only in train mode; in
-eval mode it keeps nothing, and a backward after it is refused. The forward
-arithmetic is the same in both modes, so eval outputs are bit-identical to
-those of a train-mode pass with the same statistics.
+BNLayer mode). A forward keeps what its backward reads, in one attribute per
+layer, only in train mode: Conv3x3 and Dense keep their input, ReLU its mask
+and BN its forward cache. In eval mode a forward keeps nothing, and a
+backward after it is refused; ``eval()`` itself releases what the last
+train-mode forward kept, so inference starts clean. The forward arithmetic
+is the same in both modes, so eval outputs are bit-identical to those of a
+train-mode pass with the same statistics.
 """
 
 from __future__ import annotations
@@ -32,19 +35,19 @@ from .rng import CounterRng
 from .tensor import InvalidInputError
 
 
-def _saved(arr):
-    """What a train-mode forward kept for the backward; refused if there is none."""
-    if arr is None:
-        raise InvalidInputError("backward needs a train-mode forward")
-    return arr
-
-
 class Layer:
     mode = BNMode.TRAIN
+    _saved = None  # what the last train-mode forward kept for the backward
 
-    def _keep(self, arr):
-        """arr in train mode, where a backward reads it; None in eval mode."""
-        return arr if self.mode is BNMode.TRAIN else None
+    def _keep(self, saved) -> None:
+        """Hold saved for the backward in train mode; hold nothing in eval mode."""
+        self._saved = saved if self.mode is BNMode.TRAIN else None
+
+    def _kept(self):
+        """What a train-mode forward kept for the backward; refused if there is none."""
+        if self._saved is None:
+            raise InvalidInputError("backward needs a train-mode forward")
+        return self._saved
 
     def params(self) -> dict[str, np.ndarray]:
         return {}
@@ -72,7 +75,9 @@ class Layer:
         return self
 
     def eval(self):
+        """Eval mode, releasing what the last train-mode forward kept."""
         self.mode = BNMode.EVAL
+        self._saved = None
         return self
 
 
@@ -85,25 +90,23 @@ class Dense(Layer):
         self.b = np.zeros(units)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
-        self._in_shape = x.shape
-        flat = x.reshape(n, -1)
-        self._x = self._keep(flat)
-        out = flat @ self.w
+        self._keep(x)
+        out = x.reshape(n, -1) @ self.w
         out += self.b
         return out.reshape(n, -1, 1, 1)
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        x = self._kept()
         n = grad.shape[0]
         g = grad.reshape(n, -1)
-        self.dw = _saved(self._x).T @ g
+        self.dw = x.reshape(n, -1).T @ g
         self.db = g.sum(axis=0)
         if not input_grad:
             return None
-        return (g @ self.w.T).reshape(self._in_shape)
+        return (g @ self.w.T).reshape(x.shape)
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -112,7 +115,7 @@ class Dense(Layer):
         return {"w": self.dw, "b": self.db}
 
 
-# floats of im2col columns an eval-mode Conv3x3 forward builds at a time
+# floats of im2col columns a Conv3x3 forward builds at a time
 _COL_BLOCK = 1 << 17
 
 
@@ -132,7 +135,7 @@ class Conv3x3(Layer):
     shape checkpoints store. ``_im2col`` gathers the nine shifted windows of
     the zero-padded input into cols, shaped (N, in*9, H*W), so that
 
-    - forward is ``w @ cols[n]`` for every n (one batched matmul),
+    - forward is ``w @ cols[n]`` for every n (batched matmuls),
     - the input gradient is ``w.T @ grad[n]``, folded back onto the
       padded grid (col2im); ``backward(..., input_grad=False)`` skips it,
     - the weight gradient is a single 2-D GEMM of grad and cols over the
@@ -147,11 +150,15 @@ class Conv3x3(Layer):
     result is bit-identical to theirs. The scatter targets depend on N, so
     the layer holds them for the input shape of its last backward only.
 
-    An eval-mode forward keeps no columns, so it builds them for a block of
-    samples at a time, at most ``_COL_BLOCK`` floats or one sample's, and
-    multiplies each block into its rows of one preallocated output. Each
+    No columns outlive a forward. In either mode it builds them for a block
+    of samples at a time, at most ``_COL_BLOCK`` floats or one sample's, and
+    multiplies each block into its rows of one preallocated output; each
     sample's product is the same GEMM in any block, so the output is
-    bit-identical to that of one whole-batch block.
+    bit-identical to that of one whole-batch block. A train-mode forward
+    keeps its input instead, nine times smaller than its columns, and the
+    backward gathers the columns of the whole batch from it once, already
+    in the (in*9, N*H*W) layout of the weight-gradient GEMM
+    (``_channel_cols``), and drops them before the input gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: CounterRng, tag: int):
@@ -161,8 +168,6 @@ class Conv3x3(Layer):
         self.b = np.zeros(out_channels)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._cols = None
-        self._shape = None
         self._targets = None  # col2im scatter targets for _targets_shape
         self._targets_shape = None
 
@@ -173,34 +178,50 @@ class Conv3x3(Layer):
         padded[:, :, 1:-1, 1:-1] = x
         return padded.reshape(n, -1).take(_tap_index(c, h, w), axis=1).reshape(n, c * 9, h * w)
 
+    @staticmethod
+    def _channel_cols(x: np.ndarray) -> np.ndarray:
+        """The whole batch's columns as one (c*9, n*h*w) matrix, rows (channel,
+        tap) and columns (sample, pixel): ``_im2col(x)`` transposed to (1, 0, 2)."""
+        n, c, h, w = x.shape
+        padded = np.zeros((c, n, h + 2, w + 2))
+        padded[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+        # each tap of one padded plane, offset to sample s's plane: (k, s, h*w)
+        planes = np.arange(n)[:, None] * ((h + 2) * (w + 2))
+        idx = (_tap_index(1, h, w).reshape(9, 1, h * w) + planes).ravel()
+        return padded.reshape(c, -1).take(idx, axis=1).reshape(c * 9, n * h * w)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
-        self._shape = x.shape
-        # the backward reads every column, so train mode takes one block
-        block = n if self.mode is BNMode.TRAIN else max(1, _COL_BLOCK // (c * 9 * h * w))
+        self._keep(x)
+        block = max(1, _COL_BLOCK // (c * 9 * h * w))
         out = np.empty((n, self.w.shape[0], h * w))
         for lo in range(0, n, block):
-            cols = self._im2col(x[lo : lo + block])
-            np.matmul(self.w, cols, out=out[lo : lo + block])
-        self._cols = self._keep(cols)
+            np.matmul(self.w, self._im2col(x[lo : lo + block]), out=out[lo : lo + block])
         out += self.b[:, None]
         return out.reshape(n, -1, h, w)
 
     def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        cols = _saved(self._cols)
-        n, c, h, w = self._shape
-        o, f = self.w.shape
+        x = self._kept()
+        n, c, h, w = x.shape
+        o = self.w.shape[0]
         g = grad.reshape(n, o, h * w)
         self.db = g.sum(axis=(0, 2))
-        # one GEMM over the flattened n*h*w axis
-        g_flat = g.transpose(1, 0, 2).reshape(o, -1)
-        self.dw = g_flat @ cols.transpose(1, 0, 2).reshape(f, -1).T
+        cols = self._channel_cols(x)
+        if h * w == 1:
+            # _im2col's columns transposed to (c*9, n) are an F-ordered view
+            # here, and with o = 1 the GEMM below is a gemv whose round-off
+            # follows its operand's order: take that order, so dw stays
+            # bit-identical to the sample-major column path
+            cols = np.asfortranarray(cols)
+        # one GEMM over the flattened n*h*w axis; the columns die with it
+        self.dw = g.transpose(1, 0, 2).reshape(o, -1) @ cols.T
+        del cols
         if not input_grad:
             return None
         cells = c * (h + 2) * (w + 2)  # of one padded sample
-        if self._targets_shape != self._shape:
+        if self._targets_shape != x.shape:
             self._targets = (np.arange(n)[:, None] * cells + _tap_index(c, h, w)).ravel()
-            self._targets_shape = self._shape
+            self._targets_shape = x.shape
         dcols = np.matmul(self.w.T, g)
         dx = np.bincount(self._targets, weights=dcols.ravel(), minlength=n * cells)
         return dx.reshape(n, c, h + 2, w + 2)[:, :, 1:-1, 1:-1]
@@ -213,44 +234,45 @@ class Conv3x3(Layer):
 
 
 class ReLU(Layer):
-    _mask = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         mask = x > 0
-        self._mask = self._keep(mask)
+        self._keep(mask)
         return x * mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * _saved(self._mask)
+        return grad * self._kept()
 
 
 class GlobalAvgPool(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._keep(x.shape)
         return x.mean(axis=(2, 3), keepdims=True)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._shape
-        return np.broadcast_to(grad / (h * w), self._shape).copy()
+        shape = self._kept()
+        _, _, h, w = shape
+        return np.broadcast_to(grad / (h * w), shape).copy()
 
 
 class BatchNorm(BNLayer, Layer):
     """A BNLayer in the layer stack: its state, mode and checkpoint arrays are
     the BNLayer's; forward and backward run the BN core on it."""
 
+    # BNLayer.eval comes first in the MRO; this one also releases the cache
+    eval = Layer.eval
+
     def __post_init__(self):
         super().__post_init__()
         self.dgamma = np.zeros(self.num_channels)
         self.dbeta = np.zeros(self.num_channels)
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, cache = bn_forward(self, x)
-        self._cache = self._keep(cache)
+        self._keep(cache)
         return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        gx, self.dgamma, self.dbeta = bn_backward(self, _saved(self._cache), grad)
+        gx, self.dgamma, self.dbeta = bn_backward(self, self._kept(), grad)
         return gx
 
     def params(self):

@@ -9,6 +9,7 @@ byte for byte with nine-step strided loops.
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,15 @@ from hypothesis import strategies as st
 
 from steinbn import nn
 from steinbn.batchnorm import BNLayer, BNVariant
-from steinbn.nn import BatchNorm, Conv3x3, Dense, ReLU, build_mlp2, build_tiny_cnn
+from steinbn.nn import (
+    BatchNorm,
+    Conv3x3,
+    Dense,
+    ReLU,
+    build_mlp2,
+    build_tiny_cnn,
+    softmax_cross_entropy,
+)
 from steinbn.rng import CounterRng
 from steinbn.tensor import InvalidInputError
 
@@ -145,6 +154,39 @@ def test_conv_data_movement_equals_nine_step_loops(n, c, h, w, o, seed):
     assert dx.tobytes() == _loop_col2im(dcols, x.shape).tobytes()
 
 
+def _column_path_backward(w, x, grad):
+    """dw, db and dx of a conv whose forward kept its sample-major columns:
+    dw is a GEMM with a transposed copy of them, dx is col2im of w.T @ grad."""
+    n, c, h, wd = x.shape
+    o, f = w.shape
+    cols = _loop_im2col(x)
+    g = grad.reshape(n, o, h * wd)
+    dw = g.transpose(1, 0, 2).reshape(o, -1) @ cols.transpose(1, 0, 2).reshape(f, -1).T
+    return dw, g.sum(axis=(0, 2)), _loop_col2im(np.matmul(w.T, g), x.shape)
+
+
+@given(n=dim, c=dim, h=dim, w=dim, o=dim, per_block=dim, seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_conv_backward_from_its_input_equals_the_column_path(n, c, h, w, o, per_block, seed):
+    # the backward gathers its columns from the kept input; its gradients
+    # equal those of a layer that kept the forward's columns, byte for byte,
+    # and a train forward cut into column blocks equals one whole-batch block
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, c, h, w)) * (rng.random((n, c, h, w)) < 0.7)  # +0.0 and -0.0
+    grad = rng.normal(size=(n, o, h, w)) * (rng.random((n, o, h, w)) < 0.7)
+    layer = Conv3x3(c, o, CounterRng(seed), 22)
+    layer.b[:] = rng.normal(size=o)
+    whole = layer.forward(x)
+    with mock.patch.object(nn, "_COL_BLOCK", per_block * c * 9 * h * w):
+        blocked = layer.forward(x)
+    assert blocked.tobytes() == whole.tobytes()
+    dx = layer.backward(grad)
+    want_dw, want_db, want_dx = _column_path_backward(layer.w, x, grad)
+    assert layer.dw.tobytes() == want_dw.tobytes()
+    assert layer.db.tobytes() == want_db.tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
+
+
 def test_conv_gradients_follow_the_batch_shape():
     # 64, 32, then 64 again: the held scatter targets follow the input shape
     rng = np.random.default_rng(4)
@@ -248,6 +290,20 @@ def test_eval_forward_leaves_no_activation_in_any_layer(build):
         assert _held_batch_arrays(layer, n) == [], f"layer{i} {type(layer).__name__}"
 
 
+@pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])
+def test_eval_releases_the_backward_state_before_any_forward(build):
+    # switching to eval mode drops what the last train step kept, so a
+    # validation pass after the step starts from none of it
+    n = 37  # no parameter has a leading axis of 37
+    model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
+    x = np.random.default_rng(1).normal(size=(n, 3, 4, 4))
+    model.backward(np.ones(model.forward(x).shape))
+    assert any(_held_batch_arrays(layer, n) for layer in model.layers)
+    model.eval()
+    for i, layer in enumerate(model.layers):
+        assert _held_batch_arrays(layer, n) == [], f"layer{i} {type(layer).__name__}"
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -305,3 +361,41 @@ def test_eval_forward_memory_is_bounded_by_activations_and_a_column_block():
     widest = 8 * n * 16 * hw * hw
     bound = 3 * widest + 2 * 8 * nn._COL_BLOCK
     assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+
+
+def test_train_step_and_validation_memory_hold_inputs_not_columns():
+    # TinyCNN at hw=8 and batch 64, the shape whose training sets eval-sweep's
+    # peak: conv #2's im2col matrix of the batch is 2.4 MB, nine times its
+    # input. A train forward keeps the input, the backward gathers the columns
+    # once (no transposed copy) and drops them before the input gradient, and
+    # the validation pass after the step starts from no backward state. Layers
+    # that kept their columns through both would peak at about 9 MiB in each
+    hw, batch = 8, 64
+    model = build_tiny_cnn((3, hw, hw), 4, BNVariant.STEIN, CounterRng(5))
+    rng = np.random.default_rng(1)
+    x, labels = rng.normal(size=(batch, 3, hw, hw)), rng.integers(0, 4, batch)
+    x_val = rng.normal(size=(256, 3, hw, hw))
+
+    def forward_loss():
+        model.train()
+        return softmax_cross_entropy(model.forward(x), labels)[1]
+
+    model.backward(forward_loss())  # first-call caches are not the step's
+    model.eval()
+    model.forward(x_val)
+    tracemalloc.start()
+    try:
+        grad = forward_loss()
+        tracemalloc.reset_peak()
+        model.backward(grad)
+        del grad
+        backward = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        model.eval()
+        model.forward(x_val)
+        validation = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mib = 2**20
+    assert backward <= 7.5 * mib, f"backward peak {backward / mib:.1f} MiB"
+    assert validation <= 6.0 * mib, f"validation peak {validation / mib:.1f} MiB"
