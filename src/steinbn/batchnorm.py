@@ -90,7 +90,7 @@ class BNLayer:
         if self.running_var is None:
             self.running_var = np.ones(c)
         for name in ("gamma", "beta", "running_mean", "running_var"):
-            v = np.array(getattr(self, name), dtype=np.float64)
+            v = np.asarray(getattr(self, name), dtype=np.float64)
             if v.shape != (c,):
                 raise InvalidInputError(f"{name} must have length C={c}")
             setattr(self, name, v)
@@ -176,10 +176,8 @@ def correction_coefficients(layer: BNLayer, stats: ChannelStats) -> Correction:
     elif variant == BNVariant.RIDGE:
         # ridge is linear: its coefficient is its estimate at a unit statistic
         mean_coef, var_coef = ridge_mean(n, n, lam), ridge_variance(1.0, lam)
-    coefs = np.empty((4, mean.size))
-    for row, value in zip(coefs, (mean_coef, mean_offset, var_coef, var_offset)):
-        row[...] = value
-    return Correction(*coefs, s_mean, degraded)
+    coefs = (mean_coef, mean_offset, var_coef, var_offset)
+    return Correction(*(np.full(mean.size, v, dtype=np.float64) for v in coefs), s_mean, degraded)
 
 
 def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCache]:
@@ -196,14 +194,9 @@ def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCach
         zeros = np.zeros(c)
         raw = ChannelStats(zeros, zeros, n * h * w)
         corr = Correction(zeros, layer.running_mean, zeros, layer.running_var)
-    corrected_mean = corr.mean_coef * raw.mean
-    corrected_mean += corr.mean_offset
-    corrected_var = corr.var_coef * raw.var
-    corrected_var += corr.var_offset
-    np.maximum(corrected_var, VAR_FLOOR, out=corrected_var)
-    inv_std = corrected_var + layer.eps
-    np.sqrt(inv_std, out=inv_std)
-    np.divide(1.0, inv_std, out=inv_std)
+    corrected_mean = corr.mean_coef * raw.mean + corr.mean_offset
+    corrected_var = np.maximum(corr.var_coef * raw.var + corr.var_offset, VAR_FLOOR)
+    inv_std = 1.0 / np.sqrt(corrected_var + layer.eps)
 
     centred = x - corrected_mean[None, :, None, None]
     if training:
@@ -231,13 +224,12 @@ def bn_backward(
     g, x = grad_out, cache.x
     if g.shape != x.shape:
         raise InvalidInputError("grad_out shape does not match cached forward input")
-    axes = (0, 2, 3)
     centred, normalized = cache.centred, cache.normalized
     if centred is None:  # an eval-mode cache
         centred = x - cache.corrected_mean[None, :, None, None]
         normalized = centred * cache.inv_std[None, :, None, None]
-    grad_beta = np.add.reduce(g, axis=axes)
-    grad_gamma = np.add.reduce(g * normalized, axis=axes)
+    grad_beta = g.sum(axis=(0, 2, 3))
+    grad_gamma = (g * normalized).sum(axis=(0, 2, 3))
 
     gx_hat = g * layer.gamma[None, :, None, None]
     corr = cache.correction
@@ -249,14 +241,14 @@ def bn_backward(
     # d corrected_var / d raw_var and d corrected_mean / d raw_mean are the
     # frozen coefficients; offsets drop out of the gradient
     dvar = (
-        np.add.reduce(gx_hat * centred, axis=axes)
+        (gx_hat * centred).sum(axis=(0, 2, 3))
         * -0.5
         * cache.inv_std**3
         * corr.var_coef
     )
     dmean = (
-        -np.add.reduce(gx_hat, axis=axes) * cache.inv_std * corr.mean_coef
-        + dvar * (-2.0 / m) * np.add.reduce(x_center, axis=axes)
+        -(gx_hat.sum(axis=(0, 2, 3))) * cache.inv_std * corr.mean_coef
+        + dvar * (-2.0 / m) * x_center.sum(axis=(0, 2, 3))
     )
     # gx_hat * inv_std + (dvar * 2/m) * x_center + dmean / m, added left to
     # right in place on the two arrays this backward allocated
@@ -273,7 +265,6 @@ def bn_update_running(layer: BNLayer, corrected: ChannelStats) -> BNLayer:
     if layer.mode != BNMode.TRAIN:
         raise InvalidInputError("running statistics update requires train mode")
     mom = layer.momentum
-    for running, stat in ((layer.running_mean, corrected.mean), (layer.running_var, corrected.var)):
-        running *= 1.0 - mom
-        running += mom * stat
+    layer.running_mean = (1.0 - mom) * layer.running_mean + mom * corrected.mean
+    layer.running_var = (1.0 - mom) * layer.running_var + mom * corrected.var
     return layer

@@ -115,10 +115,7 @@ def js_mean_factor(mu: np.ndarray) -> tuple[float, bool]:
     norm_sq = float(mu @ mu)
     if c < 3 or norm_sq == 0.0:
         return 1.0, True
-    # np.var's steps without its wrapper
-    d = mu - np.add.reduce(mu) / c
-    d *= d
-    return 1.0 - (c - 2) * (float(np.add.reduce(d)) / c) / norm_sq, False
+    return 1.0 - (c - 2) * float(np.var(mu)) / norm_sq, False
 
 
 def js_mean_channels(mu: np.ndarray) -> np.ndarray:
@@ -147,9 +144,7 @@ def gamma_scale_shrink(x: np.ndarray, alpha: float, c: float) -> np.ndarray:
 
 def stein_variance_coefficients(var: np.ndarray, n: int, c: float) -> tuple[float, float]:
     """(n/(n+1), c*V) with V the geometric mean of the variances floored at VAR_FLOOR."""
-    # geometric_mean's steps without its wrappers
-    logs = np.log(np.maximum(var, VAR_FLOOR))
-    return n / (n + 1.0), c * np.exp(np.add.reduce(logs, axis=-1) / logs.shape[-1])
+    return n / (n + 1.0), c * geometric_mean(np.maximum(var, VAR_FLOOR))
 
 
 def js_variance_channels(var: np.ndarray, n: int, c: float) -> np.ndarray:

@@ -19,9 +19,9 @@ BNLayer mode). A forward keeps what its backward reads, in one attribute per
 layer, only in train mode: Conv3x3 and Dense keep their input, ReLU its mask
 and BN its forward cache. In eval mode a forward keeps nothing, and a
 backward after it is refused; ``eval()`` itself releases what the last
-train-mode forward kept, so inference starts clean. The forward arithmetic
-is the same in both modes, so eval outputs are bit-identical to those of a
-train-mode pass with the same statistics.
+train step kept (Conv3x3 also its scatter targets), so inference starts
+clean. The forward arithmetic is the same in both modes, so eval outputs are
+bit-identical to those of a train-mode pass with the same statistics.
 """
 
 from __future__ import annotations
@@ -148,7 +148,8 @@ class Conv3x3(Layer):
     which ravel in (n, channel, k, h, w) order: each padded cell sums its
     taps in increasing k from +0.0, as nine strided adds would, so the
     result is bit-identical to theirs. The scatter targets depend on N, so
-    the layer holds them for the input shape of its last backward only.
+    the layer holds them for the input shape of its last backward only, and
+    ``eval()`` drops them with the rest of the backward state.
 
     No columns outlive a forward. In either mode it builds them for a block
     of samples at a time, at most ``_COL_BLOCK`` floats or one sample's, and
@@ -225,6 +226,10 @@ class Conv3x3(Layer):
         dcols = np.matmul(self.w.T, g)
         dx = np.bincount(self._targets, weights=dcols.ravel(), minlength=n * cells)
         return dx.reshape(n, c, h + 2, w + 2)[:, :, 1:-1, 1:-1]
+
+    def eval(self):
+        self._targets = self._targets_shape = None
+        return super().eval()
 
     def params(self):
         return {"w": self.w, "b": self.b}

@@ -68,13 +68,7 @@ def channel_moments(x: np.ndarray) -> ChannelStats:
     count = n * h * w
     if count < 2:
         raise InvalidInputError(f"need at least 2 samples per channel, got {count}")
-    # np.mean's steps without its wrapper; flat is a view of x when n or
-    # h*w is 1, so only the fresh centred array is written in place
     flat = x.transpose(1, 0, 2, 3).reshape(c, count)
-    mean = np.add.reduce(flat, axis=1)
-    mean /= count
-    sq = flat - mean[:, None]
-    sq *= sq
-    var = np.add.reduce(sq, axis=1)
-    var /= count
-    return ChannelStats(mean=mean, var=np.maximum(var, 0.0, out=var), count=count)
+    mean = flat.mean(axis=1)
+    var = np.mean((flat - mean[:, None]) ** 2, axis=1)
+    return ChannelStats(mean=mean, var=np.maximum(var, 0.0), count=count)

@@ -257,10 +257,11 @@ def test_state_not_fitting_the_model_is_refused(key, value):
 
 
 def _batch_arrays(obj, n, path):
-    """Paths of the arrays with a leading batch axis of n in obj, looking
-    inside the tuples and dataclasses (such as a BN cache) that it holds."""
+    """Paths of the arrays in obj with a leading batch axis of n, or a flat
+    one whose length is a multiple of n (such as conv's scatter targets),
+    looking inside the tuples and dataclasses (such as a BN cache) it holds."""
     if isinstance(obj, np.ndarray):
-        return [path] if obj.ndim and obj.shape[0] == n else []
+        return [path] if obj.ndim and (obj.shape[0] == n or obj.size % n == 0) else []
     if isinstance(obj, tuple):
         items = enumerate(obj)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -276,31 +277,20 @@ def _held_batch_arrays(layer, n):
 
 @pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])
 def test_eval_forward_leaves_no_activation_in_any_layer(build):
-    # a train step fills every layer's backward state; an eval forward after
-    # it releases all of it, so inference holds only what it returns
-    n = 37  # no parameter has a leading axis of 37
+    # a train step fills every layer's backward state; switching to eval mode
+    # releases all of it, and an eval forward keeps none, so a validation pass
+    # after the step starts clean and inference holds only what it returns
+    n = 37  # no parameter's length or leading axis is a multiple of 37
     model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
     x = np.random.default_rng(1).normal(size=(n, 3, 4, 4))
     model.backward(np.ones(model.forward(x).shape))
     assert any(_held_batch_arrays(layer, n) for layer in model.layers)
     model.eval()
+    for i, layer in enumerate(model.layers):
+        assert _held_batch_arrays(layer, n) == [], f"layer{i} {type(layer).__name__}"
     assert model.forward(x).shape[0] == n
     for i, layer in enumerate(model.layers):
         assert layer.mode.value == "eval"
-        assert _held_batch_arrays(layer, n) == [], f"layer{i} {type(layer).__name__}"
-
-
-@pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])
-def test_eval_releases_the_backward_state_before_any_forward(build):
-    # switching to eval mode drops what the last train step kept, so a
-    # validation pass after the step starts from none of it
-    n = 37  # no parameter has a leading axis of 37
-    model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
-    x = np.random.default_rng(1).normal(size=(n, 3, 4, 4))
-    model.backward(np.ones(model.forward(x).shape))
-    assert any(_held_batch_arrays(layer, n) for layer in model.layers)
-    model.eval()
-    for i, layer in enumerate(model.layers):
         assert _held_batch_arrays(layer, n) == [], f"layer{i} {type(layer).__name__}"
 
 
@@ -336,7 +326,9 @@ def test_eval_forward_in_column_blocks_equals_whole_and_per_sample_forwards():
     layer = Conv3x3(c, 16, CounterRng(2), 22)
     layer.b[:] = np.linspace(-1.0, 1.0, 16)
     x = np.random.default_rng(6).normal(size=(n, c, hw, hw))
-    whole = layer.forward(x)  # train mode: one block
+    # train mode builds its columns in the same blocks; the single-block
+    # comparison is in test_conv_backward_from_its_input_equals_the_column_path
+    whole = layer.forward(x)
     blocked = layer.eval().forward(x)
     assert blocked.tobytes() == whole.tobytes()
     per_sample = np.concatenate([layer.forward(x[i : i + 1]) for i in range(n)])
@@ -344,9 +336,10 @@ def test_eval_forward_in_column_blocks_equals_whole_and_per_sample_forwards():
 
 
 def test_eval_forward_memory_is_bounded_by_activations_and_a_column_block():
-    # the widest activation (conv #2's output) is live at most three times
-    # over, at BN's input, centred copy and output; the columns add at most a
-    # block and its padded input (conv #2's whole im2col matrix is 9.4 MB)
+    # the widest activation (conv #2's output) is live about twice at once:
+    # BN's input and the centred copy that becomes its output, or ReLU's input,
+    # mask and output; the bound allows three copies. The columns add at most
+    # a block and its padded input (conv #2's whole im2col matrix is 9.4 MB)
     n, hw = 256, 8
     model = build_tiny_cnn((3, hw, hw), 4, BNVariant.STEIN, CounterRng(5))
     model.eval()
@@ -366,36 +359,45 @@ def test_eval_forward_memory_is_bounded_by_activations_and_a_column_block():
 def test_train_step_and_validation_memory_hold_inputs_not_columns():
     # TinyCNN at hw=8 and batch 64, the shape whose training sets eval-sweep's
     # peak: conv #2's im2col matrix of the batch is 2.4 MB, nine times its
-    # input. A train forward keeps the input, the backward gathers the columns
-    # once (no transposed copy) and drops them before the input gradient, and
-    # the validation pass after the step starts from no backward state. Layers
-    # that kept their columns through both would peak at about 9 MiB in each
+    # input, and its col2im scatter targets are as large. Tracing runs from
+    # before a first step, so whatever a layer holds across steps counts. A
+    # train forward keeps the input, the backward gathers the columns once (no
+    # transposed copy) and drops them before the input gradient, and eval()
+    # releases the backward state and the scatter targets, so the validation
+    # pass after a step starts clean. Layers that kept their columns and
+    # targets would peak at about 11 MiB in each
     hw, batch = 8, 64
-    model = build_tiny_cnn((3, hw, hw), 4, BNVariant.STEIN, CounterRng(5))
     rng = np.random.default_rng(1)
     x, labels = rng.normal(size=(batch, 3, hw, hw)), rng.integers(0, 4, batch)
     x_val = rng.normal(size=(256, 3, hw, hw))
 
-    def forward_loss():
+    def forward_loss(model):
         model.train()
         return softmax_cross_entropy(model.forward(x), labels)[1]
 
-    model.backward(forward_loss())  # first-call caches are not the step's
-    model.eval()
-    model.forward(x_val)
+    def validate(model):
+        model.eval()
+        model.forward(x_val)
+
+    def epoch(model):
+        model.backward(forward_loss(model))
+        validate(model)
+
+    mib = 2**20
+    epoch(build_tiny_cnn((3, hw, hw), 4, BNVariant.STEIN, CounterRng(4)))  # first-call caches
+    model = build_tiny_cnn((3, hw, hw), 4, BNVariant.STEIN, CounterRng(5))
     tracemalloc.start()
     try:
-        grad = forward_loss()
+        epoch(model)
+        grad = forward_loss(model)
         tracemalloc.reset_peak()
         model.backward(grad)
         del grad
         backward = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        model.eval()
-        model.forward(x_val)
+        validate(model)
         validation = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    mib = 2**20
-    assert backward <= 7.5 * mib, f"backward peak {backward / mib:.1f} MiB"
+    assert backward <= 9.0 * mib, f"backward peak {backward / mib:.1f} MiB"
     assert validation <= 6.0 * mib, f"validation peak {validation / mib:.1f} MiB"
