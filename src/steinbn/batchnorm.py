@@ -7,10 +7,13 @@ step is applied. Each variant is one rule from the batch statistics
 ``(mean, var, n)`` to its Correction, built from the coefficient rules in
 ``estimators``. Eval mode is a Correction too: coefficients 0 and offsets
 equal to the running statistics, applied to zero raw statistics, so train
-and eval share the forward and backward code. The backward pass treats the
-frozen coefficients as constants of the batch, so gradients flow through the
-raw moments exactly as in standard BN; with zero coefficients it reduces to
-the diagonal ``gamma * inv_std``.
+and eval share one forward: it centres, scales and shifts one copy of the
+input into the output, and only the running-statistics update is train-only.
+The forward cache holds the input and per-channel vectors; the backward
+recomputes the centred and normalized input from them. It treats the frozen
+coefficients as constants of the batch, so gradients flow through the raw
+moments exactly as in standard BN; with zero coefficients it reduces to the
+diagonal ``gamma * inv_std``.
 """
 
 from __future__ import annotations
@@ -131,12 +134,10 @@ class Correction(NamedTuple):
 
 @dataclass
 class BNForwardCache:
-    """Everything the backward pass needs, with the forward's exact inv_std.
-
-    ``centred`` is ``x - corrected_mean`` and ``normalized`` is ``centred *
-    inv_std``, in train mode. An eval-mode forward scales and shifts its
-    centred copy in place into the output and stores None for both; a
-    backward of an eval cache recomputes them.
+    """Everything the backward pass needs: the input and per-channel vectors,
+    with the forward's exact inv_std. The forward scales and shifts its
+    centred copy of x in place into the output, so the backward recomputes
+    ``x - corrected_mean`` and its normalized form with the same operations.
     """
 
     raw: ChannelStats
@@ -144,9 +145,7 @@ class BNForwardCache:
     corrected_mean: np.ndarray
     corrected_var: np.ndarray
     inv_std: np.ndarray
-    normalized: np.ndarray | None
     x: np.ndarray
-    centred: np.ndarray | None
 
 
 def _auto_c(layer: BNLayer, n: int, p: int) -> float:
@@ -198,23 +197,14 @@ def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCach
     corrected_var = np.maximum(corr.var_coef * raw.var + corr.var_offset, VAR_FLOOR)
     inv_std = 1.0 / np.sqrt(corrected_var + layer.eps)
 
-    centred = x - corrected_mean[None, :, None, None]
     if training:
-        # the backward reads the centred and the normalized input
-        normalized = centred * inv_std[None, :, None, None]
-        y = normalized * layer.gamma[None, :, None, None]
         bn_update_running(layer, ChannelStats(corrected_mean, corrected_var, raw.count))
-    else:
-        # nothing reads them, so the centred copy becomes the output
-        normalized, y = None, centred
-        y *= inv_std[None, :, None, None]
-        y *= layer.gamma[None, :, None, None]
+    # the centred copy becomes the output; the backward recomputes it from x
+    y = x - corrected_mean[None, :, None, None]
+    y *= inv_std[None, :, None, None]
+    y *= layer.gamma[None, :, None, None]
     y += layer.beta[None, :, None, None]
-    cache = BNForwardCache(
-        raw, corr, corrected_mean, corrected_var, inv_std, normalized, x,
-        centred if training else None,
-    )
-    return y, cache
+    return y, BNForwardCache(raw, corr, corrected_mean, corrected_var, inv_std, x)
 
 
 def bn_backward(
@@ -224,10 +214,8 @@ def bn_backward(
     g, x = grad_out, cache.x
     if g.shape != x.shape:
         raise InvalidInputError("grad_out shape does not match cached forward input")
-    centred, normalized = cache.centred, cache.normalized
-    if centred is None:  # an eval-mode cache
-        centred = x - cache.corrected_mean[None, :, None, None]
-        normalized = centred * cache.inv_std[None, :, None, None]
+    centred = x - cache.corrected_mean[None, :, None, None]
+    normalized = centred * cache.inv_std[None, :, None, None]
     grad_beta = g.sum(axis=(0, 2, 3))
     grad_gamma = (g * normalized).sum(axis=(0, 2, 3))
 

@@ -17,11 +17,12 @@ missing or misshapen array and, for BN, a negative running variance.
 Every layer has a ``mode``, set by ``train()`` and ``eval()`` (BN's is its
 BNLayer mode). A forward keeps what its backward reads, in one attribute per
 layer, only in train mode: Conv3x3 and Dense keep their input, ReLU its mask
-and BN its forward cache. In eval mode a forward keeps nothing, and a
-backward after it is refused; ``eval()`` itself releases what the last
-train step kept (Conv3x3 also its scatter targets), so inference starts
-clean. The forward arithmetic is the same in both modes, so eval outputs are
-bit-identical to those of a train-mode pass with the same statistics.
+and BN its input and per-channel vectors. In eval mode a forward keeps
+nothing, and a backward after it is refused; ``eval()`` itself releases what
+the last train step kept (Conv3x3 also its scatter targets), so inference
+starts clean. The forward arithmetic is the same in both modes, so eval
+outputs are bit-identical to those of a train-mode pass with the same
+statistics.
 """
 
 from __future__ import annotations
@@ -128,6 +129,16 @@ def _tap_index(c: int, h: int, w: int) -> np.ndarray:
     return idx
 
 
+@functools.lru_cache(maxsize=8)
+def _plane_tap_index(n: int, h: int, w: int) -> np.ndarray:
+    """Flat (dh*3+dw, s, h, w) index of each tap into n zero-padded planes laid
+    end to end: ``_tap_index(1, h, w)`` offset to each sample s's plane."""
+    planes = np.arange(n)[:, None] * ((h + 2) * (w + 2))
+    idx = (_tap_index(1, h, w).reshape(9, 1, h * w) + planes).ravel()
+    idx.setflags(write=False)
+    return idx
+
+
 class Conv3x3(Layer):
     """3x3 convolution with padding 1 and stride 1, as im2col + GEMM.
 
@@ -159,7 +170,8 @@ class Conv3x3(Layer):
     keeps its input instead, nine times smaller than its columns, and the
     backward gathers the columns of the whole batch from it once, already
     in the (in*9, N*H*W) layout of the weight-gradient GEMM
-    (``_channel_cols``), and drops them before the input gradient.
+    (``_channel_cols``, through the cached ``_plane_tap_index``), and drops
+    them before the input gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: CounterRng, tag: int):
@@ -186,10 +198,7 @@ class Conv3x3(Layer):
         n, c, h, w = x.shape
         padded = np.zeros((c, n, h + 2, w + 2))
         padded[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
-        # each tap of one padded plane, offset to sample s's plane: (k, s, h*w)
-        planes = np.arange(n)[:, None] * ((h + 2) * (w + 2))
-        idx = (_tap_index(1, h, w).reshape(9, 1, h * w) + planes).ravel()
-        return padded.reshape(c, -1).take(idx, axis=1).reshape(c * 9, n * h * w)
+        return padded.reshape(c, -1).take(_plane_tap_index(n, h, w), axis=1).reshape(c * 9, n * h * w)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape

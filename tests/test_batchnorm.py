@@ -5,6 +5,7 @@ keeps the per-batch correction coefficients frozen at the base point — the
 same stop-gradient convention the analytic backward implements.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -132,6 +133,20 @@ class TestForward:
         bn_forward(layer, rand_batch((2, 2, 2, 2), seed=6))
         np.testing.assert_array_equal(layer.running_mean, before[0])
         np.testing.assert_array_equal(layer.running_var, before[1])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_eval_with_the_batch_statistics_is_the_train_forward(self, variant):
+        # one output path for both modes: an eval layer whose running
+        # statistics are a train batch's corrected ones returns the same bytes
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(5, 4, 3, 3)) * np.array([0.5, 1.0, 2.0, 4.0])[None, :, None, None]
+        affine = dict(lam=0.05, gamma=rng.normal(size=4) + 1.5, beta=rng.normal(size=4))
+        y_train, cache = bn_forward(make_layer(variant, **affine), x)
+        layer = make_layer(
+            variant, running_mean=cache.corrected_mean, running_var=cache.corrected_var, **affine
+        ).eval()
+        y_eval, _ = bn_forward(layer, x)
+        assert y_eval.tobytes() == y_train.tobytes()
 
     def test_train_mode_stores_corrected_running_stats(self):
         layer = make_layer("stein", c=4, momentum=1.0)
@@ -293,6 +308,19 @@ class TestBackward:
         gin, _, _ = bn_backward(layer, cache, g)
         expected = g * (layer.gamma / np.sqrt(layer.running_var + layer.eps))[None, :, None, None]
         np.testing.assert_allclose(gin, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_train_forward_keeps_no_activation_but_its_input(self, variant):
+        # the backward recomputes the centred and normalized input, so of the
+        # arrays the layer keeps, only x itself is activation-sized
+        layer = BatchNorm(4, variant, lam=0.05)
+        x = rand_batch((3, 4, 2, 2), seed=22)
+        layer.forward(x)
+        cache = layer._kept()
+        kept = [getattr(cache, f.name) for f in dataclasses.fields(cache)]
+        kept += [v for part in kept if isinstance(part, tuple) for v in part]
+        shaped = [v for v in kept if isinstance(v, np.ndarray) and v.shape == x.shape]
+        assert len(shaped) == 1 and shaped[0] is x
 
 
 class TestRunningStats:

@@ -194,6 +194,30 @@ class TestJsVarianceChannels:
         with pytest.raises(InvalidInputError):
             js_variance_channels(np.ones(3), n=1, c=0.0)
 
+    @given(
+        n=st.integers(2, 4096),
+        p=st.integers(2, 64),
+        c_frac=st.floats(0.0, 2.0),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_is_theorem_2_on_the_beta_scale(self, n, p, c_frac, scale, seed):
+        # a channel's batch variance is Gamma(alpha=(n-1)/2, beta=2 sigma^2/n)
+        # and BN estimates sigma^2 = (n/2) beta, so its rule and its bound are
+        # Theorem 2's estimator of beta and bound, scaled by n/2, at c = 2c~/n
+        alpha = (n - 1) / 2.0
+        bound = variance_c_bound(n, p)
+        assert bound == pytest.approx(n / 2.0 * classical_c_bound(alpha, p), rel=1e-14)
+        var = scale * np.random.default_rng(seed).uniform(0.05, 20.0, size=p)
+        c = c_frac * bound
+        np.testing.assert_allclose(
+            js_variance_channels(var, n, c),
+            n / 2.0 * gamma_scale_shrink(var, alpha, 2.0 * c / n),
+            rtol=1e-14,
+            atol=0,
+        )
+
 
 class TestVarianceGammaParams:
     def test_paper_substitution(self):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -366,6 +368,30 @@ class TestTraining:
             digest.update(key.encode())
             digest.update(np.ascontiguousarray(ckpt.arrays[key]).tobytes())
         assert digest.hexdigest() == "074ee4ed222dfdad58ab41984ab401e34164ad5e2466bf4e190262d124ae1fee"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_golden_tiny_cnn_checkpoint_for_any_blas_thread_count(self, threads):
+        # OpenBLAS reads its thread count once, at import, so each count
+        # trains the run above in a fresh interpreter
+        script = (
+            "import hashlib\n"
+            "from steinbn.harness import ExperimentConfig, make_dataset, train_model\n"
+            "cfg = ExperimentConfig(model='TinyCNN', bn_variant='stein', batch_size=32, hw=4,\n"
+            "    n_per_class=25, max_epochs=2, learning_rate=0.05, seeds=[3])\n"
+            "arrays = train_model(cfg, make_dataset(cfg, seed=3), seed=3).arrays\n"
+            "digest = hashlib.sha256()\n"
+            "for key in sorted(arrays):\n"
+            "    digest.update(key.encode())\n"
+            "    digest.update(arrays[key].tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "074ee4ed222dfdad58ab41984ab401e34164ad5e2466bf4e190262d124ae1fee"
 
     def test_golden_tiny_cnn_checkpoint_file(self, tmp_path):
         # sha256 of the saved .ckpt file of the run above, so the order in
