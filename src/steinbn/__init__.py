@@ -27,7 +27,7 @@ from .estimators import (
     perturbed_c_bound,
 )
 from .noise import NoiseSpec, levy_gauss_quantile, levy_gauss_cdf, subgaussian_proxy_of_bound
-from .batchnorm import BNLayer, BNForwardCache, BNVariant, bn_forward, bn_backward, bn_update_running
+from .batchnorm import BNLayer, BNForwardCache, BNVariant, bn_forward, bn_backward
 
 __all__ = [
     "Tensor4",
@@ -57,5 +57,4 @@ __all__ = [
     "BNVariant",
     "bn_forward",
     "bn_backward",
-    "bn_update_running",
 ]

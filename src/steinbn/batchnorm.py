@@ -8,7 +8,8 @@ step is applied. Each variant is one rule from the batch statistics
 ``estimators``. Eval mode is a Correction too: coefficients 0 and offsets
 equal to the running statistics, applied to zero raw statistics, so train
 and eval share one forward: it centres, scales and shifts one copy of the
-input into the output, and only the running-statistics update is train-only.
+input into the output, and only the running-statistics update, an EMA of the
+corrected statistics taken inside ``bn_forward``, is train-only.
 The forward cache holds the input and per-channel vectors; the backward
 recomputes the centred and normalized input from them. It treats the frozen
 coefficients as constants of the batch, so gradients flow through the raw
@@ -59,7 +60,8 @@ class BNLayer:
     c_tilde=None selects the midpoint of the classical admissible interval
     for the current (n, C) at every forward call. lam is the shared Lasso/
     Ridge penalty. Running statistics store the CORRECTED statistics so
-    eval mode inherits the shrinkage.
+    eval mode inherits the shrinkage; only a train-mode ``bn_forward`` changes
+    them. ``BNLayer(..., mode="eval")`` builds an eval-mode layer.
     """
 
     num_channels: int
@@ -99,14 +101,6 @@ class BNLayer:
             setattr(self, name, v)
         if np.any(self.running_var < 0):
             raise InvalidInputError("running_var entries must be non-negative")
-
-    def train(self) -> "BNLayer":
-        self.mode = BNMode.TRAIN
-        return self
-
-    def eval(self) -> "BNLayer":
-        self.mode = BNMode.EVAL
-        return self
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {
@@ -198,7 +192,9 @@ def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCach
     inv_std = 1.0 / np.sqrt(corrected_var + layer.eps)
 
     if training:
-        bn_update_running(layer, ChannelStats(corrected_mean, corrected_var, raw.count))
+        mom = layer.momentum
+        layer.running_mean = (1.0 - mom) * layer.running_mean + mom * corrected_mean
+        layer.running_var = (1.0 - mom) * layer.running_var + mom * corrected_var
     # the centred copy becomes the output; the backward recomputes it from x
     y = x - corrected_mean[None, :, None, None]
     y *= inv_std[None, :, None, None]
@@ -247,12 +243,3 @@ def bn_backward(
     grad_in += (dmean / m)[None, :, None, None]
     return grad_in, grad_gamma, grad_beta
 
-
-def bn_update_running(layer: BNLayer, corrected: ChannelStats) -> BNLayer:
-    """EMA update with the corrected statistics; train mode only."""
-    if layer.mode != BNMode.TRAIN:
-        raise InvalidInputError("running statistics update requires train mode")
-    mom = layer.momentum
-    layer.running_mean = (1.0 - mom) * layer.running_mean + mom * corrected.mean
-    layer.running_var = (1.0 - mom) * layer.running_var + mom * corrected.var
-    return layer

@@ -282,7 +282,10 @@ def _cmd_report(args) -> int:
     rows = []
     for path in args.inputs:
         with open(path) as f:
-            rows.extend(rows_from_csv(f.read()))
+            try:
+                rows.extend(rows_from_csv(f.read()))
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{path}: {exc}") from None
     if not rows:
         raise InvalidInputError("no result rows found in the given inputs")
     summary = aggregate_results(rows)

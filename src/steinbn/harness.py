@@ -160,9 +160,10 @@ class ExperimentConfig:
     def from_dict(cls, d) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise InvalidInputError(f"config must be a JSON object, got {type(d).__name__}")
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
+        if "lambda" in d and "lam" in d:
+            raise InvalidInputError("config gives both 'lambda' and 'lam'; give one")
         types = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
+        types["lambda"] = types["lam"]
         for key, value in d.items():
             if key not in types:
                 raise InvalidInputError(f"unknown config key {key!r}")
@@ -171,7 +172,7 @@ class ExperimentConfig:
                 raise InvalidInputError(
                     f"config key {key!r} has a {type(value).__name__} value: {value!r}"
                 )
-        return cls(**d)
+        return cls(**{("lam" if key == "lambda" else key): value for key, value in d.items()})
 
 
 @dataclass
@@ -200,20 +201,31 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 
 def rows_from_csv(text: str) -> list[ResultRow]:
-    clean = "\n".join(ln for ln in text.splitlines() if ln and not ln.startswith("#"))
-    reader = csv.DictReader(io.StringIO(clean))
-    return [
-        ResultRow(
-            method=r["method"],
-            batch_size=int(r["batch_size"]),
-            noise_pct=float(r["noise_pct"]),
-            seed=int(r["seed"]),
-            metric=r["metric"],
-            value=float(r["value"]),
-            epochs=int(r["epochs"]),
+    """The rows of a results CSV. A header without one of ``RESULTS_HEADER``'s
+    columns, or a row whose field count differs from the header's, is refused."""
+    kept = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln and not ln.startswith("#")]
+    reader = csv.DictReader(ln for _, ln in kept)
+    missing = [col for col in RESULTS_HEADER.split(",") if col not in (reader.fieldnames or ())]
+    if kept and missing:
+        raise InvalidInputError(f"line {kept[0][0]}: results header has no column {', '.join(missing)}")
+    rows = []
+    for r in reader:
+        # a short row's missing fields read None; a long row's extras sit under the key None
+        if None in r or None in r.values():
+            line_no = kept[reader.line_num - 1][0]
+            raise InvalidInputError(f"line {line_no}: its field count differs from the header's")
+        rows.append(
+            ResultRow(
+                method=r["method"],
+                batch_size=int(r["batch_size"]),
+                noise_pct=float(r["noise_pct"]),
+                seed=int(r["seed"]),
+                metric=r["metric"],
+                value=float(r["value"]),
+                epochs=int(r["epochs"]),
+            )
         )
-        for r in reader
-    ]
+    return rows
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -390,31 +402,33 @@ def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkp
     # activations are not checked on the step path; a diverging run surfaces
     # as a non-finite model output, either the training loss or the logits of
     # the validation pass (the last step of an epoch can break the weights
-    # with a finite loss), and ends the run
+    # with a finite loss), and ends the run with one warning; numpy's
+    # floating-point warnings on the way there would only repeat it
     try:
-        for epoch in range(1, config.max_epochs + 1):
-            model.train()
-            order = np.argsort(shuffle_rng.uniform(tr.size, 104, epoch), kind="stable")
-            for lo in range(0, tr.size - 1, config.batch_size):
-                # each batch is gathered from the dataset; the training split is never copied
-                idx = tr[order[lo : lo + config.batch_size]]
-                if idx.size < 2:
-                    continue  # BN needs at least 2 samples
-                logits = model.forward(dataset.images[idx])
-                loss, grad = softmax_cross_entropy(logits, dataset.labels[idx])
-                if not np.isfinite(loss):
-                    raise NonFiniteError(f"loss={loss}")
-                model.backward(grad)
-                opt.step()
-            val_acc = _evaluate(model, x_va, y_va)
-            if val_acc > best_val:
-                best_val = val_acc
-                best_state = {k: v.copy() for k, v in model.state_arrays().items()}
-                best_epoch, stale = epoch, 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    break
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for epoch in range(1, config.max_epochs + 1):
+                model.train()
+                order = np.argsort(shuffle_rng.uniform(tr.size, 104, epoch), kind="stable")
+                for lo in range(0, tr.size - 1, config.batch_size):
+                    # each batch is gathered from the dataset; the training split is never copied
+                    idx = tr[order[lo : lo + config.batch_size]]
+                    if idx.size < 2:
+                        continue  # BN needs at least 2 samples
+                    logits = model.forward(dataset.images[idx])
+                    loss, grad = softmax_cross_entropy(logits, dataset.labels[idx])
+                    if not np.isfinite(loss):
+                        raise NonFiniteError(f"loss={loss}")
+                    model.backward(grad)
+                    opt.step()
+                val_acc = _evaluate(model, x_va, y_va)
+                if val_acc > best_val:
+                    best_val = val_acc
+                    best_state = {k: v.copy() for k, v in model.state_arrays().items()}
+                    best_epoch, stale = epoch, 0
+                else:
+                    stale += 1
+                    if stale >= config.early_stop_patience:
+                        break
     except NonFiniteError as exc:
         warnings.warn(f"diverged at epoch {epoch} ({exc}); run marked failed")
         return Checkpoint(config, seed, best_state, epoch, best_val, diverged=True)
@@ -530,11 +544,9 @@ def run_sweep(config: ExperimentConfig, checkpoint_dir=None) -> list[ResultRow]:
 def aggregate_results(rows: list[ResultRow]) -> str:
     """Mean and sample sd per (method, batch_size, noise) cell, as CSV."""
     cells: dict[tuple, list[float]] = {}
-    epochs: dict[tuple, list[int]] = {}
     for r in rows:
         key = (r.method, r.batch_size, r.noise_pct, r.metric)
         cells.setdefault(key, []).append(r.value)
-        epochs.setdefault(key, []).append(r.epochs)
     buf = io.StringIO()
     buf.write("method,batch_size,noise_pct,metric,mean,sd,n_seeds\n")
     for key in sorted(cells):

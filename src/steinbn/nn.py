@@ -272,9 +272,6 @@ class BatchNorm(BNLayer, Layer):
     """A BNLayer in the layer stack: its state, mode and checkpoint arrays are
     the BNLayer's; forward and backward run the BN core on it."""
 
-    # BNLayer.eval comes first in the MRO; this one also releases the cache
-    eval = Layer.eval
-
     def __post_init__(self):
         super().__post_init__()
         self.dgamma = np.zeros(self.num_channels)

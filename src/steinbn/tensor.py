@@ -49,8 +49,8 @@ class Tensor4:
 class ChannelStats(NamedTuple):
     """Per-channel mean/variance with the population (1/n) convention.
 
-    Built only inside the program (``channel_moments`` clamps ``var`` at 0),
-    so it carries no checks of its own.
+    Built only inside the program, where ``channel_moments``'s ``var`` is a
+    mean of squares and never negative, so it carries no checks of its own.
     """
 
     mean: np.ndarray
@@ -71,4 +71,4 @@ def channel_moments(x: np.ndarray) -> ChannelStats:
     flat = x.transpose(1, 0, 2, 3).reshape(c, count)
     mean = flat.mean(axis=1)
     var = np.mean((flat - mean[:, None]) ** 2, axis=1)
-    return ChannelStats(mean=mean, var=np.maximum(var, 0.0), count=count)
+    return ChannelStats(mean=mean, var=var, count=count)

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from steinbn.batchnorm import (
     BNLayer,
+    BNMode,
     BNVariant,
     bn_backward,
     bn_forward,
-    bn_update_running,
     correction_coefficients,
 )
 from steinbn.estimators import VAR_FLOOR
@@ -103,7 +103,7 @@ class TestForward:
             np.testing.assert_allclose(y, y_std, atol=1e-12)
 
     def test_eval_mode_affine_in_running_stats(self):
-        layer = make_layer("stein", c=2).eval()
+        layer = make_layer("stein", c=2, mode="eval")
         layer.running_mean = np.array([1.0, -2.0])
         layer.running_var = np.array([4.0, 0.25])
         x = rand_batch((2, 2, 2, 2), seed=5)
@@ -119,7 +119,7 @@ class TestForward:
         np.testing.assert_array_equal(cache.corrected_mean, layer.running_mean)
 
     def test_eval_unit_standardized_value(self):
-        layer = make_layer("standard", c=2, eps=1e-3).eval()
+        layer = make_layer("standard", c=2, eps=1e-3, mode="eval")
         layer.running_mean = np.array([2.0, -1.0])
         layer.running_var = np.array([4.0, 9.0])
         shift = layer.running_mean + np.sqrt(layer.running_var + layer.eps)
@@ -128,7 +128,7 @@ class TestForward:
         np.testing.assert_allclose(y, 1.0, atol=1e-12)
 
     def test_eval_mode_does_not_touch_running_stats(self):
-        layer = make_layer("standard", c=2).eval()
+        layer = make_layer("standard", c=2, mode="eval")
         before = layer.running_mean.copy(), layer.running_var.copy()
         bn_forward(layer, rand_batch((2, 2, 2, 2), seed=6))
         np.testing.assert_array_equal(layer.running_mean, before[0])
@@ -143,8 +143,9 @@ class TestForward:
         affine = dict(lam=0.05, gamma=rng.normal(size=4) + 1.5, beta=rng.normal(size=4))
         y_train, cache = bn_forward(make_layer(variant, **affine), x)
         layer = make_layer(
-            variant, running_mean=cache.corrected_mean, running_var=cache.corrected_var, **affine
-        ).eval()
+            variant, running_mean=cache.corrected_mean, running_var=cache.corrected_var,
+            mode="eval", **affine
+        )
         y_eval, _ = bn_forward(layer, x)
         assert y_eval.tobytes() == y_train.tobytes()
 
@@ -283,7 +284,7 @@ class TestBackward:
         if mode == "eval":
             layer.running_mean = rng.normal(size=c)
             layer.running_var = rng.uniform(0.1, 3.0, size=c)
-            layer.eval()
+            layer.mode = BNMode.EVAL
         g = rng.normal(size=x_arr.shape)
         assert self.fd_gradient_error(layer, x_arr, g) < 1e-6
 
@@ -300,7 +301,7 @@ class TestBackward:
         assert self.fd_gradient_error(make_layer(variant, lam=0.5), x_arr, g) < 1e-6
 
     def test_eval_mode_backward_is_diagonal(self):
-        layer = make_layer("standard", c=2).eval()
+        layer = make_layer("standard", c=2, mode="eval")
         layer.running_var = np.array([4.0, 1.0])
         x = rand_batch((2, 2, 2, 2), seed=13)
         g = rand_batch((2, 2, 2, 2), seed=14)
@@ -325,11 +326,12 @@ class TestBackward:
 
 class TestRunningStats:
     def test_momentum_one_replaces(self):
-        layer = make_layer("standard", c=2, momentum=1.0)
-        stats = ChannelStats(np.array([1.0, 2.0]), np.array([3.0, 4.0]), count=8)
-        bn_update_running(layer, stats)
-        np.testing.assert_array_equal(layer.running_mean, stats.mean)
-        np.testing.assert_array_equal(layer.running_var, stats.var)
+        x = rand_batch((3, 4, 2, 2), seed=18)
+        for variant in VARIANTS:
+            layer = make_layer(variant, momentum=1.0, lam=0.05)
+            _, cache = bn_forward(layer, x)
+            np.testing.assert_array_equal(layer.running_mean, cache.corrected_mean)
+            np.testing.assert_array_equal(layer.running_var, cache.corrected_var)
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -340,18 +342,15 @@ class TestRunningStats:
             make_layer("standard", momentum=0.0)
 
     def test_ema_converges_monotonically(self):
+        # the same batch every step, with mean 10 and variance 4
         layer = make_layer("standard", c=1, momentum=0.5)
-        target = ChannelStats(np.array([10.0]), np.array([2.0]), count=8)
+        x = np.array([8.0, 12.0]).reshape(2, 1, 1, 1)
         gaps = []
         for _ in range(5):
-            bn_update_running(layer, target)
-            gaps.append(abs(layer.running_mean[0] - 10.0))
-        assert all(g1 < g0 for g0, g1 in zip(gaps, gaps[1:]))
-
-    def test_eval_mode_update_rejected(self):
-        layer = make_layer("standard", c=1).eval()
-        with pytest.raises(InvalidInputError):
-            bn_update_running(layer, ChannelStats(np.array([0.0]), np.array([1.0]), count=4))
+            bn_forward(layer, x)
+            gaps.append((abs(layer.running_mean[0] - 10.0), abs(layer.running_var[0] - 4.0)))
+        for (m0, v0), (m1, v1) in zip(gaps, gaps[1:]):
+            assert m1 < m0 and v1 < v0
 
 
 class TestLayerState:
@@ -401,7 +400,7 @@ def _golden_bn_cases(variant):
             if mode == "eval":
                 layer.running_mean = rng.normal(size=c)
                 layer.running_var = rng.uniform(0.1, 3.0, size=c)
-                layer.eval()
+                layer.mode = BNMode.EVAL
             yield layer, x_arr, rng.normal(size=x_arr.shape)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from steinbn import __version__
 from steinbn.cli import _build_parser, run_cli
-from steinbn.harness import Checkpoint, ExperimentConfig, load_arrays, rows_from_csv
+from steinbn.harness import RESULTS_HEADER, Checkpoint, ExperimentConfig, load_arrays, rows_from_csv
 
 FAST_CONFIG = dict(
     dataset="SyntheticBlobs",
@@ -517,6 +517,23 @@ class TestTrainEvalReport:
         empty.write_text("method,batch_size,noise_pct,seed,metric,value,epochs\n")
         assert run_cli(["report", str(empty), "--out", str(tmp_path / "s.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2\n", "line 1: results header has no column method"),
+            ("# a comment\n" + RESULTS_HEADER + "\nstein,32,0\n",
+             "line 3: its field count differs from the header's"),
+        ],
+    )
+    def test_report_malformed_csv_exit_1(self, tmp_path, capsys, text, message):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(text)
+        out = tmp_path / "s.csv"
+        assert run_cli(["report", str(rows), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rows}: ") and message in err
+        assert not out.exists()
+
     def test_missing_config_exit_1(self, tmp_path):
         assert run_cli(["train", "--config", str(tmp_path / "none.json"),
                         "--out", str(tmp_path / "o.csv")]) == 1
@@ -571,6 +588,10 @@ class TestTrainEvalReport:
             ({"dataset": "CIFAR10"}, "'dataset' must be 'SyntheticBlobs', got 'CIFAR10'"),
             ({"bn_variant": "steins"}, "'bn_variant' must be one of 'standard', 'stein', "
              "'mean-only', 'khoshsirat', 'lasso', 'ridge', got 'steins'"),
+            # the key was renamed before its type check, which named 'lam', and
+            # a config giving both kept one of them silently
+            ({"lambda": "x"}, "config key 'lambda' has a str value: 'x'"),
+            ({"lambda": 0.5, "lam": 0.1}, "config gives both 'lambda' and 'lam'"),
         ],
     )
     def test_bad_config_exit_1(self, tmp_path, capsys, config, message):

@@ -157,6 +157,11 @@ class TestConfig:
         back = ExperimentConfig.from_json(text)
         assert back == cfg
 
+    def test_from_dict_leaves_the_callers_dict_unchanged(self):
+        d = {"bn_variant": "lasso", "lambda": 0.05}
+        assert ExperimentConfig.from_dict(d).lam == 0.05
+        assert d == {"bn_variant": "lasso", "lambda": 0.05}
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(batch_size=1)

@@ -335,6 +335,35 @@ def test_eval_forward_in_column_blocks_equals_whole_and_per_sample_forwards():
     assert blocked.tobytes() == per_sample.tobytes()
 
 
+@given(
+    build=st.sampled_from([build_tiny_cnn, build_mlp2]),
+    variant=st.sampled_from(list(BNVariant)),
+    n=st.integers(4, 400),
+    cuts=st.lists(st.integers(2, 398), max_size=8),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_eval_logits_do_not_depend_on_how_a_split_is_cut(build, variant, n, cuts, seed):
+    # in eval mode each sample's logits depend on that sample alone, to the
+    # bit, for chunks of two or more rows; a 1-row chunk takes Dense's GEMV
+    # path, whose round-off differs from the batched product's
+    rng = np.random.default_rng(seed)
+    model = build((3, 4, 4), 4, variant, CounterRng(seed))
+    for layer in model.layers:
+        if isinstance(layer, BatchNorm):
+            layer.running_mean = rng.normal(size=layer.num_channels)
+            layer.running_var = rng.uniform(0.1, 3.0, size=layer.num_channels)
+    model.eval()
+    x = rng.normal(size=(n, 3, 4, 4))
+    bounds = [0]
+    for cut in sorted(cuts):
+        if cut - bounds[-1] >= 2 and n - cut >= 2:
+            bounds.append(cut)
+    bounds.append(n)
+    chunks = [model.forward(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.concatenate(chunks).tobytes() == model.forward(x).tobytes()
+
+
 def test_eval_forward_memory_is_bounded_by_activations_and_a_column_block():
     # the widest activation (conv #2's output) is live about twice at once:
     # BN's input and the centred copy that becomes its output, or ReLU's input,
