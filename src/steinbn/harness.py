@@ -84,12 +84,32 @@ _DOMAINS = {
 }
 
 
+def _check_domain(key: str, name: str, value) -> None:
+    """Refuse a value outside field name's domain, naming the config key it was given as."""
+    domain, ok = _DOMAINS[name]
+    if not ok(value):
+        raise InvalidInputError(f"config key {key!r} must be {domain}, got {value!r}")
+
+
+def _level_key(level_pct: float) -> int:
+    """Stream-key part of a noise level's draws: the level in hundredths of a percent."""
+    return int(round(level_pct * 100))
+
+
 def check_noise_levels(levels) -> None:
-    """Refuse any noise level that is not a finite number of percent in [0, 100]."""
+    """Refuse any noise level that is not a finite number of percent in [0, 100],
+    and two different levels that would draw their noise from one stream."""
+    by_key = {}
     for level in levels:
         # bool is a numbers.Real, and a level of true would run as 1%
         if isinstance(level, bool) or not (isinstance(level, numbers.Real) and 0 <= level <= 100):
             raise InvalidInputError(f"noise level {level!r} is not a number in [0, 100]")
+        other = by_key.setdefault(_level_key(level), level)
+        if other != level:
+            raise InvalidInputError(
+                f"noise levels {other!r} and {level!r} would draw the same noise; "
+                "levels that round to the same 0.01 share one stream"
+            )
 
 
 @dataclass
@@ -121,11 +141,8 @@ class ExperimentConfig:
     feature_noise: bool = False
 
     def __post_init__(self):
-        for name, (domain, ok) in _DOMAINS.items():
-            value = getattr(self, name)
-            if not ok(value):
-                key = "lambda" if name == "lam" else name
-                raise InvalidInputError(f"config key {key!r} must be {domain}, got {value!r}")
+        for name in _DOMAINS:
+            _check_domain(name, name, getattr(self, name))
         n = self.n_classes * self.n_per_class
         sizes = split_sizes(n)
         if not all(sizes):
@@ -163,16 +180,21 @@ class ExperimentConfig:
         if "lambda" in d and "lam" in d:
             raise InvalidInputError("config gives both 'lambda' and 'lam'; give one")
         types = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
-        types["lambda"] = types["lam"]
+        kwargs = {}
         for key, value in d.items():
-            if key not in types:
+            name = "lam" if key == "lambda" else key
+            if name not in types:
                 raise InvalidInputError(f"unknown config key {key!r}")
             # JSON true is a Python int; only a bool field takes it
-            if not isinstance(value, types[key]) or (isinstance(value, bool) and types[key] is not bool):
+            if not isinstance(value, types[name]) or (isinstance(value, bool) and types[name] is not bool):
                 raise InvalidInputError(
                     f"config key {key!r} has a {type(value).__name__} value: {value!r}"
                 )
-        return cls(**{("lam" if key == "lambda" else key): value for key, value in d.items()})
+            # __post_init__ checks the domain again, but names the field, not the key
+            if name in _DOMAINS:
+                _check_domain(key, name, value)
+            kwargs[name] = value
+        return cls(**kwargs)
 
 
 @dataclass
@@ -187,7 +209,7 @@ class ResultRow:
 
     def __post_init__(self):
         if not (0.0 <= self.value <= 100.0):
-            raise InvalidInputError("metric values are percentages in [0, 100]")
+            raise InvalidInputError(f"metric value {self.value!r} is not a percentage in [0, 100]")
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
@@ -202,7 +224,8 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 def rows_from_csv(text: str) -> list[ResultRow]:
     """The rows of a results CSV. A header without one of ``RESULTS_HEADER``'s
-    columns, or a row whose field count differs from the header's, is refused."""
+    columns, a row whose field count differs from the header's, a field that
+    does not parse and a value outside [0, 100] are refused, naming the line."""
     kept = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln and not ln.startswith("#")]
     reader = csv.DictReader(ln for _, ln in kept)
     missing = [col for col in RESULTS_HEADER.split(",") if col not in (reader.fieldnames or ())]
@@ -210,21 +233,24 @@ def rows_from_csv(text: str) -> list[ResultRow]:
         raise InvalidInputError(f"line {kept[0][0]}: results header has no column {', '.join(missing)}")
     rows = []
     for r in reader:
+        line_no = kept[reader.line_num - 1][0]
         # a short row's missing fields read None; a long row's extras sit under the key None
         if None in r or None in r.values():
-            line_no = kept[reader.line_num - 1][0]
             raise InvalidInputError(f"line {line_no}: its field count differs from the header's")
-        rows.append(
-            ResultRow(
-                method=r["method"],
-                batch_size=int(r["batch_size"]),
-                noise_pct=float(r["noise_pct"]),
-                seed=int(r["seed"]),
-                metric=r["metric"],
-                value=float(r["value"]),
-                epochs=int(r["epochs"]),
+        try:
+            rows.append(
+                ResultRow(
+                    method=r["method"],
+                    batch_size=int(r["batch_size"]),
+                    noise_pct=float(r["noise_pct"]),
+                    seed=int(r["seed"]),
+                    metric=r["metric"],
+                    value=float(r["value"]),
+                    epochs=int(r["epochs"]),
+                )
             )
-        )
+        except ValueError as exc:  # a field int() or float() cannot read, or ResultRow's refusal
+            raise InvalidInputError(f"line {line_no}: {exc}") from None
     return rows
 
 
@@ -451,9 +477,9 @@ def _noisy_inputs(
     if level_pct == 0:
         return clean
     rng = CounterRng(seed)
-    unit = sample_noise_flat(
-        unit_spec, clean.size, rng, 105, int(round(level_pct * 100))
-    ).reshape(clean.shape)
+    unit = sample_noise_flat(unit_spec, clean.size, rng, 105, _level_key(level_pct)).reshape(
+        clean.shape
+    )
     sigma = (level_pct / 100.0) * ch_std
     unit *= sigma[None, :, None, None]
     unit += clean

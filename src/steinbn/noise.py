@@ -56,14 +56,24 @@ def levy_gauss_cdf(x, sigma: float = 1.0):
     return 0.5 + np.arctan(math.sqrt(2.0) * x / sigma) / math.pi
 
 
+def _quantile(u: np.ndarray, sigma: float) -> np.ndarray:
+    """F^-1(u) = (sigma / sqrt(2)) * tan(pi * (u - 1/2)), unchecked, written
+    over u (a float64 array the caller owns) and returned."""
+    u -= 0.5
+    u *= math.pi
+    np.tan(u, out=u)
+    u *= sigma / math.sqrt(2.0)
+    return u
+
+
 def levy_gauss_quantile(u, sigma: float = 1.0):
     """Inverse CDF: F^-1(u) = (sigma / sqrt(2)) * tan(pi * (u - 1/2))."""
-    u = np.asarray(u, dtype=np.float64)
+    u = np.array(u, dtype=np.float64)  # a copy: _quantile overwrites it
     if sigma <= 0:
         raise InvalidInputError("sigma must be positive")
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise InvalidInputError("quantile argument must lie strictly inside (0, 1)")
-    out = (sigma / math.sqrt(2.0)) * np.tan(math.pi * (u - 0.5))
+    out = _quantile(u, sigma)
     return float(out) if out.ndim == 0 else out
 
 
@@ -76,9 +86,12 @@ def _sample_levy_gauss(
 
     Only the entries still out of bounds are redrawn (index-array uniforms),
     which gives the same bits as redrawing the whole block and keeping the
-    fresh values only where the old ones were out of bounds.
+    fresh values only where the old ones were out of bounds. Counter uniforms
+    lie strictly inside (0, 1) and the spec has checked sigma, so the
+    quantile is taken in place on the fresh uniforms, without
+    ``levy_gauss_quantile``'s checks.
     """
-    out = levy_gauss_quantile(rng.uniform(count, *stream, 0, offset=offset), sigma)
+    out = _quantile(rng.uniform(count, *stream, 0, offset=offset), sigma)
     if eps <= 0:
         return out
     bad = np.flatnonzero(np.abs(out) > eps)
@@ -86,7 +99,7 @@ def _sample_levy_gauss(
         if bad.size == 0:
             return out
         entries = bad.astype(np.uint64) + np.uint64(offset)
-        fresh = levy_gauss_quantile(rng.uniform(bad.size, *stream, retry, offset=entries), sigma)
+        fresh = _quantile(rng.uniform(bad.size, *stream, retry, offset=entries), sigma)
         out[bad] = fresh
         bad = bad[np.abs(fresh) > eps]
     return np.clip(out, -eps, eps, out=out)

@@ -10,7 +10,10 @@ The mixer is splitmix64 (Steele, Lea & Flood 2014), vectorized over numpy
 uint64 arrays. ``_mix`` works in place: it overwrites its argument with the
 mixed values and returns it, so callers pass an array they own. uint64
 arithmetic wraps modulo 2^64, which is exactly splitmix64's arithmetic, so no
-masking is needed.
+masking is needed. A stream key is a few scalars, mixed once per draw call:
+``_key_state`` runs the same splitmix64 on Python ints masked to 64 bits
+and gives the same bits: on a 2-vCPU Xeon a 3-part key takes about 3 us,
+where numpy operations on 0-d arrays took about 40.
 
 ``uniform`` and ``normal`` fill a preallocated output in blocks of ``_BLOCK``
 draws, so besides the output a draw keeps only a few block-sized arrays live
@@ -20,11 +23,13 @@ blocking does not change a bit.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN_INT, _M1_INT, _M2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GOLDEN, _M1, _M2 = (np.uint64(c) for c in (_GOLDEN_INT, _M1_INT, _M2_INT))
 _S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
 
 # 2^-53; uniforms are (h >> 11 + 0.5) * 2^-53, strictly inside (0, 1)
@@ -38,7 +43,7 @@ _BLOCK = 1 << 14
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer applied in place to a uint64 array (0-d included)."""
+    """splitmix64 finalizer applied in place to a uint64 array."""
     x += _GOLDEN
     x ^= x >> _S30
     x *= _M1
@@ -48,13 +53,20 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _key_state(seed: int, stream: tuple[int, ...]) -> np.ndarray:
-    """0-d uint64 state of one stream key."""
-    state = _mix(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
-    for part in stream:
-        state ^= np.uint64(part & 0xFFFFFFFFFFFFFFFF)
-        _mix(state)
-    return state
+def _key_state(seed: int, stream: tuple[int, ...]) -> np.uint64:
+    """uint64 state of one stream key: mix(seed), then state = mix(state ^ part) per part.
+
+    The splitmix64 of ``_mix`` on Python ints, masked to 64 bits after each
+    add and multiply, so a part of any size or sign counts modulo 2^64."""
+    state = 0  # mix(0 ^ seed) is mix(seed)
+    for part in (seed, *stream):
+        x = ((state ^ operator.index(part)) + _GOLDEN_INT) & _MASK
+        x ^= x >> 30
+        x = (x * _M1_INT) & _MASK
+        x ^= x >> 27
+        x = (x * _M2_INT) & _MASK
+        state = x ^ (x >> 31)
+    return np.uint64(state)
 
 
 class CounterRng:

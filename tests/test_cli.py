@@ -350,6 +350,27 @@ class TestTrainEvalReport:
         assert err.startswith(f"error: noise level {float(level)!r} is not a number in [0, 100]")
         assert not out.exists()
 
+    def test_eval_levels_sharing_a_stream_exit_1_writes_nothing(self, tmp_path, capsys):
+        # 10 and 10.004 both keyed their noise as 1000 and drew the same unit noise
+        cfg_path = write_config(tmp_path)
+        ckdir = tmp_path / "ckpts"
+        run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                 "--checkpoint-dir", str(ckdir)])
+        capsys.readouterr()
+        out = tmp_path / "eval.csv"
+        code = run_cli(["eval", "--checkpoint", str(ckdir / "stein_s1.ckpt"),
+                        "--levels", "0,10,10.004", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: noise levels 10.0 and 10.004 would draw the same noise"
+        )
+        assert not out.exists()
+        # a repeated level is the same level, and levels 0.01 apart have their own streams
+        assert run_cli(["eval", "--checkpoint", str(ckdir / "stein_s1.ckpt"),
+                        "--levels", "10,10.0,10.01", "--out", str(out)]) == 0
+        values = [r.value for r in rows_from_csv(out.read_text())]
+        assert values[0] == values[1]
+
     @pytest.mark.parametrize(
         "feature_noise, digest",
         [
@@ -523,6 +544,10 @@ class TestTrainEvalReport:
             ("a,b\n1,2\n", "line 1: results header has no column method"),
             ("# a comment\n" + RESULTS_HEADER + "\nstein,32,0\n",
              "line 3: its field count differs from the header's"),
+            (RESULTS_HEADER + "\nstein,32,0,1,accuracy,50,3\nstein,abc,0,1,accuracy,50,3\n",
+             "line 3: invalid literal for int() with base 10: 'abc'"),
+            (RESULTS_HEADER + "\n# a comment\nstein,32,0,1,accuracy,150,3\n",
+             "line 3: metric value 150.0 is not a percentage in [0, 100]"),
         ],
     )
     def test_report_malformed_csv_exit_1(self, tmp_path, capsys, text, message):
@@ -592,6 +617,11 @@ class TestTrainEvalReport:
             # a config giving both kept one of them silently
             ({"lambda": "x"}, "config key 'lambda' has a str value: 'x'"),
             ({"lambda": 0.5, "lam": 0.1}, "config gives both 'lambda' and 'lam'"),
+            # the domain error named 'lambda' whichever key the config wrote
+            ({"lam": -1}, "config key 'lam' must be a finite number >= 0, got -1"),
+            ({"lambda": -1}, "config key 'lambda' must be a finite number >= 0, got -1"),
+            # both levels keyed their noise as 1000 and drew the same unit noise
+            ({"noise_levels": [0, 10, 10.004]}, "noise levels 10 and 10.004 would draw the same noise"),
         ],
     )
     def test_bad_config_exit_1(self, tmp_path, capsys, config, message):

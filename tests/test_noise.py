@@ -48,6 +48,18 @@ class TestDensity:
         for u in [0.6, 0.9, 0.99]:
             assert levy_gauss_quantile(u) == pytest.approx(-levy_gauss_quantile(1 - u), abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        u=st.lists(st.floats(2.0**-53, 1 - 2.0**-53), min_size=1, max_size=50),
+        sigma=st.floats(1e-3, 1e3),
+    )
+    def test_quantile_is_the_closed_form_and_keeps_its_argument(self, u, sigma):
+        # the in-place formula gives the bits of the expression it replaced
+        arg = np.array(u)
+        expected = (sigma / np.sqrt(2.0)) * np.tan(np.pi * (arg - 0.5))
+        assert levy_gauss_quantile(arg, sigma).tobytes() == expected.tobytes()
+        assert arg.tolist() == u
+
     def test_quantile_domain_checks(self):
         with pytest.raises(InvalidInputError):
             levy_gauss_quantile(0.0)

@@ -70,6 +70,27 @@ class TestDeterminism:
         assert not np.array_equal(rng.uniform(50, 1, 2), rng.uniform(50, 2, 1))
 
 
+def _reference_key_state(seed, stream):
+    """Stream key as numpy ops on 0-d uint64 arrays, through ``_mix``."""
+    state = rng_module._mix(np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
+    for part in stream:
+        state ^= np.uint64(part & 0xFFFFFFFFFFFFFFFF)
+        rng_module._mix(state)
+    return state
+
+
+_KEY_PARTS = st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=_KEY_PARTS, stream=st.lists(_KEY_PARTS, max_size=4))
+def test_key_state_is_splitmix64_on_uint64(seed, stream):
+    # parts are taken modulo 2^64, so negative parts and parts >= 2^64 wrap
+    key = rng_module._key_state(seed, tuple(stream))
+    assert type(key) is np.uint64
+    assert key == _reference_key_state(seed, stream)
+
+
 class TestBlockFill:
     """A fill cut into blocks of ``_BLOCK`` draws gives the same bits as the
     same entries cut into separate calls at any points."""
