@@ -145,8 +145,6 @@ class BNForwardCache:
 def _auto_c(layer: BNLayer, n: int, p: int) -> float:
     if layer.c_tilde is not None:
         return layer.c_tilde
-    if p < 2:
-        return 0.0
     return 0.5 * variance_c_bound(n, p)
 
 

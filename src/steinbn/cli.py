@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -271,7 +272,7 @@ def _cmd_eval(args) -> int:
     check_noise_levels(levels)
     family = args.family or config.noise_family
     test = make_test_split(config, ckpt.seed)
-    rows = noise_sweep(ckpt, test.images, test.labels, levels, family, ckpt.seed)
+    rows = noise_sweep(ckpt, test.images, test.labels, levels, family)
     echo = config.to_dict()
     echo.update({"levels": levels, "family": family, "version": __version__})
     _atomic_write(args.out, _csv_with_config(rows_to_csv(rows), echo))
@@ -297,12 +298,22 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _check_out_paths(args) -> None:
+    """Refuse an output path that names a directory or lies in none, before any work."""
+    for path in filter(None, (args.out, vars(args).get("gnuplot"))):
+        if os.path.isdir(path):
+            raise InvalidInputError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise InvalidInputError(f"cannot write {path}: its directory does not exist")
+
+
 def run_cli(argv: list[str]) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out_paths(args)
         return args.run(args)
     except (InvalidInputError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

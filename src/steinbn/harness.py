@@ -15,6 +15,7 @@ import numbers
 import os
 import struct
 import tempfile
+import typing
 import warnings
 import zlib
 from dataclasses import dataclass, field, fields, asdict
@@ -40,7 +41,6 @@ CHECKPOINT_MAGIC = b"SBN1"
 # CRC-32 catches a pair from two different saves as well as a hash would;
 # zlib is loaded with numpy, while hashlib would map OpenSSL (~3.7 MiB RSS).
 CHECKPOINT_DIGEST_KEY = "checkpoint_crc32"
-RESULTS_HEADER = "method,batch_size,noise_pct,seed,metric,value,epochs"
 
 # unit-scale test-time noise per family, scaled per channel by _noisy_inputs;
 # levy-gauss is left untruncated so the heavy tail of the mixture density
@@ -61,6 +61,9 @@ _JSON_TYPES = {
     "list": list,
 }
 
+# a checkpoint stores its seed in a float64, which holds every integer of this size
+_SEED_LIMIT = 2**53
+
 # domain of each checked ExperimentConfig field, as (what it must be, test);
 # a comparison with NaN is false, so each test refuses NaN as well
 _DOMAINS = {
@@ -69,7 +72,7 @@ _DOMAINS = {
     "bn_variant": ("one of " + ", ".join(repr(b.value) for b in BNVariant),
                    lambda v: v in tuple(BNVariant)),
     "batch_size": ("an integer >= 2", lambda v: v >= 2),  # BN needs 2 samples
-    "n_classes": ("a positive integer", lambda v: v > 0),
+    "n_classes": ("an integer >= 2", lambda v: v >= 2),
     "n_per_class": ("a positive integer", lambda v: v > 0),
     "channels": ("a positive integer", lambda v: v > 0),
     "hw": ("a positive integer", lambda v: v > 0),
@@ -156,6 +159,10 @@ class ExperimentConfig:
             # a seed of 1.5 or true would train as CounterRng(1) under its own label
             if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
                 raise InvalidInputError(f"seed {seed!r} is not an integer")
+            if not -_SEED_LIMIT <= seed <= _SEED_LIMIT:
+                raise InvalidInputError(
+                    f"seed {seed} is outside [-2**53, 2**53], the seeds a checkpoint stores exactly"
+                )
         if len(set(self.seeds)) != len(self.seeds):
             raise InvalidInputError(f"seeds must be distinct, got {self.seeds}")
         check_noise_levels(self.noise_levels)
@@ -212,13 +219,16 @@ class ResultRow:
             raise InvalidInputError(f"metric value {self.value!r} is not a percentage in [0, 100]")
 
 
+# the results CSV's columns are ResultRow's fields, in order, each read back by its type
+_RESULT_COLUMNS = typing.get_type_hints(ResultRow)
+RESULTS_HEADER = ",".join(_RESULT_COLUMNS)
+
+
 def rows_to_csv(rows: list[ResultRow]) -> str:
     buf = io.StringIO()
     buf.write(RESULTS_HEADER + "\n")
     for r in rows:
-        buf.write(
-            f"{r.method},{r.batch_size},{r.noise_pct},{r.seed},{r.metric},{r.value},{r.epochs}\n"
-        )
+        buf.write(",".join(f"{getattr(r, col)}" for col in _RESULT_COLUMNS) + "\n")
     return buf.getvalue()
 
 
@@ -228,7 +238,7 @@ def rows_from_csv(text: str) -> list[ResultRow]:
     does not parse and a value outside [0, 100] are refused, naming the line."""
     kept = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln and not ln.startswith("#")]
     reader = csv.DictReader(ln for _, ln in kept)
-    missing = [col for col in RESULTS_HEADER.split(",") if col not in (reader.fieldnames or ())]
+    missing = [col for col in _RESULT_COLUMNS if col not in (reader.fieldnames or ())]
     if kept and missing:
         raise InvalidInputError(f"line {kept[0][0]}: results header has no column {', '.join(missing)}")
     rows = []
@@ -238,17 +248,7 @@ def rows_from_csv(text: str) -> list[ResultRow]:
         if None in r or None in r.values():
             raise InvalidInputError(f"line {line_no}: its field count differs from the header's")
         try:
-            rows.append(
-                ResultRow(
-                    method=r["method"],
-                    batch_size=int(r["batch_size"]),
-                    noise_pct=float(r["noise_pct"]),
-                    seed=int(r["seed"]),
-                    metric=r["metric"],
-                    value=float(r["value"]),
-                    epochs=int(r["epochs"]),
-                )
-            )
+            rows.append(ResultRow(**{col: parse(r[col]) for col, parse in _RESULT_COLUMNS.items()}))
         except ValueError as exc:  # a field int() or float() cannot read, or ResultRow's refusal
             raise InvalidInputError(f"line {line_no}: {exc}") from None
     return rows
@@ -414,7 +414,12 @@ def _evaluate(model: Sequential, images: np.ndarray, labels: np.ndarray) -> floa
 
 
 def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkpoint:
-    """Train one model; early stopping on clean validation accuracy."""
+    """Train one model; early stopping on clean validation accuracy.
+
+    Each epoch steps through the seed's training split in a fresh order, in
+    batches of ``batch_size``. The batch starts stop two short of the split's
+    end, so every batch holds at least the 2 samples BN needs: a last
+    remainder of one sample is left out of that epoch."""
     tr, va, _ = split_indices(dataset.images.shape[0], seed)
     x_va, y_va = dataset.images[va], dataset.labels[va]
     model = build_model(config, seed)
@@ -438,8 +443,6 @@ def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkp
                 for lo in range(0, tr.size - 1, config.batch_size):
                     # each batch is gathered from the dataset; the training split is never copied
                     idx = tr[order[lo : lo + config.batch_size]]
-                    if idx.size < 2:
-                        continue  # BN needs at least 2 samples
                     logits = model.forward(dataset.images[idx])
                     loss, grad = softmax_cross_entropy(logits, dataset.labels[idx])
                     if not np.isfinite(loss):
@@ -487,17 +490,12 @@ def _noisy_inputs(
 
 
 def evaluate_under_noise(
-    checkpoint: Checkpoint,
-    dataset: Dataset,
-    noise_levels: list,
-    noise_family: str,
-    seed: int,
+    checkpoint: Checkpoint, dataset: Dataset, noise_levels: list, noise_family: str
 ) -> list[ResultRow]:
-    """Test accuracy per noise level on the seed's test split of dataset."""
-    _, _, te = split_indices(dataset.images.shape[0], seed)
-    return noise_sweep(
-        checkpoint, dataset.images[te], dataset.labels[te], noise_levels, noise_family, seed
-    )
+    """Test accuracy per noise level on the test split of dataset that the
+    checkpoint's seed held out from its training."""
+    _, _, te = split_indices(dataset.images.shape[0], checkpoint.seed)
+    return noise_sweep(checkpoint, dataset.images[te], dataset.labels[te], noise_levels, noise_family)
 
 
 def noise_sweep(
@@ -506,9 +504,11 @@ def noise_sweep(
     labels: np.ndarray,
     noise_levels: list,
     noise_family: str,
-    seed: int,
 ) -> list[ResultRow]:
-    """Accuracy on (images, labels) per noise level, deterministic per (seed, level).
+    """Accuracy on (images, labels) per noise level, deterministic per
+    (checkpoint seed, level). The seed is read only from the checkpoint: it
+    keys the noise streams and labels every row, and (images, labels) should
+    be that seed's test split (``make_test_split``).
 
     Noise enters at the model's input, or with ``feature_noise`` after its
     first BN layer. The clean activations at that point, and the per-channel
@@ -520,7 +520,7 @@ def noise_sweep(
     work, even when every level is 0.
     """
     unit_spec = _unit_noise(noise_family)
-    config = checkpoint.config
+    config, seed = checkpoint.config, checkpoint.seed
     model = build_model(config, seed)
     model.load_state_arrays(checkpoint.arrays)
     model.eval()
@@ -561,9 +561,7 @@ def run_sweep(config: ExperimentConfig, checkpoint_dir=None) -> list[ResultRow]:
         ckpt = train_model(config, dataset, seed)
         if checkpoint_dir:
             ckpt.save(os.path.join(checkpoint_dir, f"{config.bn_variant}_s{seed}.ckpt"))
-        rows.extend(
-            evaluate_under_noise(ckpt, dataset, config.noise_levels, config.noise_family, seed)
-        )
+        rows.extend(evaluate_under_noise(ckpt, dataset, config.noise_levels, config.noise_family))
     return rows
 
 

@@ -201,7 +201,7 @@ def test_criterion_7_table_1_trend():
                 cfg = ExperimentConfig(bn_variant=variant, batch_size=bs, seeds=[seed], **base)
                 ds = make_dataset(cfg, seed)
                 ckpt = train_model(cfg, ds, seed)
-                for row in evaluate_under_noise(ckpt, ds, levels, cfg.noise_family, seed):
+                for row in evaluate_under_noise(ckpt, ds, levels, cfg.noise_family):
                     per_level[row.noise_pct].append(row.value)
         acc[variant] = {lv: float(np.mean(v)) for lv, v in per_level.items()}
 

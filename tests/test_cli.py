@@ -335,6 +335,22 @@ class TestTrainEvalReport:
         # eval of the saved checkpoint reproduces the training-run rows
         assert rows_from_csv(out.read_text()) == rows_from_csv(rows_csv.read_text())
 
+    def test_seeds_at_the_limit_survive_the_checkpoint(self, tmp_path):
+        seeds = [2**53, -(2**53)]
+        cfg_path = write_config(tmp_path, seeds=seeds, max_epochs=1)
+        rows_csv = tmp_path / "rows.csv"
+        ckdir = tmp_path / "ckpts"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(rows_csv),
+                        "--checkpoint-dir", str(ckdir)]) == 0
+        trained = rows_from_csv(rows_csv.read_text())
+        for seed in seeds:
+            out = tmp_path / f"eval_{seed}.csv"
+            assert run_cli(["eval", "--checkpoint", str(ckdir / f"stein_s{seed}.ckpt"),
+                            "--out", str(out)]) == 0
+            rows = rows_from_csv(out.read_text())
+            assert {r.seed for r in rows} == {seed}
+            assert rows == [r for r in trained if r.seed == seed]
+
     @pytest.mark.parametrize("level", ["-10", "150", "nan", "inf"])
     def test_eval_bad_level_exit_1_writes_nothing(self, tmp_path, capsys, level):
         cfg_path = write_config(tmp_path)
@@ -559,6 +575,31 @@ class TestTrainEvalReport:
         assert err.startswith(f"error: {rows}: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "out, message",
+        [("missing/rows.csv", "its directory does not exist"), ("results", "it is a directory")],
+    )
+    def test_out_not_writable_exit_1_before_any_work(self, tmp_path, capsys, out, message):
+        # train used to train and checkpoint every seed, then fail naming a
+        # temp file and lose the rows
+        cfg_path = write_config(tmp_path)
+        (tmp_path / "results").mkdir()
+        out = tmp_path / out
+        ckdir = tmp_path / "ckpts"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(out),
+                        "--checkpoint-dir", str(ckdir)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: {message}\n"
+        assert not ckdir.exists()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "results"]
+
+    def test_report_gnuplot_in_a_missing_directory_exit_1_writes_nothing(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text(RESULTS_HEADER + "\nstein,32,0.0,1,accuracy,50.0,3\n")
+        out, gp = tmp_path / "s.csv", tmp_path / "missing" / "s.dat"
+        assert run_cli(["report", str(rows), "--out", str(out), "--gnuplot", str(gp)]) == 1
+        assert f"error: cannot write {gp}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_1(self, tmp_path):
         assert run_cli(["train", "--config", str(tmp_path / "none.json"),
                         "--out", str(tmp_path / "o.csv")]) == 1
@@ -579,7 +620,7 @@ class TestTrainEvalReport:
             ({"noise_levels": [True]}, "noise level True is not a number in [0, 100]"),
             # each of these ran meaninglessly, diverged or failed naming nothing
             ({"batch_size": 1}, "'batch_size' must be an integer >= 2, got 1"),
-            ({"n_classes": 0}, "'n_classes' must be a positive integer, got 0"),
+            ({"n_classes": 0}, "'n_classes' must be an integer >= 2, got 0"),
             ({"n_per_class": 0}, "'n_per_class' must be a positive integer, got 0"),
             ({"channels": 0}, "'channels' must be a positive integer, got 0"),
             ({"hw": 0}, "'hw' must be a positive integer, got 0"),
@@ -622,6 +663,13 @@ class TestTrainEvalReport:
             ({"lambda": -1}, "config key 'lambda' must be a finite number >= 0, got -1"),
             # both levels keyed their noise as 1000 and drew the same unit noise
             ({"noise_levels": [0, 10, 10.004]}, "noise levels 10 and 10.004 would draw the same noise"),
+            # the checkpoint's float64 stored 2**53 + 1 as 2**53, and eval
+            # scored the model on seed 2**53's test split under that label
+            ({"seeds": [2**53 + 1]}, "seed 9007199254740993 is outside [-2**53, 2**53]"),
+            ({"seeds": [-(2**53) - 1]}, "seed -9007199254740993 is outside [-2**53, 2**53]"),
+            # passed the config; train made the checkpoint directory, then the
+            # dataset refused it
+            ({"n_classes": 1}, "'n_classes' must be an integer >= 2, got 1"),
         ],
     )
     def test_bad_config_exit_1(self, tmp_path, capsys, config, message):

@@ -192,6 +192,31 @@ class TestResultsCsv:
         text = rows_to_csv(rows) + "# config: {}\n"
         assert rows_from_csv(text) == rows
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                ResultRow,
+                method=st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1),
+                batch_size=st.integers(),
+                noise_pct=st.floats(allow_nan=False),
+                seed=st.integers(),
+                metric=st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1),
+                value=st.floats(0.0, 100.0),
+                epochs=st.integers(),
+            ),
+            max_size=5,
+        )
+    )
+    def test_columns_are_the_seven_written_out(self, rows):
+        # the writer the columns were spelled out in, field by field
+        reference = "method,batch_size,noise_pct,seed,metric,value,epochs\n" + "".join(
+            f"{r.method},{r.batch_size},{r.noise_pct},{r.seed},{r.metric},{r.value},{r.epochs}\n"
+            for r in rows
+        )
+        assert rows_to_csv(rows) == reference
+        assert rows_from_csv(reference) == rows
+
     def test_value_range_enforced(self):
         with pytest.raises(InvalidInputError):
             ResultRow("stein", 32, 0.0, 1, "accuracy", 101.0, 1)
@@ -291,14 +316,14 @@ class TestTraining:
         ds = make_dataset(cfg, seed=1)
         ckpt = train_model(cfg, ds, seed=1)
         assert ckpt.epochs_trained == 0
-        rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family, seed=1)
+        rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family)
         assert abs(rows[0].value - 25.0) < 20.0  # 4 classes, near chance
 
     def test_strong_signal_reaches_95(self):
         cfg = ExperimentConfig(**{**FAST, "sep": 10.0, "max_epochs": 20})
         ds = make_dataset(cfg, seed=1)
         ckpt = train_model(cfg, ds, seed=1)
-        rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family, seed=1)
+        rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family)
         assert rows[0].value >= 95.0
 
     def test_determinism_of_full_runs(self):
@@ -327,7 +352,7 @@ class TestTraining:
         assert ckpt.diverged and ckpt.epochs_trained >= 1
         # the best state before divergence is restored and still evaluates
         assert all(np.isfinite(v).all() for v in ckpt.arrays.values())
-        rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family, seed=1)
+        rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family)
         assert 0.0 <= rows[0].value <= 100.0
 
     def test_training_builds_only_the_dataset_tensor4(self, monkeypatch):
@@ -453,27 +478,27 @@ class TestEvaluation:
 
     def test_level_zero_equals_clean_accuracy(self):
         cfg, ds, ckpt = self._trained()
-        rows = evaluate_under_noise(ckpt, ds, [0, 0], cfg.noise_family, seed=1)
+        rows = evaluate_under_noise(ckpt, ds, [0, 0], cfg.noise_family)
         assert rows[0].value == rows[1].value
 
     def test_rows_carry_config_fields(self):
         cfg, ds, ckpt = self._trained()
-        rows = evaluate_under_noise(ckpt, ds, [0, 10], cfg.noise_family, seed=1)
+        rows = evaluate_under_noise(ckpt, ds, [0, 10], cfg.noise_family)
         assert [r.noise_pct for r in rows] == [0.0, 10.0]
         assert all(r.method == cfg.bn_variant for r in rows)
         assert all(r.batch_size == cfg.batch_size for r in rows)
 
     def test_noise_draws_deterministic_per_level(self):
         cfg, ds, ckpt = self._trained()
-        a = evaluate_under_noise(ckpt, ds, [20], cfg.noise_family, seed=1)
-        b = evaluate_under_noise(ckpt, ds, [20], cfg.noise_family, seed=1)
+        a = evaluate_under_noise(ckpt, ds, [20], cfg.noise_family)
+        b = evaluate_under_noise(ckpt, ds, [20], cfg.noise_family)
         assert a == b
 
     def test_feature_noise_flag(self):
         cfg = ExperimentConfig(**{**FAST, "feature_noise": True})
         ds = make_dataset(cfg, seed=1)
         ckpt = train_model(cfg, ds, seed=1)
-        rows = evaluate_under_noise(ckpt, ds, [0, 20], cfg.noise_family, seed=1)
+        rows = evaluate_under_noise(ckpt, ds, [0, 20], cfg.noise_family)
         assert all(0.0 <= r.value <= 100.0 for r in rows)
 
     @pytest.mark.parametrize("feature_noise", [False, True])
@@ -484,8 +509,8 @@ class TestEvaluation:
         ds = make_dataset(cfg, seed=1)
         ckpt = train_model(cfg, ds, seed=1)
         levels = [0, 20, 50, 20, 0]
-        rows = evaluate_under_noise(ckpt, ds, levels, "levy-gauss", seed=1)
-        alone = [evaluate_under_noise(ckpt, ds, [lv], "levy-gauss", seed=1)[0] for lv in levels]
+        rows = evaluate_under_noise(ckpt, ds, levels, "levy-gauss")
+        alone = [evaluate_under_noise(ckpt, ds, [lv], "levy-gauss")[0] for lv in levels]
         assert rows == alone
         assert len({r.value for r in rows}) > 1
 
@@ -546,7 +571,7 @@ class TestEvaluation:
             return out
 
         monkeypatch.setattr(Sequential, "forward", recording)
-        noise_sweep(ckpt, ds.images, ds.labels, [0, 10, 50, 100], family, seed=3)
+        noise_sweep(ckpt, ds.images, ds.labels, [0, 10, 50, 100], family)
         assert len(outputs) == (5 if feature_noise else 4)
         sha = hashlib.sha256()
         for out in outputs:
