@@ -204,36 +204,44 @@ def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCach
 def bn_backward(
     layer: BNLayer, cache: BNForwardCache, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. input, gamma and beta under the frozen-factor convention."""
+    """Gradients w.r.t. input, gamma and beta under the frozen-factor convention.
+
+    Beyond per-channel vectors it allocates three arrays of the input's
+    size: the centred input, gx_hat (which becomes the input gradient) and
+    one scratch array for the rest, with the operations of the unfused
+    formulas in the same order, so every bit is theirs."""
     g, x = grad_out, cache.x
     if g.shape != x.shape:
         raise InvalidInputError("grad_out shape does not match cached forward input")
     centred = x - cache.corrected_mean[None, :, None, None]
-    normalized = centred * cache.inv_std[None, :, None, None]
+    # scratch holds, in turn, g * normalized, gx_hat * centred and x_center;
+    # a product's factors commute bit for bit
+    scratch = centred * cache.inv_std[None, :, None, None]
+    scratch *= g
     grad_beta = g.sum(axis=(0, 2, 3))
-    grad_gamma = (g * normalized).sum(axis=(0, 2, 3))
+    grad_gamma = scratch.sum(axis=(0, 2, 3))
 
     gx_hat = g * layer.gamma[None, :, None, None]
     corr = cache.correction
 
     n, c, h, w = x.shape
     m = n * h * w
-    x_center = x - cache.raw.mean[None, :, None, None]
 
     # d corrected_var / d raw_var and d corrected_mean / d raw_mean are the
     # frozen coefficients; offsets drop out of the gradient
     dvar = (
-        (gx_hat * centred).sum(axis=(0, 2, 3))
+        np.multiply(gx_hat, centred, out=scratch).sum(axis=(0, 2, 3))
         * -0.5
         * cache.inv_std**3
         * corr.var_coef
     )
+    x_center = np.subtract(x, cache.raw.mean[None, :, None, None], out=scratch)
     dmean = (
         -(gx_hat.sum(axis=(0, 2, 3))) * cache.inv_std * corr.mean_coef
         + dvar * (-2.0 / m) * x_center.sum(axis=(0, 2, 3))
     )
     # gx_hat * inv_std + (dvar * 2/m) * x_center + dmean / m, added left to
-    # right in place on the two arrays this backward allocated
+    # right in place on the arrays this backward allocated
     grad_in = gx_hat
     grad_in *= cache.inv_std[None, :, None, None]
     x_center *= (dvar * (2.0 / m))[None, :, None, None]

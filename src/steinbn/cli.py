@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .harness import (
+    SEED_LIMIT,
     Checkpoint,
     ExperimentConfig,
     aggregate_results,
@@ -91,6 +92,18 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
 
 
+def _seed(text: str) -> int:
+    """A --seed flag: an integer in ExperimentConfig's seed range. CounterRng
+    reduces seeds modulo 2**64, so a seed outside it could draw another
+    seed's stream under its own label."""
+    try:
+        if -SEED_LIMIT <= int(text) <= SEED_LIMIT:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [-2**53, 2**53]")
+
+
 def _finite_list(text: str) -> np.ndarray:
     return np.array([_finite(s) for s in text.split(",")])
 
@@ -113,7 +126,7 @@ def _risk_flags(k: float = 3.0) -> argparse.ArgumentParser:
     set the default of all four."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--trials", type=int, required=True)
-    flags.add_argument("--seed", type=int, required=True)
+    flags.add_argument("--seed", type=_seed, required=True)
     flags.add_argument("--k", type=_positive, default=k)
     flags.add_argument("--out", required=True)
     return flags
@@ -165,7 +178,7 @@ def _build_parser() -> _Parser:
     ns.add_argument("--sigma", type=_finite, default=1.0)
     ns.add_argument("--eps", type=_finite, default=0.0)
     ns.add_argument("--n", type=int, required=True)
-    ns.add_argument("--seed", type=int, required=True)
+    ns.add_argument("--seed", type=_seed, required=True)
     ns.add_argument("--out", required=True)
     ns.set_defaults(run=_cmd_noise)
 

@@ -61,8 +61,9 @@ _JSON_TYPES = {
     "list": list,
 }
 
-# a checkpoint stores its seed in a float64, which holds every integer of this size
-_SEED_LIMIT = 2**53
+# a checkpoint stores its seed in a float64, which holds every integer of this
+# size; every seed of the program lies in [-SEED_LIMIT, SEED_LIMIT]
+SEED_LIMIT = 2**53
 
 # domain of each checked ExperimentConfig field, as (what it must be, test);
 # a comparison with NaN is false, so each test refuses NaN as well
@@ -159,7 +160,7 @@ class ExperimentConfig:
             # a seed of 1.5 or true would train as CounterRng(1) under its own label
             if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
                 raise InvalidInputError(f"seed {seed!r} is not an integer")
-            if not -_SEED_LIMIT <= seed <= _SEED_LIMIT:
+            if not -SEED_LIMIT <= seed <= SEED_LIMIT:
                 raise InvalidInputError(
                     f"seed {seed} is outside [-2**53, 2**53], the seeds a checkpoint stores exactly"
                 )

@@ -7,8 +7,11 @@ that runs the BN core as a layer. Activations travel as (N, C, H, W) float64
 arrays, through the BN core too; only a dataset's images are validated
 (see ``tensor``). Dense and Conv3x3 (via an im2col matrix) do their
 arithmetic as BLAS matrix products; Conv3x3 moves its data around those
-products with numpy gathers and one ordered scatter, and in both modes
-builds its forward's im2col matrix a block of samples at a time.
+products with numpy gathers and one ordered scatter. It builds its
+forward's im2col matrix, and its backward's input gradient, a block of
+samples at a time, and an eval-mode ``Sequential`` runs a batch through its
+layers a block of samples at a time, so inference holds the activations of
+one block, not of the whole batch.
 
 A model's state is each layer's ``state_arrays()`` (its parameters, plus the
 running statistics for BN). Each layer loads its own in place, refusing a
@@ -19,10 +22,9 @@ BNLayer mode). A forward keeps what its backward reads, in one attribute per
 layer, only in train mode: Conv3x3 and Dense keep their input, ReLU its mask
 and BN its input and per-channel vectors. In eval mode a forward keeps
 nothing, and a backward after it is refused; ``eval()`` itself releases what
-the last train step kept (Conv3x3 also its scatter targets), so inference
-starts clean. The forward arithmetic is the same in both modes, so eval
-outputs are bit-identical to those of a train-mode pass with the same
-statistics.
+the last train step kept, so inference starts clean. The forward arithmetic
+is the same in both modes, so eval outputs are bit-identical to those of a
+train-mode pass with the same statistics.
 """
 
 from __future__ import annotations
@@ -119,6 +121,19 @@ class Dense(Layer):
 # floats of im2col columns a Conv3x3 forward builds at a time
 _COL_BLOCK = 1 << 17
 
+# entries of the column gradient a Conv3x3 backward folds at a time, a quarter
+# of the forward's block: the cached scatter targets of one fold block are as
+# many int64s (256 KB), and a fold's temporaries stay as small
+_FOLD_BLOCK = 1 << 15
+
+# floats of input an eval-mode Sequential runs through its layers at a time
+_EVAL_BLOCK = 1 << 13
+
+
+def _block_samples(budget: int, c: int, h: int, w: int) -> int:
+    """Samples of (c, h, w) whose columns fit in budget floats, at least one."""
+    return max(1, budget // (c * 9 * h * w))
+
 
 @functools.lru_cache(maxsize=16)
 def _tap_index(c: int, h: int, w: int) -> np.ndarray:
@@ -135,6 +150,17 @@ def _plane_tap_index(n: int, h: int, w: int) -> np.ndarray:
     end to end: ``_tap_index(1, h, w)`` offset to each sample s's plane."""
     planes = np.arange(n)[:, None] * ((h + 2) * (w + 2))
     idx = (_tap_index(1, h, w).reshape(9, 1, h * w) + planes).ravel()
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.lru_cache(maxsize=8)
+def _fold_targets(n: int, c: int, h: int, w: int) -> np.ndarray:
+    """col2im's scatter targets: the flat cell, in n zero-padded samples laid end
+    to end, of each (s, channel, dh*3+dw, h, w) entry of their column gradient.
+    The targets of fewer samples are a prefix of these."""
+    cells = c * (h + 2) * (w + 2)  # of one padded sample
+    idx = (np.arange(n)[:, None] * cells + _tap_index(c, h, w)).ravel()
     idx.setflags(write=False)
     return idx
 
@@ -158,9 +184,7 @@ class Conv3x3(Layer):
     2.5-6x slower). col2im is one ``np.bincount`` of the gradient columns,
     which ravel in (n, channel, k, h, w) order: each padded cell sums its
     taps in increasing k from +0.0, as nine strided adds would, so the
-    result is bit-identical to theirs. The scatter targets depend on N, so
-    the layer holds them for the input shape of its last backward only, and
-    ``eval()`` drops them with the rest of the backward state.
+    result is bit-identical to theirs.
 
     No columns outlive a forward. In either mode it builds them for a block
     of samples at a time, at most ``_COL_BLOCK`` floats or one sample's, and
@@ -171,7 +195,14 @@ class Conv3x3(Layer):
     backward gathers the columns of the whole batch from it once, already
     in the (in*9, N*H*W) layout of the weight-gradient GEMM
     (``_channel_cols``, through the cached ``_plane_tap_index``), and drops
-    them before the input gradient.
+    them before the input gradient. That gradient is built a block of samples
+    at a time too, at most ``_FOLD_BLOCK`` column-gradient entries or one
+    sample's: each block's ``w.T @ grad[n]`` is folded into its rows of one
+    preallocated padded gradient. Samples share no padded cells, so the
+    result is bit-identical to one whole-batch fold. The layer holds no
+    scatter targets: those of one block, shaped by (block, in, H, W), live
+    in the module's cache ``_fold_targets``, and a shorter last block folds
+    with their prefix.
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: CounterRng, tag: int):
@@ -181,8 +212,6 @@ class Conv3x3(Layer):
         self.b = np.zeros(out_channels)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._targets = None  # col2im scatter targets for _targets_shape
-        self._targets_shape = None
 
     @staticmethod
     def _im2col(x: np.ndarray) -> np.ndarray:
@@ -203,7 +232,7 @@ class Conv3x3(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         self._keep(x)
-        block = max(1, _COL_BLOCK // (c * 9 * h * w))
+        block = _block_samples(_COL_BLOCK, c, h, w)
         out = np.empty((n, self.w.shape[0], h * w))
         for lo in range(0, n, block):
             np.matmul(self.w, self._im2col(x[lo : lo + block]), out=out[lo : lo + block])
@@ -228,17 +257,19 @@ class Conv3x3(Layer):
         del cols
         if not input_grad:
             return None
+        # w.T @ g and its fold onto the padded grid, a block of samples at a time
+        block = min(n, _block_samples(_FOLD_BLOCK, c, h, w))
+        targets = _fold_targets(block, c, h, w)
         cells = c * (h + 2) * (w + 2)  # of one padded sample
-        if self._targets_shape != x.shape:
-            self._targets = (np.arange(n)[:, None] * cells + _tap_index(c, h, w)).ravel()
-            self._targets_shape = x.shape
-        dcols = np.matmul(self.w.T, g)
-        dx = np.bincount(self._targets, weights=dcols.ravel(), minlength=n * cells)
+        dx = np.empty((n, cells))
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            dcols = np.matmul(self.w.T, g[lo:hi]).ravel()
+            dx[lo:hi] = np.bincount(
+                targets[: dcols.size], weights=dcols, minlength=(hi - lo) * cells
+            ).reshape(-1, cells)
+            del dcols  # before the next block's product is allocated
         return dx.reshape(n, c, h + 2, w + 2)[:, :, 1:-1, 1:-1]
-
-    def eval(self):
-        self._targets = self._targets_shape = None
-        return super().eval()
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -303,6 +334,27 @@ class Sequential:
         self.layers = layers
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """The layers' output; in eval mode, computed a block of samples at a time.
+
+        A block holds at most ``_EVAL_BLOCK`` floats of x, or two samples. An
+        eval-mode layer maps each sample on its own, so the blocks' outputs
+        are bit-identical to one whole-batch pass. No block holds a single
+        sample unless x does: Dense's product of one row is a GEMV, whose
+        round-off differs from the GEMM's, so a last single sample joins the
+        block before it."""
+        n = x.shape[0]
+        block = max(2, _EVAL_BLOCK // max(1, x[:1].size))
+        stops = [*range(block, n - 1, block), n]
+        if len(stops) == 1 or any(layer.mode is not BNMode.EVAL for layer in self.layers):
+            return self._forward(x)
+        first = self._forward(x[: stops[0]])
+        out = np.empty((n, *first.shape[1:]))
+        out[: stops[0]] = first
+        for lo, hi in zip(stops, stops[1:]):
+            out[lo:hi] = self._forward(x[lo:hi])
+        return out
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
         return x

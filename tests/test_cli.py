@@ -193,6 +193,25 @@ class TestRisk:
         assert f"error: argument {argv[-2]}: " in capsys.readouterr().err
         assert not out.exists()
 
+    # CounterRng reduces seeds modulo 2**64: 1, 2**64 + 1 and -(2**64) + 1
+    # drew the same noise under three labels
+    @pytest.mark.parametrize("seed", [str(2**64 + 1), str(-(2**64) + 1), str(2**53 + 1), "1.5"])
+    @pytest.mark.parametrize(
+        "command", [GAUSSIAN, GAMMA, INEQUALITY, LEMMA, NOISE], ids=lambda c: "-".join(c[:2])
+    )
+    def test_seed_outside_the_config_range_exit_1_writes_nothing(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        assert run_cli([*command, "--seed", seed, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: argument --seed: '{seed}' is not an integer in [-2**53, 2**53]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [2**53, -(2**53)])
+    def test_seed_at_the_limit_draws(self, tmp_path, seed):
+        out = tmp_path / "s.csv"
+        assert run_cli([*self.NOISE, "--seed", str(seed), "--out", str(out)]) == 0
+        assert f'"seed": {seed}' in out.read_text()
+
     def test_gaussian_negative_sigma_exit_1_writes_nothing(self, tmp_path, capsys):
         # sigma enters the shrinkage as sigma**2, so -1 would run the sigma = 1
         # experiment under a config echo that says -1

@@ -170,17 +170,20 @@ def _column_path_backward(w, x, grad):
 def test_conv_backward_from_its_input_equals_the_column_path(n, c, h, w, o, per_block, seed):
     # the backward gathers its columns from the kept input; its gradients
     # equal those of a layer that kept the forward's columns, byte for byte,
-    # and a train forward cut into column blocks equals one whole-batch block
+    # and a train forward cut into column blocks equals one whole-batch block.
+    # The backward folds its input gradient in blocks of per_block samples
+    # too, the last one shorter when per_block does not divide n
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c, h, w)) * (rng.random((n, c, h, w)) < 0.7)  # +0.0 and -0.0
     grad = rng.normal(size=(n, o, h, w)) * (rng.random((n, o, h, w)) < 0.7)
     layer = Conv3x3(c, o, CounterRng(seed), 22)
     layer.b[:] = rng.normal(size=o)
     whole = layer.forward(x)
-    with mock.patch.object(nn, "_COL_BLOCK", per_block * c * 9 * h * w):
+    budget = per_block * c * 9 * h * w
+    with mock.patch.object(nn, "_COL_BLOCK", budget), mock.patch.object(nn, "_FOLD_BLOCK", budget):
         blocked = layer.forward(x)
+        dx = layer.backward(grad)
     assert blocked.tobytes() == whole.tobytes()
-    dx = layer.backward(grad)
     want_dw, want_db, want_dx = _column_path_backward(layer.w, x, grad)
     assert layer.dw.tobytes() == want_dw.tobytes()
     assert layer.db.tobytes() == want_db.tobytes()
@@ -188,7 +191,7 @@ def test_conv_backward_from_its_input_equals_the_column_path(n, c, h, w, o, per_
 
 
 def test_conv_gradients_follow_the_batch_shape():
-    # 64, 32, then 64 again: the held scatter targets follow the input shape
+    # 64, 32, then 64 again: the cached scatter targets follow the input shape
     rng = np.random.default_rng(4)
     xs = [rng.normal(size=(n, 8, 4, 4)) for n in (64, 32, 64)]
     gs = [rng.normal(size=(n, 16, 4, 4)) for n in (64, 32, 64)]
@@ -335,66 +338,114 @@ def test_eval_forward_in_column_blocks_equals_whole_and_per_sample_forwards():
     assert blocked.tobytes() == per_sample.tobytes()
 
 
+def _eval_model(build, dims, variant, seed):
+    """An eval-mode model whose BN layers hold random running statistics."""
+    rng = np.random.default_rng(seed)
+    model = build(dims, 4, variant, CounterRng(seed))
+    for layer in model.layers:
+        if isinstance(layer, BatchNorm):
+            layer.running_mean = rng.normal(size=layer.num_channels)
+            layer.running_var = rng.uniform(0.1, 3.0, size=layer.num_channels)
+    model.eval()
+    return model
+
+
+def _whole_batch_forward(model, x):
+    """The layers applied to all of x at once, without Sequential's blocks."""
+    for layer in model.layers:
+        x = layer.forward(x)
+    return x
+
+
 @given(
     build=st.sampled_from([build_tiny_cnn, build_mlp2]),
+    dims=st.sampled_from([(3, 4, 4), (3, 8, 8)]),
     variant=st.sampled_from(list(BNVariant)),
     n=st.integers(4, 400),
     cuts=st.lists(st.integers(2, 398), max_size=8),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=60, deadline=None)
-def test_eval_logits_do_not_depend_on_how_a_split_is_cut(build, variant, n, cuts, seed):
+def test_eval_logits_do_not_depend_on_how_a_split_is_cut(build, dims, variant, n, cuts, seed):
     # in eval mode each sample's logits depend on that sample alone, to the
     # bit, for chunks of two or more rows; a 1-row chunk takes Dense's GEMV
-    # path, whose round-off differs from the batched product's
-    rng = np.random.default_rng(seed)
-    model = build((3, 4, 4), 4, variant, CounterRng(seed))
-    for layer in model.layers:
-        if isinstance(layer, BatchNorm):
-            layer.running_mean = rng.normal(size=layer.num_channels)
-            layer.running_var = rng.uniform(0.1, 3.0, size=layer.num_channels)
-    model.eval()
-    x = rng.normal(size=(n, 3, 4, 4))
+    # path, whose round-off differs from the batched product's. At (3, 8, 8)
+    # MLP2's first Dense has k = 192. The whole-batch pass is the reference
+    # for one eval forward over more samples than a block, and for the chunks
+    model = _eval_model(build, dims, variant, seed)
+    x = np.random.default_rng(seed + 1).normal(size=(n, *dims))
     bounds = [0]
     for cut in sorted(cuts):
         if cut - bounds[-1] >= 2 and n - cut >= 2:
             bounds.append(cut)
     bounds.append(n)
+    whole = _whole_batch_forward(model, x).tobytes()
     chunks = [model.forward(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    assert np.concatenate(chunks).tobytes() == model.forward(x).tobytes()
+    assert np.concatenate(chunks).tobytes() == whole
+    assert model.forward(x).tobytes() == whole
+
+
+@pytest.mark.parametrize("budget, n, blocks", [
+    (32 * 48, 1, [1]), (32 * 48, 2, [2]), (32 * 48, 33, [33]), (32 * 48, 34, [32, 2]),
+    (32 * 48, 65, [32, 33]), (32 * 48, 257, [32] * 7 + [33]), (47, 7, [2, 2, 3]),
+])
+def test_eval_forward_runs_blocks_of_two_or_more_samples(budget, n, blocks):
+    # a split is cut into blocks of _EVAL_BLOCK floats (a sample is 48 here),
+    # or of two samples; a last block of one sample (a Dense GEMV) joins the
+    # block before it, unless it is the whole split
+    model = _eval_model(build_mlp2, (3, 4, 4), BNVariant.STEIN, 3)
+    x = np.random.default_rng(2).normal(size=(n, 3, 4, 4))
+    seen, first = [], model.layers[0]
+
+    def recording(block):
+        seen.append(len(block))
+        return Dense.forward(first, block)
+
+    with mock.patch.object(nn, "_EVAL_BLOCK", budget), mock.patch.object(first, "forward", recording):
+        out = model.forward(x)
+    assert seen == blocks
+    assert out.tobytes() == _whole_batch_forward(model, x).tobytes()
 
 
 def test_eval_forward_memory_is_bounded_by_activations_and_a_column_block():
-    # the widest activation (conv #2's output) is live about twice at once:
-    # BN's input and the centred copy that becomes its output, or ReLU's input,
-    # mask and output; the bound allows three copies. The columns add at most
-    # a block and its padded input (conv #2's whole im2col matrix is 9.4 MB)
-    n, hw = 256, 8
+    # an eval forward runs blocks of at most _EVAL_BLOCK floats of input (42
+    # samples here) plus one sample, so its peak does not grow with the split:
+    # one bound holds at 256 and 1024 samples. A block's widest activation
+    # (conv #2's output, 16 * hw * hw floats a sample) is live about
+    # twice at once: BN's input and the centred copy that becomes its output,
+    # or ReLU's input, mask and output; the bound allows three copies. The
+    # columns add at most a column block and its padded input, and the logits
+    # (32 KB at 1024 samples) fit in what is left. A whole-batch forward of
+    # 256 samples peaked at 4.3 MiB, 1.4 times this bound
+    hw = 8
     model = build_tiny_cnn((3, hw, hw), 4, BNVariant.STEIN, CounterRng(5))
     model.eval()
-    x = np.random.default_rng(1).normal(size=(n, 3, hw, hw))
-    model.forward(x[:2])  # first-call caches are not the forward's
-    tracemalloc.start()
-    try:
-        model.forward(x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    widest = 8 * n * 16 * hw * hw
+    widest = 8 * (nn._EVAL_BLOCK // (3 * hw * hw) + 1) * 16 * hw * hw
     bound = 3 * widest + 2 * 8 * nn._COL_BLOCK
-    assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+    for n in (256, 1024):
+        x = np.random.default_rng(1).normal(size=(n, 3, hw, hw))
+        model.forward(x[:2])  # first-call caches are not the forward's
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"n={n}: peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
 def test_train_step_and_validation_memory_hold_inputs_not_columns():
     # TinyCNN at hw=8 and batch 64, the shape whose training sets eval-sweep's
     # peak: conv #2's im2col matrix of the batch is 2.4 MB, nine times its
-    # input, and its col2im scatter targets are as large. Tracing runs from
-    # before a first step, so whatever a layer holds across steps counts. A
-    # train forward keeps the input, the backward gathers the columns once (no
-    # transposed copy) and drops them before the input gradient, and eval()
-    # releases the backward state and the scatter targets, so the validation
-    # pass after a step starts clean. Layers that kept their columns and
-    # targets would peak at about 11 MiB in each
+    # input. Tracing runs from before a first step, so whatever a layer holds
+    # across steps counts. A train forward keeps the input, the backward
+    # gathers the columns once (no transposed copy), drops them before the
+    # input gradient and folds that gradient a column block at a time, and
+    # eval() releases the backward state, so the validation pass after a step
+    # starts clean and runs a block of samples at a time. The peaks were
+    # 4.5 MiB (backward) and 1.7 MiB (validation); each bound adds about
+    # 0.4 MiB. Whole-batch folds and validation passes peaked at 6.5 and
+    # 4.3 MiB, and layers that kept their columns at about 11 MiB in each
     hw, batch = 8, 64
     rng = np.random.default_rng(1)
     x, labels = rng.normal(size=(batch, 3, hw, hw)), rng.integers(0, 4, batch)
@@ -428,5 +479,5 @@ def test_train_step_and_validation_memory_hold_inputs_not_columns():
         validation = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert backward <= 9.0 * mib, f"backward peak {backward / mib:.1f} MiB"
-    assert validation <= 6.0 * mib, f"validation peak {validation / mib:.1f} MiB"
+    assert backward <= 5.0 * mib, f"backward peak {backward / mib:.1f} MiB"
+    assert validation <= 2.1 * mib, f"validation peak {validation / mib:.1f} MiB"
