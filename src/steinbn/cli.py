@@ -30,8 +30,8 @@ from .harness import (
     aggregate_results,
     atomic_write_bytes,
     check_noise_levels,
-    make_test_split,
-    noise_sweep,
+    checkpoint_path,
+    evaluate_under_noise,
     rows_from_csv,
     rows_to_csv,
     run_sweep,
@@ -269,6 +269,9 @@ def _cmd_noise(args) -> int:
 def _cmd_train(args) -> int:
     with open(args.config) as f:
         config = ExperimentConfig.from_json(f.read())
+    if args.checkpoint_dir:
+        ckpts = [checkpoint_path(args.checkpoint_dir, config, seed) for seed in config.seeds]
+        _check_distinct([*ckpts, *(p + ".json" for p in ckpts), args.out], [args.config])
     rows = run_sweep(config, args.checkpoint_dir)
     echo = config.to_dict()
     echo["version"] = __version__
@@ -284,8 +287,7 @@ def _cmd_eval(args) -> int:
     )
     check_noise_levels(levels)
     family = args.family or config.noise_family
-    test = make_test_split(config, ckpt.seed)
-    rows = noise_sweep(ckpt, test.images, test.labels, levels, family)
+    rows = evaluate_under_noise(ckpt, levels, family)
     echo = config.to_dict()
     echo.update({"levels": levels, "family": family, "version": __version__})
     _atomic_write(args.out, _csv_with_config(rows_to_csv(rows), echo))
@@ -311,13 +313,36 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _inputs(args) -> list[str]:
+    """The files the command reads."""
+    if args.command == "train":
+        return [args.config]
+    if args.command == "eval":
+        return [args.checkpoint, args.checkpoint + ".json"]
+    return vars(args).get("inputs", [])
+
+
+def _check_distinct(outputs, inputs) -> None:
+    """Refuse an output that resolves to an input or to an earlier output,
+    which writing it would replace."""
+    taken = {os.path.realpath(path): "reads" for path in inputs}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in taken:
+            raise InvalidInputError(f"cannot write {path}: this command {taken[real]} it")
+        taken[real] = "also writes"
+
+
 def _check_out_paths(args) -> None:
-    """Refuse an output path that names a directory or lies in none, before any work."""
-    for path in filter(None, (args.out, vars(args).get("gnuplot"))):
+    """Refuse an output path that names a directory, lies in none, or would
+    replace an input or the other output, before any work."""
+    outputs = list(filter(None, (args.out, vars(args).get("gnuplot"))))
+    for path in outputs:
         if os.path.isdir(path):
             raise InvalidInputError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise InvalidInputError(f"cannot write {path}: its directory does not exist")
+    _check_distinct(outputs, _inputs(args))
 
 
 def run_cli(argv: list[str]) -> int:

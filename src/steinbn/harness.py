@@ -414,20 +414,22 @@ def _evaluate(model: Sequential, images: np.ndarray, labels: np.ndarray) -> floa
     return 100.0 * correct / images.shape[0]
 
 
-def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkpoint:
-    """Train one model; early stopping on clean validation accuracy.
+def train_model(config: ExperimentConfig, seed: int) -> Checkpoint:
+    """Train one model on the dataset that (config, seed) draws; early stopping
+    on clean validation accuracy.
 
     Each epoch steps through the seed's training split in a fresh order, in
     batches of ``batch_size``. The batch starts stop two short of the split's
     end, so every batch holds at least the 2 samples BN needs: a last
-    remainder of one sample is left out of that epoch."""
+    remainder of one sample is left out of that epoch. Batches and validation
+    passes gather their rows from the dataset, so no split is held as a copy."""
+    dataset = make_dataset(config, seed)
     tr, va, _ = split_indices(dataset.images.shape[0], seed)
-    x_va, y_va = dataset.images[va], dataset.labels[va]
     model = build_model(config, seed)
     opt = SGDNesterov(model, config.learning_rate, config.momentum_sgd, config.nesterov)
     shuffle_rng = CounterRng(seed)
 
-    best_val = _evaluate(model, x_va, y_va)
+    best_val = _evaluate(model, dataset.images[va], dataset.labels[va])
     best_state = {k: v.copy() for k, v in model.state_arrays().items()}
     best_epoch, stale = 0, 0
 
@@ -442,7 +444,6 @@ def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkp
                 model.train()
                 order = np.argsort(shuffle_rng.uniform(tr.size, 104, epoch), kind="stable")
                 for lo in range(0, tr.size - 1, config.batch_size):
-                    # each batch is gathered from the dataset; the training split is never copied
                     idx = tr[order[lo : lo + config.batch_size]]
                     logits = model.forward(dataset.images[idx])
                     loss, grad = softmax_cross_entropy(logits, dataset.labels[idx])
@@ -450,7 +451,7 @@ def train_model(config: ExperimentConfig, dataset: Dataset, seed: int) -> Checkp
                         raise NonFiniteError(f"loss={loss}")
                     model.backward(grad)
                     opt.step()
-                val_acc = _evaluate(model, x_va, y_va)
+                val_acc = _evaluate(model, dataset.images[va], dataset.labels[va])
                 if val_acc > best_val:
                     best_val = val_acc
                     best_state = {k: v.copy() for k, v in model.state_arrays().items()}
@@ -491,12 +492,12 @@ def _noisy_inputs(
 
 
 def evaluate_under_noise(
-    checkpoint: Checkpoint, dataset: Dataset, noise_levels: list, noise_family: str
+    checkpoint: Checkpoint, noise_levels: list, noise_family: str
 ) -> list[ResultRow]:
-    """Test accuracy per noise level on the test split of dataset that the
-    checkpoint's seed held out from its training."""
-    _, _, te = split_indices(dataset.images.shape[0], checkpoint.seed)
-    return noise_sweep(checkpoint, dataset.images[te], dataset.labels[te], noise_levels, noise_family)
+    """Test accuracy per noise level on the test split that the checkpoint's
+    config and seed held out from its training (``make_test_split``)."""
+    test = make_test_split(checkpoint.config, checkpoint.seed)
+    return noise_sweep(checkpoint, test.images, test.labels, noise_levels, noise_family)
 
 
 def noise_sweep(
@@ -507,9 +508,9 @@ def noise_sweep(
     noise_family: str,
 ) -> list[ResultRow]:
     """Accuracy on (images, labels) per noise level, deterministic per
-    (checkpoint seed, level). The seed is read only from the checkpoint: it
-    keys the noise streams and labels every row, and (images, labels) should
-    be that seed's test split (``make_test_split``).
+    (checkpoint seed, level): the core of ``evaluate_under_noise``, which
+    passes the checkpoint's own test split. The seed is read only from the
+    checkpoint: it keys the noise streams and labels every row.
 
     Noise enters at the model's input, or with ``feature_noise`` after its
     first BN layer. The clean activations at that point, and the per-channel
@@ -517,8 +518,8 @@ def noise_sweep(
     computed once per sweep; the layers before the first BN run in eval mode,
     where each sample's output depends on that sample alone. Both placements
     score each level with ``_evaluate``, so a count of correct samples gives
-    the same value either way. An unknown noise family is refused before any
-    work, even when every level is 0.
+    the same value either way. An unknown noise family is refused before the
+    model is built, even when every level is 0.
     """
     unit_spec = _unit_noise(noise_family)
     config, seed = checkpoint.config, checkpoint.seed
@@ -548,34 +549,44 @@ def noise_sweep(
     return rows
 
 
+def checkpoint_path(checkpoint_dir, config: ExperimentConfig, seed: int) -> str:
+    """Where ``run_sweep`` saves a seed's checkpoint; its sidecar is this path + ".json"."""
+    return os.path.join(checkpoint_dir, f"{config.bn_variant}_s{seed}.ckpt")
+
+
 def run_sweep(config: ExperimentConfig, checkpoint_dir=None) -> list[ResultRow]:
     """Train and evaluate over every seed of the config; one variant per call.
 
-    With a checkpoint_dir, each seed's checkpoint is saved there as
-    ``<bn_variant>_s<seed>.ckpt``.
+    With a checkpoint_dir, each seed's checkpoint is saved there, at
+    ``checkpoint_path``.
     """
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
     rows = []
     for seed in config.seeds:
-        dataset = make_dataset(config, seed)
-        ckpt = train_model(config, dataset, seed)
+        ckpt = train_model(config, seed)
         if checkpoint_dir:
-            ckpt.save(os.path.join(checkpoint_dir, f"{config.bn_variant}_s{seed}.ckpt"))
-        rows.extend(evaluate_under_noise(ckpt, dataset, config.noise_levels, config.noise_family))
+            ckpt.save(checkpoint_path(checkpoint_dir, config, seed))
+        rows.extend(evaluate_under_noise(ckpt, config.noise_levels, config.noise_family))
     return rows
 
 
 def aggregate_results(rows: list[ResultRow]) -> str:
-    """Mean and sample sd per (method, batch_size, noise) cell, as CSV."""
-    cells: dict[tuple, list[float]] = {}
+    """Mean and sample sd per (method, batch_size, noise, metric) cell over
+    its seeds, as CSV. Rows that repeat a seed's value in a cell are one run;
+    two different values for one seed in a cell are refused."""
+    cells: dict[tuple, dict[int, float]] = {}
     for r in rows:
         key = (r.method, r.batch_size, r.noise_pct, r.metric)
-        cells.setdefault(key, []).append(r.value)
+        by_seed = cells.setdefault(key, {})
+        if by_seed.setdefault(r.seed, r.value) != r.value:
+            raise InvalidInputError(
+                f"cell {key} has two values for seed {r.seed}: {by_seed[r.seed]!r} and {r.value!r}"
+            )
     buf = io.StringIO()
     buf.write("method,batch_size,noise_pct,metric,mean,sd,n_seeds\n")
     for key in sorted(cells):
-        vals = np.asarray(cells[key])
+        vals = np.asarray(list(cells[key].values()))
         if vals.size < 2:
             warnings.warn(f"cell {key} has fewer than 2 seeds; omitted from summary")
             buf.write(f"# warning: cell {key} omitted (single seed)\n")

@@ -26,7 +26,7 @@ from steinbn.estimators import (
     variance_c_bound,
     variance_gamma_params,
 )
-from steinbn.harness import ExperimentConfig, evaluate_under_noise, make_dataset, train_model
+from steinbn.harness import ExperimentConfig, evaluate_under_noise, train_model
 from steinbn.noise import (
     NoiseSpec,
     levy_gauss_cdf,
@@ -199,9 +199,8 @@ def test_criterion_7_table_1_trend():
         for bs in (32, 64):
             for seed in seeds:
                 cfg = ExperimentConfig(bn_variant=variant, batch_size=bs, seeds=[seed], **base)
-                ds = make_dataset(cfg, seed)
-                ckpt = train_model(cfg, ds, seed)
-                for row in evaluate_under_noise(ckpt, ds, levels, cfg.noise_family):
+                ckpt = train_model(cfg, seed)
+                for row in evaluate_under_noise(ckpt, levels, cfg.noise_family):
                     per_level[row.noise_pct].append(row.value)
         acc[variant] = {lv: float(np.mean(v)) for lv, v in per_level.items()}
 

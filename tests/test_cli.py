@@ -712,3 +712,92 @@ class TestTrainEvalReport:
         assert run_cli(["eval", "--checkpoint", str(ckdir / "stein_s1.ckpt"),
                         "--out", str(tmp_path / "e.csv")]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("feature_noise", [False, True])
+    def test_train_rows_equal_eval_of_each_checkpoint(self, tmp_path, feature_noise):
+        # train and eval score through one path on the split that the config
+        # and seed imply, so eval of every saved checkpoint at the config's
+        # levels and family writes the rows that train wrote, byte for byte
+        seeds = [1, 2]
+        cfg_path = write_config(tmp_path, model="TinyCNN", hw=4, seeds=seeds, sep=1.0,
+                                noise_levels=[0, 10, 30], feature_noise=feature_noise)
+        rows_csv, ckdir = tmp_path / "rows.csv", tmp_path / "ckpts"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(rows_csv),
+                        "--checkpoint-dir", str(ckdir)]) == 0
+        evaluated = [RESULTS_HEADER]
+        for seed in seeds:
+            out = tmp_path / f"eval_{seed}.csv"
+            assert run_cli(["eval", "--checkpoint", str(ckdir / f"stein_s{seed}.ckpt"),
+                            "--out", str(out)]) == 0
+            evaluated += out.read_text().splitlines()[1:-1]  # the header, then the config echo
+        trained = [ln for ln in rows_csv.read_text().splitlines() if not ln.startswith("#")]
+        assert len(trained) == 1 + 3 * len(seeds)
+        assert evaluated == trained
+
+    @staticmethod
+    def _trained_sweep(tmp_path):
+        """A config, the rows and checkpoints its train wrote, and every file's bytes."""
+        cfg_path = write_config(tmp_path, seeds=[1, 2], max_epochs=1)
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                        "--checkpoint-dir", str(tmp_path / "ck")]) == 0
+        (tmp_path / "link.json").symlink_to(cfg_path)
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["train", "--config", "config.json", "--out", "config.json"], "config.json"),
+            (["train", "--config", "config.json", "--out", "link.json"], "link.json"),
+            (["train", "--config", "config.json", "--out", "ck/stein_s2.ckpt",
+              "--checkpoint-dir", "ck"], "ck/stein_s2.ckpt"),
+            (["train", "--config", "config.json", "--out", "ck/stein_s1.ckpt.json",
+              "--checkpoint-dir", "ck/../ck"], "ck/stein_s1.ckpt.json"),
+            (["eval", "--checkpoint", "ck/stein_s1.ckpt", "--out", "ck/stein_s1.ckpt"],
+             "ck/stein_s1.ckpt"),
+            (["eval", "--checkpoint", "ck/stein_s1.ckpt", "--out", "ck/../ck/stein_s1.ckpt.json"],
+             "ck/../ck/stein_s1.ckpt.json"),
+            (["report", "rows.csv", "--out", "rows.csv"], "rows.csv"),
+            (["report", "config.json", "rows.csv", "--out", "s.csv", "--gnuplot", "rows.csv"],
+             "rows.csv"),
+            (["report", "rows.csv", "--out", "s.csv", "--gnuplot", "./s.csv"], "./s.csv"),
+        ],
+        ids=["train-config", "train-config-symlink", "train-checkpoint", "train-sidecar",
+             "eval-checkpoint", "eval-sidecar", "report-out", "report-gnuplot", "report-both"],
+    )
+    def test_output_replacing_an_input_or_output_exit_1_changes_nothing(
+        self, tmp_path, capsys, monkeypatch, argv, path
+    ):
+        # each of these exited 0 and wrote over what it read, or train
+        # trained and saved checkpoints, then wrote its rows over one
+        before = self._trained_sweep(tmp_path)
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("steinbn.harness.train_model", None)  # no training may start
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: this command ")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_report_counts_a_run_repeated_across_inputs_once(self, tmp_path):
+        # the same file given twice read as two seeds with sd 0
+        rows = tmp_path / "rows.csv"
+        rows.write_text(RESULTS_HEADER + "\nstein,32,0.0,1,accuracy,50.0,3\n"
+                        "stein,32,0.0,2,accuracy,60.0,3\nstein,32,10.0,1,accuracy,40.0,3\n")
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the 10% cell holds one seed
+            assert run_cli(["report", str(rows), "--out", str(once)]) == 0
+            assert run_cli(["report", str(rows), str(rows), "--out", str(twice)]) == 0
+        body = [ln for ln in twice.read_text().splitlines() if not ln.startswith("# config")]
+        assert body == [ln for ln in once.read_text().splitlines() if not ln.startswith("# config")]
+        assert "stein,32,0.0,accuracy,55,7.07107,2" in body
+
+    def test_report_two_values_for_a_seed_exit_1_writes_nothing(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(RESULTS_HEADER + "\nstein,32,0.0,1,accuracy,50.0,3\nstein,32,0.0,2,accuracy,60.0,3\n")
+        b.write_text(RESULTS_HEADER + "\nstein,32,0.0,1,accuracy,55.0,3\n")
+        out = tmp_path / "s.csv"
+        assert run_cli(["report", str(a), str(b), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cell ('stein', 32, 0.0, 'accuracy') has two values for seed 1: 50.0 and 55.0\n"
+        )
+        assert not out.exists()

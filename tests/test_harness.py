@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -244,7 +245,7 @@ class TestCheckpointFormat:
 
     def test_every_truncation_is_a_clean_error(self, tmp_path):
         cfg = ExperimentConfig(**{**FAST, "max_epochs": 0})
-        ckpt = train_model(cfg, make_dataset(cfg, seed=1), seed=1)
+        ckpt = train_model(cfg, seed=1)
         path = tmp_path / "model.ckpt"
         ckpt.save(path)
         blob = path.read_bytes()
@@ -263,12 +264,11 @@ class TestCheckpointFormat:
     @pytest.mark.parametrize("failing_write", [1, 2])
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failing_write):
         cfg = ExperimentConfig(**{**FAST, "max_epochs": 0})
-        ds = make_dataset(cfg, seed=1)
         path = tmp_path / "model.ckpt"
-        old = train_model(cfg, ds, seed=1)
+        old = train_model(cfg, seed=1)
         old.save(path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        new = train_model(ExperimentConfig(**{**FAST, "max_epochs": 1, "seeds": [2]}), ds, seed=2)
+        new = train_model(ExperimentConfig(**{**FAST, "max_epochs": 1, "seeds": [2]}), seed=2)
         # the temp file is written in full, then the rename onto the
         # checkpoint (1) or its .json sidecar (2) fails
         calls, replace = [], os.replace
@@ -296,8 +296,7 @@ class TestCheckpointFormat:
 
     def test_checkpoint_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(**FAST)
-        ds = make_dataset(cfg, seed=1)
-        ckpt = train_model(cfg, ds, seed=1)
+        ckpt = train_model(cfg, seed=1)
         path = tmp_path / "model.ckpt"
         ckpt.save(path)
         back = Checkpoint.load(path)
@@ -313,17 +312,15 @@ class TestTraining:
     def test_zero_epochs_returns_initialization_at_chance(self):
         # larger test split so "near chance" is statistically meaningful
         cfg = ExperimentConfig(**{**FAST, "max_epochs": 0, "n_per_class": 250})
-        ds = make_dataset(cfg, seed=1)
-        ckpt = train_model(cfg, ds, seed=1)
+        ckpt = train_model(cfg, seed=1)
         assert ckpt.epochs_trained == 0
-        rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family)
+        rows = evaluate_under_noise(ckpt, [0], cfg.noise_family)
         assert abs(rows[0].value - 25.0) < 20.0  # 4 classes, near chance
 
     def test_strong_signal_reaches_95(self):
         cfg = ExperimentConfig(**{**FAST, "sep": 10.0, "max_epochs": 20})
-        ds = make_dataset(cfg, seed=1)
-        ckpt = train_model(cfg, ds, seed=1)
-        rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family)
+        ckpt = train_model(cfg, seed=1)
+        rows = evaluate_under_noise(ckpt, [0], cfg.noise_family)
         assert rows[0].value >= 95.0
 
     def test_determinism_of_full_runs(self):
@@ -346,13 +343,12 @@ class TestTraining:
     @pytest.mark.parametrize("model", ["TinyCNN", "MLP2"])
     def test_divergence_returns_flagged_checkpoint(self, model):
         cfg = ExperimentConfig(**{**DIVERGING, "model": model})
-        ds = make_dataset(cfg, seed=1)
         with pytest.warns(UserWarning, match="diverged at epoch"):
-            ckpt = train_model(cfg, ds, seed=1)
+            ckpt = train_model(cfg, seed=1)
         assert ckpt.diverged and ckpt.epochs_trained >= 1
         # the best state before divergence is restored and still evaluates
         assert all(np.isfinite(v).all() for v in ckpt.arrays.values())
-        rows = evaluate_under_noise(ckpt, ds, [0], cfg.noise_family)
+        rows = evaluate_under_noise(ckpt, [0], cfg.noise_family)
         assert 0.0 <= rows[0].value <= 100.0
 
     def test_training_builds_only_the_dataset_tensor4(self, monkeypatch):
@@ -367,8 +363,7 @@ class TestTraining:
 
         monkeypatch.setattr(Tensor4, "__init__", counting_init)
         cfg = ExperimentConfig(**{**FAST, "model": "TinyCNN", "max_epochs": 1})
-        ds = make_dataset(cfg, seed=1)
-        assert not train_model(cfg, ds, seed=1).diverged
+        assert not train_model(cfg, seed=1).diverged
         assert len(built) == 1
 
     def test_divergence_in_last_step_of_epoch_is_flagged(self):
@@ -377,9 +372,8 @@ class TestTraining:
         cfg = ExperimentConfig(
             **{**DIVERGING, "learning_rate": 1e3, "max_epochs": 3, "seeds": [4], "channels": 3}
         )
-        ds = make_dataset(cfg, seed=4)
         with pytest.warns(UserWarning, match="diverged at epoch 3 [(]non-finite logits[)]"):
-            ckpt = train_model(cfg, ds, seed=4)
+            ckpt = train_model(cfg, seed=4)
         assert ckpt.diverged and ckpt.epochs_trained == 3
 
     def test_golden_tiny_cnn_checkpoint(self):
@@ -391,7 +385,7 @@ class TestTraining:
             model="TinyCNN", bn_variant="stein", batch_size=32, hw=4, n_per_class=25,
             max_epochs=2, learning_rate=0.05, seeds=[3],
         )
-        ckpt = train_model(cfg, make_dataset(cfg, seed=3), seed=3)
+        ckpt = train_model(cfg, seed=3)
         assert (ckpt.epochs_trained, ckpt.best_val_acc) == (2, 70.0)
         digest = hashlib.sha256()
         for key in sorted(ckpt.arrays):
@@ -405,10 +399,10 @@ class TestTraining:
         # trains the run above in a fresh interpreter
         script = (
             "import hashlib\n"
-            "from steinbn.harness import ExperimentConfig, make_dataset, train_model\n"
+            "from steinbn.harness import ExperimentConfig, train_model\n"
             "cfg = ExperimentConfig(model='TinyCNN', bn_variant='stein', batch_size=32, hw=4,\n"
             "    n_per_class=25, max_epochs=2, learning_rate=0.05, seeds=[3])\n"
-            "arrays = train_model(cfg, make_dataset(cfg, seed=3), seed=3).arrays\n"
+            "arrays = train_model(cfg, seed=3).arrays\n"
             "digest = hashlib.sha256()\n"
             "for key in sorted(arrays):\n"
             "    digest.update(key.encode())\n"
@@ -431,7 +425,7 @@ class TestTraining:
             model="TinyCNN", bn_variant="stein", batch_size=32, hw=4, n_per_class=25,
             max_epochs=2, learning_rate=0.05, seeds=[3],
         )
-        train_model(cfg, make_dataset(cfg, seed=3), seed=3).save(tmp_path / "m.ckpt")
+        train_model(cfg, seed=3).save(tmp_path / "m.ckpt")
         digest = hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest()
         assert digest == "69b4e35dfadd78bb9c7c6fed19527edf66479762e467ffb92cda8af37d5add5b"
 
@@ -441,7 +435,6 @@ class TestTraining:
         # releases the layers' backward state; the same steps with it skipped
         # must give the same parameters and running statistics, bit for bit
         cfg = ExperimentConfig(**{**FAST, "model": model, "max_epochs": 3})
-        ds = make_dataset(cfg, seed=1)
         evaluate = harness._evaluate
 
         def train(validate):
@@ -453,13 +446,37 @@ class TestTraining:
                 return float(next(scores))
 
             monkeypatch.setattr(harness, "_evaluate", validation)
-            return train_model(cfg, ds, seed=1)
+            return train_model(cfg, seed=1)
 
         validated, skipped = train(True), train(False)
         assert validated.epochs_trained == skipped.epochs_trained == 3
         assert list(validated.arrays) == list(skipped.arrays)
         for key, arr in validated.arrays.items():
             assert arr.tobytes() == skipped.arrays[key].tobytes(), key
+
+    @pytest.mark.parametrize("model", ["MLP2", "TinyCNN"])
+    def test_each_validation_pass_gathers_its_rows_and_drops_them(self, monkeypatch, model):
+        # train_model held one copy of the validation split through every step
+        cfg = ExperimentConfig(**{**FAST, "model": model, "max_epochs": 3, "early_stop_patience": 3})
+        evaluate, passes = harness._evaluate, []
+
+        def validation(net, images, labels):
+            assert all(ref() is None for ref in passes), "an earlier pass's images are still live"
+            passes.append(weakref.ref(images))
+            return evaluate(net, images, labels)
+
+        monkeypatch.setattr(harness, "_evaluate", validation)
+        train_model(cfg, seed=1)
+        assert len(passes) == 1 + cfg.max_epochs
+        assert all(ref() is None for ref in passes)
+
+    def test_plain_momentum_config_trains_another_finite_checkpoint(self):
+        nesterov = train_model(ExperimentConfig(**FAST), seed=1)
+        plain = train_model(ExperimentConfig(**{**FAST, "nesterov": False}), seed=1)
+        assert not plain.diverged
+        assert all(np.isfinite(v).all() for v in plain.arrays.values())
+        assert list(plain.arrays) == list(nesterov.arrays)
+        assert any(v.tobytes() != nesterov.arrays[k].tobytes() for k, v in plain.arrays.items())
 
     def test_lasso_ridge_zero_lambda_match_standard_trajectories(self):
         base = ExperimentConfig(**{**FAST, "bn_variant": "standard"})
@@ -473,32 +490,30 @@ class TestTraining:
 class TestEvaluation:
     def _trained(self):
         cfg = ExperimentConfig(**FAST)
-        ds = make_dataset(cfg, seed=1)
-        return cfg, ds, train_model(cfg, ds, seed=1)
+        return cfg, train_model(cfg, seed=1)
 
     def test_level_zero_equals_clean_accuracy(self):
-        cfg, ds, ckpt = self._trained()
-        rows = evaluate_under_noise(ckpt, ds, [0, 0], cfg.noise_family)
+        cfg, ckpt = self._trained()
+        rows = evaluate_under_noise(ckpt, [0, 0], cfg.noise_family)
         assert rows[0].value == rows[1].value
 
     def test_rows_carry_config_fields(self):
-        cfg, ds, ckpt = self._trained()
-        rows = evaluate_under_noise(ckpt, ds, [0, 10], cfg.noise_family)
+        cfg, ckpt = self._trained()
+        rows = evaluate_under_noise(ckpt, [0, 10], cfg.noise_family)
         assert [r.noise_pct for r in rows] == [0.0, 10.0]
         assert all(r.method == cfg.bn_variant for r in rows)
         assert all(r.batch_size == cfg.batch_size for r in rows)
 
     def test_noise_draws_deterministic_per_level(self):
-        cfg, ds, ckpt = self._trained()
-        a = evaluate_under_noise(ckpt, ds, [20], cfg.noise_family)
-        b = evaluate_under_noise(ckpt, ds, [20], cfg.noise_family)
+        cfg, ckpt = self._trained()
+        a = evaluate_under_noise(ckpt, [20], cfg.noise_family)
+        b = evaluate_under_noise(ckpt, [20], cfg.noise_family)
         assert a == b
 
     def test_feature_noise_flag(self):
         cfg = ExperimentConfig(**{**FAST, "feature_noise": True})
-        ds = make_dataset(cfg, seed=1)
-        ckpt = train_model(cfg, ds, seed=1)
-        rows = evaluate_under_noise(ckpt, ds, [0, 20], cfg.noise_family)
+        ckpt = train_model(cfg, seed=1)
+        rows = evaluate_under_noise(ckpt, [0, 20], cfg.noise_family)
         assert all(0.0 <= r.value <= 100.0 for r in rows)
 
     @pytest.mark.parametrize("feature_noise", [False, True])
@@ -506,11 +521,10 @@ class TestEvaluation:
         # the clean prefix and the noise scale are shared across the levels
         # of a sweep; no level may see another level's noise
         cfg = ExperimentConfig(**{**FAST, "feature_noise": feature_noise, "sep": 1.0})
-        ds = make_dataset(cfg, seed=1)
-        ckpt = train_model(cfg, ds, seed=1)
+        ckpt = train_model(cfg, seed=1)
         levels = [0, 20, 50, 20, 0]
-        rows = evaluate_under_noise(ckpt, ds, levels, "levy-gauss")
-        alone = [evaluate_under_noise(ckpt, ds, [lv], "levy-gauss")[0] for lv in levels]
+        rows = evaluate_under_noise(ckpt, levels, "levy-gauss")
+        alone = [evaluate_under_noise(ckpt, [lv], "levy-gauss")[0] for lv in levels]
         assert rows == alone
         assert len({r.value for r in rows}) > 1
 
@@ -560,7 +574,7 @@ class TestEvaluation:
             max_epochs=2, learning_rate=0.05, seeds=[3],
         )
         ds = make_dataset(cfg, seed=3)
-        ckpt = train_model(cfg, ds, seed=3)
+        ckpt = train_model(cfg, seed=3)
         ckpt.config = replace(cfg, feature_noise=feature_noise)
         outputs = []
         forward = Sequential.forward
@@ -604,3 +618,23 @@ class TestAggregate:
             out = aggregate_results(rows)
         assert any("single seed" in str(w.message) or "fewer than 2" in str(w.message) for w in caught)
         assert any(line.startswith("# warning") for line in out.splitlines())
+
+    def test_a_run_repeated_in_the_rows_counts_once(self):
+        # rows given twice (one file read twice, or eval --levels 10,10.0)
+        # read as two seeds with sd 0
+        rows = [ResultRow("stein", 32, 0.0, s, "accuracy", v, 5) for s, v in [(1, 1.0), (2, 3.0)]]
+        assert aggregate_results(rows + rows) == aggregate_results(rows)
+        with pytest.warns(UserWarning, match="fewer than 2 seeds"):
+            out = aggregate_results(rows[:1] * 2)
+        assert out.splitlines()[1:] == [
+            "# warning: cell ('stein', 32, 0.0, 'accuracy') omitted (single seed)"
+        ]
+
+    def test_two_values_for_one_seed_in_a_cell_refused(self):
+        rows = [ResultRow("stein", 32, 0.0, 1, "accuracy", v, 5) for v in (1.0, 1.0, 2.0)]
+        message = r"cell \('stein', 32, 0.0, 'accuracy'\) has two values for seed 1: 1.0 and 2.0"
+        with pytest.raises(InvalidInputError, match=message):
+            aggregate_results(rows)
+        # the same seed in another cell is another run
+        other = replace(rows[0], metric="fgsm-accuracy", value=2.0)
+        aggregate_results([rows[0], other, replace(rows[0], seed=2), replace(other, seed=2)])

@@ -224,6 +224,30 @@ def test_sequential_backward_skips_only_the_input_gradient(build):
             assert arr.tobytes() == before[name].tobytes(), name
 
 
+@pytest.mark.parametrize("nesterov", [False, True])
+def test_optimizer_step_is_plain_or_nesterov_momentum(nesterov):
+    # plain momentum: v = m·v + g, w -= lr·v; Nesterov: the same v, then
+    # w -= lr·(g + m·v); bit for bit, over two steps so that the second
+    # starts from a nonzero velocity
+    lr, m = 0.05, 0.9
+    model = build_mlp2((3, 2, 2), 4, BNVariant.STEIN, CounterRng(5), hidden=8)
+    opt = nn.SGDNesterov(model, lr, m, nesterov)
+    rng = np.random.default_rng(1)
+    x, labels = rng.normal(size=(6, 3, 2, 2)), rng.integers(0, 4, 6)
+    velocity = {key: np.zeros_like(arr) for key, _, _, arr in model.named_params()}
+    for _ in range(2):
+        model.backward(softmax_cross_entropy(model.forward(x), labels)[1])
+        before = {key: (arr.copy(), layer.grads()[name].copy())
+                  for key, layer, name, arr in model.named_params()}
+        opt.step()
+        for key, _, _, arr in model.named_params():
+            w, g = before[key]
+            velocity[key] = m * velocity[key] + g
+            want = w - lr * (g + m * velocity[key] if nesterov else velocity[key])
+            assert opt.velocity[key].tobytes() == velocity[key].tobytes(), key
+            assert arr.tobytes() == want.tobytes(), key
+
+
 def test_state_loads_in_place_and_round_trips():
     # the state of one model loaded into another of the same shape gives
     # the same arrays in the same order, written into the model's own arrays

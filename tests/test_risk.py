@@ -182,6 +182,30 @@ class TestKeyInequality:
         with pytest.raises(InvalidInputError):
             mc_key_inequality([np.zeros(2)], NONE, 1_000, seed=0)
 
+    @given(
+        p=st.integers(3, 64),
+        theta_norm=st.floats(0.0, 20.0),
+        eps=st.sampled_from([0.0, 0.1, 0.3]),
+        n_trials=st.integers(2, 400),
+        seed=st.integers(0, 2**31),
+        k=st.floats(0.5, 4.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_is_theorem_1s_risk_gap(self, p, theta_norm, eps, n_trials, seed, k):
+        # with Z = theta + N + Y and sigma = 1, trial by trial
+        # |JS(Z) - theta|^2 - |Z - theta|^2 = (p - 2) [(2 Z.theta + p - 2) / |Z|^2 - 2],
+        # and at one seed both checks draw the same N and Y; so the paired risk
+        # gap is (p - 2)(estimate - 2), to round-off of the risks' size, and
+        # the two checks decide alike unless the margin is within round-off of k
+        theta = np.full(p, theta_norm / np.sqrt(p))
+        noise = truncated_levy_gauss(eps)
+        (report,) = mc_risk_gaussian([theta], 1.0, noise, n_trials, seed, k=k)
+        ((est, _, holds),) = mc_key_inequality([theta], noise, n_trials, seed, k=k)
+        mle, js = report.estimator_risks["mle"][0], report.estimator_risks["js"][0]
+        assert js - mle == pytest.approx((p - 2) * (est - 2.0), rel=1e-12, abs=1e-12 * (mle + js))
+        if abs(report.margin_se - k) > 1e-9 * k:
+            assert (report.verdict == VERDICT_DOMINATES) == holds
+
 
 class TestSteinGammaLemma:
     def test_identity_function_moments(self):
