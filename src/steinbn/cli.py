@@ -104,6 +104,18 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [-2**53, 2**53]")
 
 
+def _levels(text: str) -> list[float]:
+    """eval's --levels: a comma list of numbers. An entry float() cannot read
+    is refused by name here; check_noise_levels refuses a number out of range."""
+    levels = []
+    for entry in text.split(","):
+        try:
+            levels.append(float(entry))
+        except ValueError:
+            raise InvalidInputError(f"--levels entry {entry!r} is not a number") from None
+    return levels
+
+
 def _finite_list(text: str) -> np.ndarray:
     return np.array([_finite(s) for s in text.split(",")])
 
@@ -270,6 +282,10 @@ def _cmd_train(args) -> int:
     with open(args.config) as f:
         config = ExperimentConfig.from_json(f.read())
     if args.checkpoint_dir:
+        if os.path.exists(args.checkpoint_dir) and not os.path.isdir(args.checkpoint_dir):
+            raise InvalidInputError(
+                f"cannot save checkpoints in {args.checkpoint_dir}: it exists and is not a directory"
+            )
         ckpts = [checkpoint_path(args.checkpoint_dir, config, seed) for seed in config.seeds]
         _check_distinct([*ckpts, *(p + ".json" for p in ckpts), args.out], [args.config])
     rows = run_sweep(config, args.checkpoint_dir)
@@ -282,9 +298,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     ckpt = Checkpoint.load(args.checkpoint)
     config = ckpt.config
-    levels = (
-        [float(s) for s in args.levels.split(",")] if args.levels else config.noise_levels
-    )
+    levels = _levels(args.levels) if args.levels else config.noise_levels
     check_noise_levels(levels)
     family = args.family or config.noise_family
     rows = evaluate_under_noise(ckpt, levels, family)

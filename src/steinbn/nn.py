@@ -20,11 +20,14 @@ missing or misshapen array and, for BN, a negative running variance.
 Every layer has a ``mode``, set by ``train()`` and ``eval()`` (BN's is its
 BNLayer mode). A forward keeps what its backward reads, in one attribute per
 layer, only in train mode: Conv3x3 and Dense keep their input, ReLU its mask
-and BN its input and per-channel vectors. In eval mode a forward keeps
+and BN its input and per-channel vectors. The backward takes that state and
+the layer lets go of it (as autograd frees saved tensors after a backward),
+so a layer holds it only from its forward to its backward, and a second
+backward without a new forward is refused. In eval mode a forward keeps
 nothing, and a backward after it is refused; ``eval()`` itself releases what
-the last train step kept, so inference starts clean. The forward arithmetic
-is the same in both modes, so eval outputs are bit-identical to those of a
-train-mode pass with the same statistics.
+a train forward kept that no backward took, so inference starts clean. The
+forward arithmetic is the same in both modes, so eval outputs are
+bit-identical to those of a train-mode pass with the same statistics.
 """
 
 from __future__ import annotations
@@ -40,17 +43,19 @@ from .tensor import InvalidInputError
 
 class Layer:
     mode = BNMode.TRAIN
-    _saved = None  # what the last train-mode forward kept for the backward
+    _saved = None  # what the last train-mode forward kept, until the backward takes it
 
     def _keep(self, saved) -> None:
         """Hold saved for the backward in train mode; hold nothing in eval mode."""
         self._saved = saved if self.mode is BNMode.TRAIN else None
 
     def _kept(self):
-        """What a train-mode forward kept for the backward; refused if there is none."""
-        if self._saved is None:
+        """Hand the backward what a train-mode forward kept, and let go of it;
+        refused if there is none, as after an eval forward or a backward."""
+        saved, self._saved = self._saved, None
+        if saved is None:
             raise InvalidInputError("backward needs a train-mode forward")
-        return self._saved
+        return saved
 
     def params(self) -> dict[str, np.ndarray]:
         return {}
@@ -78,7 +83,7 @@ class Layer:
         return self
 
     def eval(self):
-        """Eval mode, releasing what the last train-mode forward kept."""
+        """Eval mode, releasing what a train-mode forward kept that no backward took."""
         self.mode = BNMode.EVAL
         self._saved = None
         return self
@@ -194,11 +199,12 @@ class Conv3x3(Layer):
     keeps its input instead, nine times smaller than its columns, and the
     backward gathers the columns of the whole batch from it once, already
     in the (in*9, N*H*W) layout of the weight-gradient GEMM
-    (``_channel_cols``, through the cached ``_plane_tap_index``), and drops
-    them before the input gradient. That gradient is built a block of samples
-    at a time too, at most ``_FOLD_BLOCK`` column-gradient entries or one
-    sample's: each block's ``w.T @ grad[n]`` is folded into its rows of one
-    preallocated padded gradient. Samples share no padded cells, so the
+    (``_channel_cols``, through the cached ``_plane_tap_index``). It lets go
+    of the input once the columns are gathered, before that GEMM, and drops
+    the columns before the input gradient. That gradient is built a block of
+    samples at a time too, at most ``_FOLD_BLOCK`` column-gradient entries or
+    one sample's: each block's ``w.T @ grad[n]`` is folded into its rows of
+    one preallocated padded gradient. Samples share no padded cells, so the
     result is bit-identical to one whole-batch fold. The layer holds no
     scatter targets: those of one block, shaped by (block, in, H, W), live
     in the module's cache ``_fold_targets``, and a shorter last block folds
@@ -246,6 +252,7 @@ class Conv3x3(Layer):
         g = grad.reshape(n, o, h * w)
         self.db = g.sum(axis=(0, 2))
         cols = self._channel_cols(x)
+        del x  # the columns hold all that the backward reads of it
         if h * w == 1:
             # _im2col's columns transposed to (c*9, n) are an F-ordered view
             # here, and with o = 1 the GEMM below is a gemv whose round-off

@@ -370,8 +370,18 @@ class TestTrainEvalReport:
             assert {r.seed for r in rows} == {seed}
             assert rows == [r for r in trained if r.seed == seed]
 
-    @pytest.mark.parametrize("level", ["-10", "150", "nan", "inf"])
-    def test_eval_bad_level_exit_1_writes_nothing(self, tmp_path, capsys, level):
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            *((f"0,{level}", f"noise level {float(level)!r} is not a number in [0, 100]")
+              for level in ("-10", "150", "nan", "inf")),
+            # these two exited 1 with a bare "could not convert string to float"
+            ("0,abc", "--levels entry 'abc' is not a number"),
+            ("0,,10", "--levels entry '' is not a number"),
+        ],
+        ids=["-10", "150", "nan", "inf", "abc", "empty"],
+    )
+    def test_eval_bad_level_exit_1_writes_nothing(self, tmp_path, capsys, levels, message):
         cfg_path = write_config(tmp_path)
         ckdir = tmp_path / "ckpts"
         run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
@@ -379,10 +389,9 @@ class TestTrainEvalReport:
         capsys.readouterr()
         out = tmp_path / "eval.csv"
         code = run_cli(["eval", "--checkpoint", str(ckdir / "stein_s1.ckpt"),
-                        "--levels", f"0,{level}", "--out", str(out)])
+                        "--levels", levels, "--out", str(out)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: noise level {float(level)!r} is not a number in [0, 100]")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
     def test_eval_levels_sharing_a_stream_exit_1_writes_nothing(self, tmp_path, capsys):
@@ -610,6 +619,21 @@ class TestTrainEvalReport:
         assert capsys.readouterr().err == f"error: cannot write {out}: {message}\n"
         assert not ckdir.exists()
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "results"]
+
+    def test_checkpoint_dir_naming_a_file_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # this exited 1 with a bare "[Errno 17] File exists" from os.makedirs
+        cfg_path = write_config(tmp_path)
+        ckdir = tmp_path / "ckpts"
+        ckdir.write_text("not a directory\n")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+        monkeypatch.setattr("steinbn.harness.train_model", None)  # no training may start
+        out = tmp_path / "rows.csv"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(out),
+                        "--checkpoint-dir", str(ckdir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot save checkpoints in {ckdir}: it exists and is not a directory\n"
+        )
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
 
     def test_report_gnuplot_in_a_missing_directory_exit_1_writes_nothing(self, tmp_path, capsys):
         rows = tmp_path / "rows.csv"

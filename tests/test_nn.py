@@ -209,12 +209,15 @@ def test_conv_gradients_follow_the_batch_shape():
 @pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])
 def test_sequential_backward_skips_only_the_input_gradient(build):
     # every parameter gradient equals that of a backward pass that also
-    # computes the gradient w.r.t. the model input, bit for bit
+    # computes the gradient w.r.t. the model input, bit for bit. A backward
+    # takes its forward's state, so the second pass runs the forward again:
+    # the same x through the same weights keeps the same state
     model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
     x = np.random.default_rng(1).normal(size=(6, 3, 4, 4))
     grad = np.random.default_rng(2).normal(size=model.forward(x).shape)
     assert model.backward(grad) is None
     skipped = [{k: v.copy() for k, v in layer.grads().items()} for layer in model.layers]
+    model.forward(x)
     g = grad
     for layer in reversed(model.layers):
         g = layer.backward(g)
@@ -304,13 +307,20 @@ def _held_batch_arrays(layer, n):
 
 @pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])
 def test_eval_forward_leaves_no_activation_in_any_layer(build):
-    # a train step fills every layer's backward state; switching to eval mode
-    # releases all of it, and an eval forward keeps none, so a validation pass
-    # after the step starts clean and inference holds only what it returns
+    # a train forward fills every layer's backward state and the backward
+    # takes all of it; switching to eval mode releases the state of a train
+    # forward no backward took, and an eval forward keeps none, so a
+    # validation pass starts clean and inference holds only what it returns
     n = 37  # no parameter's length or leading axis is a multiple of 37
     model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
     x = np.random.default_rng(1).normal(size=(n, 3, 4, 4))
-    model.backward(np.ones(model.forward(x).shape))
+    y = model.forward(x)
+    keeping = [layer for layer in model.layers if not isinstance(layer, nn.GlobalAvgPool)]
+    assert all(_held_batch_arrays(layer, n) for layer in keeping)  # pooling keeps a shape
+    model.backward(np.ones(y.shape))
+    for i, layer in enumerate(model.layers):
+        assert _held_batch_arrays(layer, n) == [], f"layer{i} {type(layer).__name__}"
+    model.forward(x)
     assert any(_held_batch_arrays(layer, n) for layer in model.layers)
     model.eval()
     for i, layer in enumerate(model.layers):
@@ -338,11 +348,13 @@ def test_backward_needs_a_train_mode_forward(make):
     for unready in (make(), layer):  # no forward yet, or an eval-mode one
         with pytest.raises(InvalidInputError, match="backward needs a train-mode forward"):
             unready.backward(np.ones(y.shape))
-    # back in train mode the layer runs its backward
+    # back in train mode the layer runs its backward, once per forward
     train_y = layer.train().forward(x)
     if not isinstance(layer, BatchNorm):  # BN trains on the batch statistics
         assert train_y.tobytes() == y.tobytes()
     layer.backward(np.ones(y.shape))
+    with pytest.raises(InvalidInputError, match="backward needs a train-mode forward"):
+        layer.backward(np.ones(y.shape))
 
 
 def test_eval_forward_in_column_blocks_equals_whole_and_per_sample_forwards():
@@ -465,11 +477,13 @@ def test_train_step_and_validation_memory_hold_inputs_not_columns():
     # across steps counts. A train forward keeps the input, the backward
     # gathers the columns once (no transposed copy), drops them before the
     # input gradient and folds that gradient a column block at a time, and
-    # eval() releases the backward state, so the validation pass after a step
-    # starts clean and runs a block of samples at a time. The peaks were
-    # 4.5 MiB (backward) and 1.7 MiB (validation); each bound adds about
-    # 0.4 MiB. Whole-batch folds and validation passes peaked at 6.5 and
-    # 4.3 MiB, and layers that kept their columns at about 11 MiB in each
+    # each layer's backward takes and releases its state, so the validation
+    # pass after a step starts clean and runs a block of samples at a time.
+    # The peaks were 4.0 MiB (backward) and 1.7 MiB (validation); each bound
+    # adds about 0.4 MiB. Layers that held their state until the next forward
+    # peaked at 4.5 MiB in the backward, whole-batch folds and validation
+    # passes at 6.5 and 4.3 MiB, and layers that kept their columns at about
+    # 11 MiB in each
     hw, batch = 8, 64
     rng = np.random.default_rng(1)
     x, labels = rng.normal(size=(batch, 3, hw, hw)), rng.integers(0, 4, batch)
@@ -503,5 +517,5 @@ def test_train_step_and_validation_memory_hold_inputs_not_columns():
         validation = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert backward <= 5.0 * mib, f"backward peak {backward / mib:.1f} MiB"
+    assert backward <= 4.4 * mib, f"backward peak {backward / mib:.1f} MiB"
     assert validation <= 2.1 * mib, f"validation peak {validation / mib:.1f} MiB"
