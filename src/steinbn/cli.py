@@ -347,6 +347,15 @@ def _check_distinct(outputs, inputs) -> None:
         taken[real] = "also writes"
 
 
+def _check_given(args) -> None:
+    """Refuse a flag given an empty value, which would otherwise read as not
+    given (``--checkpoint-dir``, ``--gnuplot``, ``--levels``, ``--family``)
+    or fail once the work is done (``--out``)."""
+    for name, value in vars(args).items():
+        if isinstance(value, str) and not value:
+            raise InvalidInputError(f"--{name.replace('_', '-')} is empty")
+
+
 def _check_out_paths(args) -> None:
     """Refuse an output path that names a directory, lies in none, or would
     replace an input or the other output, before any work."""
@@ -365,6 +374,7 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_given(args)
         _check_out_paths(args)
         return args.run(args)
     except (InvalidInputError, OSError, ValueError, ZeroDivisionError) as exc:

@@ -1,4 +1,10 @@
-"""Synthetic datasets and their deterministic splits for the training harness."""
+"""Synthetic datasets and their deterministic splits for the training harness.
+
+A dataset is a pure function of its arguments and seed, and each of its
+samples can be drawn on its own (``make_synthetic_blobs(rows=...)``), so a
+caller draws the rows it reads where it reads them and holds no full dataset
+to gather them from.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import CounterRng
+from .rng import _BLOCK, CounterRng
 from .tensor import InvalidInputError, Tensor4
 
 
@@ -39,10 +45,14 @@ def make_synthetic_blobs(
     within-class standard deviation (which is 1). Every pixel of a channel
     shares its class mean.
 
-    With ``rows`` (integer indices into the n_classes * n_per_class samples),
-    only those samples are drawn, in that order: pixel j of sample r is entry
-    r*channels*hw*hw + j of the counter stream, so the result is bit-identical
-    to the same rows of the full dataset.
+    With ``rows`` (integer indices into the n_classes * n_per_class samples,
+    in any order, repeats allowed), only those samples are drawn, in that
+    order: pixel j of sample r is entry r*channels*hw*hw + j of the counter
+    stream, so the result is bit-identical to the same rows of the full
+    dataset. The rows are drawn a block at a time (as many samples as fit in
+    the counter RNG's ``_BLOCK`` entries, or one sample) into one pixel
+    array, so besides the images a row draw holds one block's entry indices
+    and draws, not an index per pixel.
 
     The class means are added in place to the fresh pixel draw, so besides
     the images only the draw's blocks and an (N, channels) array of means
@@ -68,8 +78,13 @@ def make_synthetic_blobs(
         ):
             raise InvalidInputError(f"rows must be a 1-D array of integers in [0, {n_total})")
         labels = labels[rows]
-        entries = (rows[:, None] * pixels_per_sample + np.arange(pixels_per_sample)).ravel()
-        pixels = rng.normal(entries.size, 102, offset=entries)
+        pixels = np.empty(rows.size * pixels_per_sample)
+        within = np.arange(pixels_per_sample)
+        per_block = max(1, _BLOCK // pixels_per_sample)
+        for lo in range(0, rows.size, per_block):
+            block = rows[lo : lo + per_block, None].astype(np.int64) * pixels_per_sample + within
+            start = lo * pixels_per_sample
+            pixels[start : start + block.size] = rng.normal(block.size, 102, offset=block.ravel())
     images = pixels.reshape(-1, channels, hw, hw)
     images += centers[labels][:, :, None, None]
     # fixed interleaved order; train/val/test splitting permutes separately

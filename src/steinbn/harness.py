@@ -415,21 +415,27 @@ def _evaluate(model: Sequential, images: np.ndarray, labels: np.ndarray) -> floa
 
 
 def train_model(config: ExperimentConfig, seed: int) -> Checkpoint:
-    """Train one model on the dataset that (config, seed) draws; early stopping
+    """Train one model on the data that (config, seed) draws; early stopping
     on clean validation accuracy.
 
-    Each epoch steps through the seed's training split in a fresh order, in
-    batches of ``batch_size``. The batch starts stop two short of the split's
-    end, so every batch holds at least the 2 samples BN needs: a last
-    remainder of one sample is left out of that epoch. Batches and validation
-    passes gather their rows from the dataset, so no split is held as a copy."""
-    dataset = make_dataset(config, seed)
-    tr, va, _ = split_indices(dataset.images.shape[0], seed)
+    The seed's training rows are drawn once (``make_dataset(..., rows=tr)``)
+    and each validation pass draws the validation rows and drops them, so no
+    full dataset and no test row is drawn here. Each epoch steps through the
+    training rows in a fresh order, in batches of ``batch_size``. The batch
+    starts stop two short of the split's end, so every batch holds at least
+    the 2 samples BN needs: a last remainder of one sample is left out of
+    that epoch."""
+    tr, va, _ = split_indices(config.n_classes * config.n_per_class, seed)
+    train = make_dataset(config, seed, rows=tr)
     model = build_model(config, seed)
     opt = SGDNesterov(model, config.learning_rate, config.momentum_sgd, config.nesterov)
     shuffle_rng = CounterRng(seed)
 
-    best_val = _evaluate(model, dataset.images[va], dataset.labels[va])
+    def validate() -> float:
+        val = make_dataset(config, seed, rows=va)
+        return _evaluate(model, val.images, val.labels)
+
+    best_val = validate()
     best_state = {k: v.copy() for k, v in model.state_arrays().items()}
     best_epoch, stale = 0, 0
 
@@ -444,14 +450,14 @@ def train_model(config: ExperimentConfig, seed: int) -> Checkpoint:
                 model.train()
                 order = np.argsort(shuffle_rng.uniform(tr.size, 104, epoch), kind="stable")
                 for lo in range(0, tr.size - 1, config.batch_size):
-                    idx = tr[order[lo : lo + config.batch_size]]
-                    logits = model.forward(dataset.images[idx])
-                    loss, grad = softmax_cross_entropy(logits, dataset.labels[idx])
+                    idx = order[lo : lo + config.batch_size]
+                    logits = model.forward(train.images[idx])
+                    loss, grad = softmax_cross_entropy(logits, train.labels[idx])
                     if not np.isfinite(loss):
                         raise NonFiniteError(f"loss={loss}")
                     model.backward(grad)
                     opt.step()
-                val_acc = _evaluate(model, dataset.images[va], dataset.labels[va])
+                val_acc = validate()
                 if val_acc > best_val:
                     best_val = val_acc
                     best_state = {k: v.copy() for k, v in model.state_arrays().items()}

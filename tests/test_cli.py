@@ -378,8 +378,10 @@ class TestTrainEvalReport:
             # these two exited 1 with a bare "could not convert string to float"
             ("0,abc", "--levels entry 'abc' is not a number"),
             ("0,,10", "--levels entry '' is not a number"),
+            # an empty --levels exited 0 and scored the checkpoint's own levels
+            ("", "--levels is empty"),
         ],
-        ids=["-10", "150", "nan", "inf", "abc", "empty"],
+        ids=["-10", "150", "nan", "inf", "abc", "empty", "no-levels"],
     )
     def test_eval_bad_level_exit_1_writes_nothing(self, tmp_path, capsys, levels, message):
         cfg_path = write_config(tmp_path)
@@ -799,6 +801,36 @@ class TestTrainEvalReport:
         monkeypatch.setattr("steinbn.harness.train_model", None)  # no training may start
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}: this command ")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["train", "--config", "config.json", "--out", ""], "--out"),
+            (["train", "--config", "config.json", "--out", "r.csv", "--checkpoint-dir", ""],
+             "--checkpoint-dir"),
+            (["eval", "--checkpoint", "ck/stein_s1.ckpt", "--out", ""], "--out"),
+            (["eval", "--checkpoint", "ck/stein_s1.ckpt", "--out", "e.csv", "--family", ""],
+             "--family"),
+            (["eval", "--checkpoint", "", "--out", "e.csv"], "--checkpoint"),
+            (["report", "rows.csv", "--out", "s.csv", "--gnuplot", ""], "--gnuplot"),
+            (["noise", "sample", "--n", "3", "--seed", "1", "--out", ""], "--out"),
+            (["risk", "lemma", "--alpha", "2", "--beta", "1", "--trials", "10", "--seed", "1",
+              "--out", ""], "--out"),
+        ],
+        ids=["train-out", "train-checkpoint-dir", "eval-out", "eval-family", "eval-checkpoint",
+             "report-gnuplot", "noise-out", "risk-out"],
+    )
+    def test_empty_flag_value_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # --out '' trained, then failed renaming a temp file to ''; an empty
+        # --checkpoint-dir, --gnuplot or --family read as not given and exited 0
+        before = self._trained_sweep(tmp_path)
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("steinbn.harness.train_model", None)  # no training may start
+        monkeypatch.setattr("steinbn.cli.evaluate_under_noise", None)  # nor any scoring
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag} is empty\n"
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_report_counts_a_run_repeated_across_inputs_once(self, tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinbn import harness, rng
-from steinbn.data import Dataset, make_synthetic_blobs, split_indices
+from steinbn.data import Dataset, make_synthetic_blobs, split_indices, split_sizes
 from steinbn.harness import (
     RESULTS_HEADER,
     Checkpoint,
@@ -82,21 +82,26 @@ class TestData:
     @settings(max_examples=60, deadline=None)
     @given(
         n_classes=st.integers(2, 4),
-        n_per_class=st.integers(1, 12),
-        channels=st.integers(1, 3),
-        hw=st.integers(1, 3),
+        # (channels, hw): small samples, samples of 64-192 pixels whose rows
+        # span several of the RNG's 2**14-entry blocks, and samples of 16875
+        # pixels, more than a block, each drawn as a block of its own
+        shape=st.one_of(
+            st.tuples(st.integers(1, 3), st.integers(1, 3)), st.sampled_from([(1, 8), (3, 8), (3, 75)])
+        ),
         seed=st.integers(0, 2**32),
         data=st.data(),
     )
-    def test_row_subset_draw_equals_full_rows(
-        self, n_classes, n_per_class, channels, hw, seed, data
-    ):
+    def test_row_subset_draw_equals_full_rows(self, n_classes, shape, seed, data):
+        channels, hw = shape
+        # at most 2**16 entries in the full draw
+        n_per_class = data.draw(st.integers(1, max(1, 2**16 // (n_classes * channels * hw * hw))))
         args = (n_classes, n_per_class, channels, hw, 2.0, seed)
         full = make_synthetic_blobs(*args)
         n = n_classes * n_per_class
-        order = data.draw(st.permutations(range(n)))
-        subset = np.array(order[: data.draw(st.integers(1, n))])
-        for rows in (subset, split_indices(n, seed)[2]):
+        pick = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        subset = pick.permutation(n)[: data.draw(st.integers(1, n))]
+        repeated = pick.integers(0, n, size=data.draw(st.integers(1, 2 * n)))  # unsorted, repeats
+        for rows in (subset, repeated, split_indices(n, seed)[2]):
             part = make_synthetic_blobs(*args, rows=rows)
             assert part.images.tobytes() == full.images[rows].tobytes()
             assert part.labels.dtype == full.labels.dtype
@@ -115,6 +120,23 @@ class TestData:
         # arrays of one draw block, whatever the number of draws
         bound = ds.images.nbytes * 9 // 8 + 4 * 8 * rng._BLOCK
         assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+
+    def test_row_draw_memory_is_its_images_and_one_block(self):
+        # 2048 rows at hw=8 are 3.15 MB of pixels; building an entry index
+        # per pixel peaked at 6.83 MB
+        rows = split_indices(2560, seed=1)[0]
+        make_synthetic_blobs(4, 10, 3, 8, sep=3.0, seed=1, rows=np.arange(10))  # first-call caches
+        tracemalloc.start()
+        try:
+            ds = make_synthetic_blobs(4, 640, 3, 8, sep=3.0, seed=1, rows=rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = ds.images.nbytes + 2**20
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
+        # 25 blocks of 85 samples each
+        full = make_synthetic_blobs(4, 640, 3, 8, sep=3.0, seed=1)
+        assert ds.images.tobytes() == full.images[rows].tobytes()
 
     def test_test_split_equals_the_full_datasets_test_rows(self):
         cfg = ExperimentConfig(**FAST)
@@ -352,19 +374,38 @@ class TestTraining:
         assert 0.0 <= rows[0].value <= 100.0
 
     def test_training_builds_only_the_dataset_tensor4(self, monkeypatch):
-        # images are validated where they enter; the step path (BN included)
-        # runs on plain arrays
+        # images are validated where they are drawn: the training rows once,
+        # the validation rows once per validation pass; the step path (BN
+        # included) runs on plain arrays
         built = []
         init = Tensor4.__init__
 
         def counting_init(self, *args, **kwargs):
-            built.append(args)
+            built.append(args[0].shape[0])
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Tensor4, "__init__", counting_init)
-        cfg = ExperimentConfig(**{**FAST, "model": "TinyCNN", "max_epochs": 1})
-        assert not train_model(cfg, seed=1).diverged
-        assert len(built) == 1
+        cfg = ExperimentConfig(**{**FAST, "model": "TinyCNN", "max_epochs": 2})
+        ckpt = train_model(cfg, seed=1)
+        assert not ckpt.diverged
+        n_train, n_val, _ = split_sizes(cfg.n_classes * cfg.n_per_class)
+        assert built == [n_train] + [n_val] * (1 + cfg.max_epochs)
+
+    def test_training_draws_only_its_training_and_validation_rows(self, monkeypatch):
+        cfg = ExperimentConfig(**{**FAST, "max_epochs": 2})
+        draw, drawn = harness.make_dataset, []
+
+        def spy(config, seed, rows=None):
+            drawn.append(rows)
+            return draw(config, seed, rows=rows)
+
+        monkeypatch.setattr(harness, "make_dataset", spy)
+        train_model(cfg, seed=1)
+        assert drawn and all(rows is not None for rows in drawn), "a call drew the whole dataset"
+        tr, va, te = split_indices(cfg.n_classes * cfg.n_per_class, seed=1)
+        together = np.unique(np.concatenate(drawn))
+        assert together.tolist() == np.union1d(tr, va).tolist()
+        assert np.intersect1d(together, te).size == 0
 
     def test_divergence_in_last_step_of_epoch_is_flagged(self):
         # at seed 4 the last step of epoch 3 breaks the weights while its loss
