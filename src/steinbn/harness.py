@@ -51,7 +51,7 @@ _UNIT_NOISE = {
     "bounded-uniform": NoiseSpec(family="bounded-uniform", epsilon_bound=1.0),
 }
 
-# JSON value types accepted per annotated ExperimentConfig field type
+# value types accepted per annotated ExperimentConfig field type, however built
 _JSON_TYPES = {
     "str": str,
     "int": int,
@@ -88,11 +88,17 @@ _DOMAINS = {
 }
 
 
-def _check_domain(key: str, name: str, value) -> None:
-    """Refuse a value outside field name's domain, naming the config key it was given as."""
-    domain, ok = _DOMAINS[name]
-    if not ok(value):
-        raise InvalidInputError(f"config key {key!r} must be {domain}, got {value!r}")
+def _check_field(key: str, name: str, value) -> None:
+    """Refuse a value of the wrong type for field name, or outside its domain,
+    naming the config key it was given as."""
+    types = _FIELD_TYPES[name]
+    # JSON true is a Python int; only a bool field takes it
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise InvalidInputError(f"config key {key!r} has a {type(value).__name__} value: {value!r}")
+    if name in _DOMAINS:
+        domain, ok = _DOMAINS[name]
+        if not ok(value):
+            raise InvalidInputError(f"config key {key!r} must be {domain}, got {value!r}")
 
 
 def _level_key(level_pct: float) -> int:
@@ -145,8 +151,8 @@ class ExperimentConfig:
     feature_noise: bool = False
 
     def __post_init__(self):
-        for name in _DOMAINS:
-            _check_domain(name, name, getattr(self, name))
+        for name in _FIELD_TYPES:
+            _check_field(name, name, getattr(self, name))
         n = self.n_classes * self.n_per_class
         sizes = split_sizes(n)
         if not all(sizes):
@@ -187,22 +193,19 @@ class ExperimentConfig:
             raise InvalidInputError(f"config must be a JSON object, got {type(d).__name__}")
         if "lambda" in d and "lam" in d:
             raise InvalidInputError("config gives both 'lambda' and 'lam'; give one")
-        types = {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
         kwargs = {}
         for key, value in d.items():
             name = "lam" if key == "lambda" else key
-            if name not in types:
+            if name not in _FIELD_TYPES:
                 raise InvalidInputError(f"unknown config key {key!r}")
-            # JSON true is a Python int; only a bool field takes it
-            if not isinstance(value, types[name]) or (isinstance(value, bool) and types[name] is not bool):
-                raise InvalidInputError(
-                    f"config key {key!r} has a {type(value).__name__} value: {value!r}"
-                )
-            # __post_init__ checks the domain again, but names the field, not the key
-            if name in _DOMAINS:
-                _check_domain(key, name, value)
             kwargs[name] = value
+        # __post_init__ checks every field, but names the field, not the key
+        if "lambda" in d:
+            _check_field("lambda", "lam", d["lambda"])
         return cls(**kwargs)
+
+
+_FIELD_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(ExperimentConfig)}
 
 
 @dataclass
@@ -216,8 +219,16 @@ class ResultRow:
     epochs: int
 
     def __post_init__(self):
+        # a row outside the rules of the config and levels it names came from no run
+        for column, (domain, ok) in _ROW_DOMAINS.items():
+            if not ok(getattr(self, column)):
+                raise InvalidInputError(f"{column} {getattr(self, column)!r} is not {domain}")
+        check_noise_levels([self.noise_pct])
         if not (0.0 <= self.value <= 100.0):
             raise InvalidInputError(f"metric value {self.value!r} is not a percentage in [0, 100]")
+
+
+_ROW_DOMAINS = {"batch_size": _DOMAINS["batch_size"], "epochs": _DOMAINS["max_epochs"]}
 
 
 # the results CSV's columns are ResultRow's fields, in order, each read back by its type
@@ -501,22 +512,10 @@ def evaluate_under_noise(
     checkpoint: Checkpoint, noise_levels: list, noise_family: str
 ) -> list[ResultRow]:
     """Test accuracy per noise level on the test split that the checkpoint's
-    config and seed held out from its training (``make_test_split``)."""
-    test = make_test_split(checkpoint.config, checkpoint.seed)
-    return noise_sweep(checkpoint, test.images, test.labels, noise_levels, noise_family)
-
-
-def noise_sweep(
-    checkpoint: Checkpoint,
-    images: np.ndarray,
-    labels: np.ndarray,
-    noise_levels: list,
-    noise_family: str,
-) -> list[ResultRow]:
-    """Accuracy on (images, labels) per noise level, deterministic per
-    (checkpoint seed, level): the core of ``evaluate_under_noise``, which
-    passes the checkpoint's own test split. The seed is read only from the
-    checkpoint: it keys the noise streams and labels every row.
+    config and seed held out from its training (``make_test_split``). The seed
+    is read only from the checkpoint: it keys the split and the noise streams
+    and labels every row. Bad levels (``check_noise_levels``) and an unknown
+    family are refused before any data is drawn or the model is built.
 
     Noise enters at the model's input, or with ``feature_noise`` after its
     first BN layer. The clean activations at that point, and the per-channel
@@ -524,18 +523,19 @@ def noise_sweep(
     computed once per sweep; the layers before the first BN run in eval mode,
     where each sample's output depends on that sample alone. Both placements
     score each level with ``_evaluate``, so a count of correct samples gives
-    the same value either way. An unknown noise family is refused before the
-    model is built, even when every level is 0.
+    the same value either way.
     """
+    check_noise_levels(noise_levels)
     unit_spec = _unit_noise(noise_family)
     config, seed = checkpoint.config, checkpoint.seed
+    test = make_test_split(config, seed)
     model = build_model(config, seed)
     model.load_state_arrays(checkpoint.arrays)
     model.eval()
-    clean, tail = images, model
+    clean, tail = test.images, model
     if config.feature_noise:
         first_bn = next(i for i, l in enumerate(model.layers) if isinstance(l, BatchNorm))
-        clean = Sequential(model.layers[: first_bn + 1]).forward(images)
+        clean = Sequential(model.layers[: first_bn + 1]).forward(test.images)
         tail = Sequential(model.layers[first_bn + 1 :])
     ch_std = clean.transpose(1, 0, 2, 3).reshape(clean.shape[1], -1).std(axis=1)
     rows = []
@@ -548,7 +548,7 @@ def noise_sweep(
                 noise_pct=float(level),
                 seed=seed,
                 metric="accuracy",
-                value=_evaluate(tail, x, labels),
+                value=_evaluate(tail, x, test.labels),
                 epochs=checkpoint.epochs_trained,
             )
         )

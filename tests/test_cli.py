@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from steinbn import __version__
 from steinbn.cli import _build_parser, run_cli
 from steinbn.harness import RESULTS_HEADER, Checkpoint, ExperimentConfig, load_arrays, rows_from_csv
+from steinbn.tensor import InvalidInputError
 
 FAST_CONFIG = dict(
     dataset="SyntheticBlobs",
@@ -32,6 +34,87 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(cfg.to_json())
     return path
+
+
+# configs each path refuses, with the message it gives
+BAD_CONFIGS = [
+    ({"modle": "MLP2"}, "unknown config key 'modle'"),
+    ({"batch_size": "32"}, "'batch_size' has a str value"),
+    ([1, 2], "config must be a JSON object"),
+    ({"noise_family": "gausian"}, "unknown noise family 'gausian'"),
+    ({"noise_levels": [0, "10"]}, "noise level '10' is not a number in [0, 100]"),
+    # each of these ran and labelled its rows with a value it did not run
+    ({"seeds": [1.5]}, "seed 1.5 is not an integer"),
+    ({"seeds": [True]}, "seed True is not an integer"),
+    ({"seeds": ["1"]}, "seed '1' is not an integer"),
+    ({"seeds": [1, 1]}, "seeds must be distinct, got [1, 1]"),
+    ({"noise_levels": [True]}, "noise level True is not a number in [0, 100]"),
+    # each of these ran meaninglessly, diverged or failed naming nothing
+    ({"batch_size": 1}, "'batch_size' must be an integer >= 2, got 1"),
+    ({"n_classes": 0}, "'n_classes' must be an integer >= 2, got 0"),
+    ({"n_per_class": 0}, "'n_per_class' must be a positive integer, got 0"),
+    ({"channels": 0}, "'channels' must be a positive integer, got 0"),
+    ({"hw": 0}, "'hw' must be a positive integer, got 0"),
+    ({"hidden": 0}, "'hidden' must be a positive integer, got 0"),
+    ({"max_epochs": -3}, "'max_epochs' must be an integer >= 0, got -3"),
+    ({"early_stop_patience": -1}, "'early_stop_patience' must be an integer >= 0, got -1"),
+    ({"learning_rate": -1}, "'learning_rate' must be a finite number > 0, got -1"),
+    ({"learning_rate": 0}, "'learning_rate' must be a finite number > 0, got 0"),
+    ({"learning_rate": float("nan")}, "'learning_rate' must be a finite number > 0, got nan"),
+    ({"learning_rate": float("inf")}, "'learning_rate' must be a finite number > 0, got inf"),
+    ({"momentum_sgd": float("nan")}, "'momentum_sgd' must be a number in [0, 1), got nan"),
+    ({"momentum_sgd": 1}, "'momentum_sgd' must be a number in [0, 1), got 1"),
+    ({"momentum_sgd": -0.5}, "'momentum_sgd' must be a number in [0, 1), got -0.5"),
+    ({"lambda": -0.1}, "'lambda' must be a finite number >= 0, got -0.1"),
+    ({"lambda": float("inf")}, "'lambda' must be a finite number >= 0, got inf"),
+    ({"sep": -1.0}, "'sep' must be a finite number >= 0, got -1.0"),
+    ({"sep": float("nan")}, "'sep' must be a finite number >= 0, got nan"),
+    ({"c_tilde": -5}, "'c_tilde' must be null or a finite number >= 0, got -5"),
+    ({"c_tilde": float("nan")}, "'c_tilde' must be null or a finite number >= 0, got nan"),
+    ({"n_per_class": 1},
+     "4 samples split into 3 train, 0 validation and 1 test; need at least one of each"),
+    ({"n_classes": 3, "n_per_class": 3},
+     "9 samples split into 7 train, 0 validation and 2 test; need at least one of each"),
+    # true passed as the int 1 and crashed in Dense with a TypeError
+    ({"hidden": True}, "'hidden' has a bool value: True"),
+    ({"learning_rate": True}, "'learning_rate' has a bool value: True"),
+    # each of these passed the check: train made the checkpoint directory
+    # and drew a dataset before refusing a model or dataset, and the
+    # bn_variant error named no key
+    ({"model": "ResNet"}, "'model' must be one of 'MLP2', 'TinyCNN', got 'ResNet'"),
+    ({"dataset": "CIFAR10"}, "'dataset' must be 'SyntheticBlobs', got 'CIFAR10'"),
+    ({"bn_variant": "steins"}, "'bn_variant' must be one of 'standard', 'stein', "
+     "'mean-only', 'khoshsirat', 'lasso', 'ridge', got 'steins'"),
+    # the key was renamed before its type check, which named 'lam', and
+    # a config giving both kept one of them silently
+    ({"lambda": "x"}, "config key 'lambda' has a str value: 'x'"),
+    ({"lambda": 0.5, "lam": 0.1}, "config gives both 'lambda' and 'lam'"),
+    # the domain error named 'lambda' whichever key the config wrote
+    ({"lam": -1}, "config key 'lam' must be a finite number >= 0, got -1"),
+    ({"lambda": -1}, "config key 'lambda' must be a finite number >= 0, got -1"),
+    # both levels keyed their noise as 1000 and drew the same unit noise
+    ({"noise_levels": [0, 10, 10.004]}, "noise levels 10 and 10.004 would draw the same noise"),
+    # the checkpoint's float64 stored 2**53 + 1 as 2**53, and eval
+    # scored the model on seed 2**53's test split under that label
+    ({"seeds": [2**53 + 1]}, "seed 9007199254740993 is outside [-2**53, 2**53]"),
+    ({"seeds": [-(2**53) - 1]}, "seed -9007199254740993 is outside [-2**53, 2**53]"),
+    # passed the config; train made the checkpoint directory, then the
+    # dataset refused it
+    ({"n_classes": 1}, "'n_classes' must be an integer >= 2, got 1"),
+    # a config built in code took these, and train_model failed with a
+    # TypeError traceback or ran a meaningless flag
+    ({"batch_size": 32.0}, "config key 'batch_size' has a float value: 32.0"),
+    ({"hw": 2.5}, "config key 'hw' has a float value: 2.5"),
+    ({"max_epochs": 1.5}, "config key 'max_epochs' has a float value: 1.5"),
+    ({"channels": 2.0}, "config key 'channels' has a float value: 2.0"),
+    ({"nesterov": "yes"}, "config key 'nesterov' has a str value: 'yes'"),
+    ({"feature_noise": 1}, "config key 'feature_noise' has a int value: 1"),
+]
+# the cases whose keys are field names, so that a config built in code can give them
+BAD_FIELDS = [
+    (config, message) for config, message in BAD_CONFIGS
+    if isinstance(config, dict) and set(config) <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+]
 
 
 class TestUsageAndErrors:
@@ -594,6 +677,17 @@ class TestTrainEvalReport:
              "line 3: invalid literal for int() with base 10: 'abc'"),
             (RESULTS_HEADER + "\n# a comment\nstein,32,0,1,accuracy,150,3\n",
              "line 3: metric value 150.0 is not a percentage in [0, 100]"),
+            # rows no run can write: the two nan rows landed in two cells (nan
+            # != nan), each written as a single-seed warning with exit 0, and
+            # the last row was accepted
+            (RESULTS_HEADER + "\nstein,32,nan,1,accuracy,60,3\nstein,32,nan,2,accuracy,70,3\n",
+             "line 2: noise level nan is not a number in [0, 100]"),
+            (RESULTS_HEADER + "\nstein,32,0,1,accuracy,60,3\nstein,-5,inf,3,accuracy,60,-2\n",
+             "line 3: batch_size -5 is not an integer >= 2"),
+            (RESULTS_HEADER + "\nstein,32,inf,3,accuracy,60,3\n",
+             "line 2: noise level inf is not a number in [0, 100]"),
+            (RESULTS_HEADER + "\nstein,32,10,3,accuracy,60,-2\n",
+             "line 2: epochs -2 is not an integer >= 0"),
         ],
     )
     def test_report_malformed_csv_exit_1(self, tmp_path, capsys, text, message):
@@ -649,74 +743,7 @@ class TestTrainEvalReport:
         assert run_cli(["train", "--config", str(tmp_path / "none.json"),
                         "--out", str(tmp_path / "o.csv")]) == 1
 
-    @pytest.mark.parametrize(
-        "config, message",
-        [
-            ({"modle": "MLP2"}, "unknown config key 'modle'"),
-            ({"batch_size": "32"}, "'batch_size' has a str value"),
-            ([1, 2], "config must be a JSON object"),
-            ({"noise_family": "gausian"}, "unknown noise family 'gausian'"),
-            ({"noise_levels": [0, "10"]}, "noise level '10' is not a number in [0, 100]"),
-            # each of these ran and labelled its rows with a value it did not run
-            ({"seeds": [1.5]}, "seed 1.5 is not an integer"),
-            ({"seeds": [True]}, "seed True is not an integer"),
-            ({"seeds": ["1"]}, "seed '1' is not an integer"),
-            ({"seeds": [1, 1]}, "seeds must be distinct, got [1, 1]"),
-            ({"noise_levels": [True]}, "noise level True is not a number in [0, 100]"),
-            # each of these ran meaninglessly, diverged or failed naming nothing
-            ({"batch_size": 1}, "'batch_size' must be an integer >= 2, got 1"),
-            ({"n_classes": 0}, "'n_classes' must be an integer >= 2, got 0"),
-            ({"n_per_class": 0}, "'n_per_class' must be a positive integer, got 0"),
-            ({"channels": 0}, "'channels' must be a positive integer, got 0"),
-            ({"hw": 0}, "'hw' must be a positive integer, got 0"),
-            ({"hidden": 0}, "'hidden' must be a positive integer, got 0"),
-            ({"max_epochs": -3}, "'max_epochs' must be an integer >= 0, got -3"),
-            ({"early_stop_patience": -1}, "'early_stop_patience' must be an integer >= 0, got -1"),
-            ({"learning_rate": -1}, "'learning_rate' must be a finite number > 0, got -1"),
-            ({"learning_rate": 0}, "'learning_rate' must be a finite number > 0, got 0"),
-            ({"learning_rate": float("nan")}, "'learning_rate' must be a finite number > 0, got nan"),
-            ({"learning_rate": float("inf")}, "'learning_rate' must be a finite number > 0, got inf"),
-            ({"momentum_sgd": float("nan")}, "'momentum_sgd' must be a number in [0, 1), got nan"),
-            ({"momentum_sgd": 1}, "'momentum_sgd' must be a number in [0, 1), got 1"),
-            ({"momentum_sgd": -0.5}, "'momentum_sgd' must be a number in [0, 1), got -0.5"),
-            ({"lambda": -0.1}, "'lambda' must be a finite number >= 0, got -0.1"),
-            ({"lambda": float("inf")}, "'lambda' must be a finite number >= 0, got inf"),
-            ({"sep": -1.0}, "'sep' must be a finite number >= 0, got -1.0"),
-            ({"sep": float("nan")}, "'sep' must be a finite number >= 0, got nan"),
-            ({"c_tilde": -5}, "'c_tilde' must be null or a finite number >= 0, got -5"),
-            ({"c_tilde": float("nan")}, "'c_tilde' must be null or a finite number >= 0, got nan"),
-            ({"n_per_class": 1},
-             "4 samples split into 3 train, 0 validation and 1 test; need at least one of each"),
-            ({"n_classes": 3, "n_per_class": 3},
-             "9 samples split into 7 train, 0 validation and 2 test; need at least one of each"),
-            # true passed as the int 1 and crashed in Dense with a TypeError
-            ({"hidden": True}, "'hidden' has a bool value: True"),
-            ({"learning_rate": True}, "'learning_rate' has a bool value: True"),
-            # each of these passed the check: train made the checkpoint directory
-            # and drew a dataset before refusing a model or dataset, and the
-            # bn_variant error named no key
-            ({"model": "ResNet"}, "'model' must be one of 'MLP2', 'TinyCNN', got 'ResNet'"),
-            ({"dataset": "CIFAR10"}, "'dataset' must be 'SyntheticBlobs', got 'CIFAR10'"),
-            ({"bn_variant": "steins"}, "'bn_variant' must be one of 'standard', 'stein', "
-             "'mean-only', 'khoshsirat', 'lasso', 'ridge', got 'steins'"),
-            # the key was renamed before its type check, which named 'lam', and
-            # a config giving both kept one of them silently
-            ({"lambda": "x"}, "config key 'lambda' has a str value: 'x'"),
-            ({"lambda": 0.5, "lam": 0.1}, "config gives both 'lambda' and 'lam'"),
-            # the domain error named 'lambda' whichever key the config wrote
-            ({"lam": -1}, "config key 'lam' must be a finite number >= 0, got -1"),
-            ({"lambda": -1}, "config key 'lambda' must be a finite number >= 0, got -1"),
-            # both levels keyed their noise as 1000 and drew the same unit noise
-            ({"noise_levels": [0, 10, 10.004]}, "noise levels 10 and 10.004 would draw the same noise"),
-            # the checkpoint's float64 stored 2**53 + 1 as 2**53, and eval
-            # scored the model on seed 2**53's test split under that label
-            ({"seeds": [2**53 + 1]}, "seed 9007199254740993 is outside [-2**53, 2**53]"),
-            ({"seeds": [-(2**53) - 1]}, "seed -9007199254740993 is outside [-2**53, 2**53]"),
-            # passed the config; train made the checkpoint directory, then the
-            # dataset refused it
-            ({"n_classes": 1}, "'n_classes' must be an integer >= 2, got 1"),
-        ],
-    )
+    @pytest.mark.parametrize("config, message", BAD_CONFIGS)
     def test_bad_config_exit_1(self, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
@@ -738,6 +765,17 @@ class TestTrainEvalReport:
         assert run_cli(["eval", "--checkpoint", str(ckdir / "stein_s1.ckpt"),
                         "--out", str(tmp_path / "e.csv")]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", BAD_FIELDS)
+    def test_bad_config_built_in_code_gives_the_json_message(self, config, message):
+        # only the JSON path checked types: ExperimentConfig(hw=2.5) was
+        # built, and train_model failed with a TypeError traceback
+        with pytest.raises(InvalidInputError) as from_json:
+            ExperimentConfig.from_json(json.dumps(config))
+        with pytest.raises(InvalidInputError) as in_code:
+            ExperimentConfig(**config)
+        assert str(in_code.value) == str(from_json.value)
+        assert message in str(in_code.value)
 
     @pytest.mark.parametrize("feature_noise", [False, True])
     def test_train_rows_equal_eval_of_each_checkpoint(self, tmp_path, feature_noise):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -28,7 +29,6 @@ from steinbn.harness import (
     load_arrays,
     make_dataset,
     make_test_split,
-    noise_sweep,
     rows_from_csv,
     rows_to_csv,
     run_sweep,
@@ -198,6 +198,19 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="unknown noise family 'gausian'"):
             ExperimentConfig(noise_family="gausian")
 
+    def test_readme_config_and_domain_table_match_the_rules(self):
+        # README's minimal config parses, and its domain table names exactly
+        # the fields whose domain the config checks, as a config writes them
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+            readme = f.read()
+        block = re.search(r"A minimal training config:\n\n```json\n(.*?)```", readme, re.S)
+        assert block, "README has no minimal training config block"
+        ExperimentConfig.from_json(block.group(1))
+        table = readme.split("| Field | Domain |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        named = [key for row in table.splitlines() for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        expected = ["lambda" if name == "lam" else name for name in harness._DOMAINS]
+        assert sorted(named) == sorted(expected)
+
 
 class TestResultsCsv:
     def test_header_is_bit_exact(self):
@@ -221,12 +234,12 @@ class TestResultsCsv:
             st.builds(
                 ResultRow,
                 method=st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1),
-                batch_size=st.integers(),
-                noise_pct=st.floats(allow_nan=False),
+                batch_size=st.integers(min_value=2),
+                noise_pct=st.floats(0.0, 100.0),
                 seed=st.integers(),
                 metric=st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1),
                 value=st.floats(0.0, 100.0),
-                epochs=st.integers(),
+                epochs=st.integers(min_value=0),
             ),
             max_size=5,
         )
@@ -569,6 +582,27 @@ class TestEvaluation:
         assert rows == alone
         assert len({r.value for r in rows}) > 1
 
+    @pytest.mark.parametrize(
+        "levels, family, message",
+        [
+            ([150], "levy-gauss", "noise level 150 is not a number in [0, 100]"),
+            ([-10], "levy-gauss", "noise level -10 is not a number in [0, 100]"),
+            ([float("nan")], "levy-gauss", "noise level nan is not a number in [0, 100]"),
+            ([True], "levy-gauss", "noise level True is not a number in [0, 100]"),
+            ([10, 10.001], "levy-gauss", "noise levels 10 and 10.001 would draw the same noise"),
+            ([0], "gausian", "unknown noise family 'gausian'"),
+        ],
+    )
+    def test_bad_levels_or_family_refused_before_any_draw(self, monkeypatch, levels, family, message):
+        # the levels were checked only by the CLI: the library scored 150, -10
+        # and True, and failed on nan with a bare ValueError from int()
+        ckpt = train_model(ExperimentConfig(**{**FAST, "max_epochs": 0}), seed=1)
+        # no test split may be drawn and no model built
+        monkeypatch.setattr(harness, "make_test_split", None)
+        monkeypatch.setattr(harness, "build_model", None)
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            evaluate_under_noise(ckpt, levels, family)
+
     @pytest.mark.parametrize("model", ["MLP2", "TinyCNN"])
     @pytest.mark.parametrize("n", [2, 256, 257])
     def test_evaluate_scores_a_split_in_one_forward(self, monkeypatch, model, n):
@@ -595,26 +629,25 @@ class TestEvaluation:
         correct = int(np.sum(full.reshape(n, -1).argmax(axis=1) == labels))
         assert acc == 100.0 * correct / n
 
-    # sha256 of every array a model forward returns during a noise sweep of
-    # the golden TinyCNN run's model over its whole dataset (100 images): the
-    # clean activations up to the first BN for feature noise, then the logits
-    # at each level. Recorded while eval-mode layers still kept their
-    # backward state, so the eval forward must reproduce those bits.
+    # sha256 of every array a model forward returns while the golden TinyCNN
+    # run's model is scored under noise on its test split (100 of 1000
+    # images): the clean activations up to the first BN for feature noise,
+    # then the logits at each level. Recorded from the scorer that took its
+    # images from the caller, given make_test_split's split.
     @pytest.mark.parametrize(
         "feature_noise, family, digest",
         [
-            (False, "levy-gauss", "4c3e313dfa882510b013a7ebcd850941fdd8a853f30079fd634bbf59583d2643"),
-            (False, "gaussian", "ad230b00ce07f44e72f5f05423c997d3b364652b04d33d96fccc3e389f8651f1"),
-            (True, "levy-gauss", "09b4de8e0af4c7ed524c8caa17673a7f8cf3612d5dfdff2352dcd47467e76599"),
-            (True, "gaussian", "56e31e00a90a95b8dd34d58a13014175cb5ad3a2a2152bd9e10ce43b206b597f"),
+            (False, "levy-gauss", "e40e2a782509298efc3e62ee8ed41b664e790aabff0c8ecd43d20cac55798dc7"),
+            (False, "gaussian", "42d5184f436570bd9cb3f53a49c75dc60a3b326cdd810bcad864d37b264992eb"),
+            (True, "levy-gauss", "f32103eccebd24a39adefafa87155384ed49fefb7057aafb000b46b1cd561846"),
+            (True, "gaussian", "b9ab3a642976534d6af15d7b156a525cf19b364f84e2190ab1aa47ffce8fdee1"),
         ],
     )
     def test_golden_eval_logits(self, monkeypatch, feature_noise, family, digest):
         cfg = ExperimentConfig(
-            model="TinyCNN", bn_variant="stein", batch_size=32, hw=4, n_per_class=25,
+            model="TinyCNN", bn_variant="stein", batch_size=32, hw=4, n_per_class=250,
             max_epochs=2, learning_rate=0.05, seeds=[3],
         )
-        ds = make_dataset(cfg, seed=3)
         ckpt = train_model(cfg, seed=3)
         ckpt.config = replace(cfg, feature_noise=feature_noise)
         outputs = []
@@ -626,8 +659,9 @@ class TestEvaluation:
             return out
 
         monkeypatch.setattr(Sequential, "forward", recording)
-        noise_sweep(ckpt, ds.images, ds.labels, [0, 10, 50, 100], family)
+        evaluate_under_noise(ckpt, [0, 10, 50, 100], family)
         assert len(outputs) == (5 if feature_noise else 4)
+        assert outputs[-1].shape[0] == 100
         sha = hashlib.sha256()
         for out in outputs:
             sha.update(out.tobytes())
