@@ -27,7 +27,8 @@ from .estimators import (
     perturbed_c_bound,
 )
 from .noise import NoiseSpec, levy_gauss_quantile, levy_gauss_cdf, subgaussian_proxy_of_bound
-from .batchnorm import BNLayer, BNForwardCache, BNVariant, bn_forward, bn_backward
+from .batchnorm import BNForwardCache, BNVariant, bn_forward, bn_backward
+from .nn import BatchNorm
 
 __all__ = [
     "Tensor4",
@@ -52,7 +53,7 @@ __all__ = [
     "levy_gauss_quantile",
     "levy_gauss_cdf",
     "subgaussian_proxy_of_bound",
-    "BNLayer",
+    "BatchNorm",
     "BNForwardCache",
     "BNVariant",
     "bn_forward",

@@ -1,15 +1,18 @@
 """Batch normalization variants over (N, C, H, W) float64 arrays.
 
-Six variants share one forward/backward skeleton: raw channel moments are
-corrected by a per-channel affine map ``corrected = coef * raw + offset``
-(a ``Correction``, frozen per batch), then the usual normalize-and-affine
-step is applied. Each variant is one rule from the batch statistics
-``(mean, var, n)`` to its Correction, built from the coefficient rules in
-``estimators``. Eval mode is a Correction too: coefficients 0 and offsets
-equal to the running statistics, applied to zero raw statistics, so train
-and eval share one forward: it centres, scales and shifts one copy of the
-input into the output, and only the running-statistics update, an EMA of the
-corrected statistics taken inside ``bn_forward``, is train-only.
+This module holds the BN arithmetic only; the layer whose state it reads
+and writes (constants, affine parameters, running statistics, mode) is
+``nn.BatchNorm``. Six variants share one forward/backward skeleton: raw
+channel moments are corrected by a per-channel affine map
+``corrected = coef * raw + offset`` (a ``Correction``, frozen per batch),
+then the usual normalize-and-affine step is applied. Each variant is one
+rule from the batch statistics ``(mean, var, n)`` to its Correction, built
+from the coefficient rules in ``estimators``. Eval mode is a Correction
+too: coefficients 0 and offsets equal to the running statistics, applied to
+zero raw statistics, so train and eval share one forward: it centres,
+scales and shifts one copy of the input into the output, and only the
+running-statistics update, an EMA of the corrected statistics taken inside
+``bn_forward``, is train-only.
 The forward cache holds the input and per-channel vectors; the backward
 recomputes the centred and normalized input from them. It treats the frozen
 coefficients as constants of the batch, so gradients flow through the raw
@@ -19,9 +22,9 @@ diagonal ``gamma * inv_std``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -38,6 +41,9 @@ from .estimators import (
 )
 from .tensor import ChannelStats, InvalidInputError, channel_moments
 
+if TYPE_CHECKING:
+    from .nn import BatchNorm
+
 
 class BNVariant(str, Enum):
     STANDARD = "standard"
@@ -51,64 +57,6 @@ class BNVariant(str, Enum):
 class BNMode(str, Enum):
     TRAIN = "train"
     EVAL = "eval"
-
-
-@dataclass
-class BNLayer:
-    """State of one batch-norm layer.
-
-    c_tilde=None selects the midpoint of the classical admissible interval
-    for the current (n, C) at every forward call. lam is the shared Lasso/
-    Ridge penalty. Running statistics store the CORRECTED statistics so
-    eval mode inherits the shrinkage; only a train-mode ``bn_forward`` changes
-    them. ``BNLayer(..., mode="eval")`` builds an eval-mode layer.
-    """
-
-    num_channels: int
-    variant: BNVariant = BNVariant.STANDARD
-    momentum: float = 0.1
-    eps: float = 1e-5
-    c_tilde: float | None = None
-    lam: float = 0.0
-    mode: BNMode = BNMode.TRAIN
-    gamma: np.ndarray = field(default=None)
-    beta: np.ndarray = field(default=None)
-    running_mean: np.ndarray = field(default=None)
-    running_var: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if not (0.0 < self.momentum <= 1.0):
-            raise InvalidInputError("momentum must lie in (0, 1]")
-        if self.eps <= 0:
-            raise InvalidInputError("eps must be positive")
-        if self.lam < 0:
-            raise InvalidInputError("lambda must be non-negative")
-        self.variant = BNVariant(self.variant)
-        self.mode = BNMode(self.mode)
-        c = self.num_channels
-        if self.gamma is None:
-            self.gamma = np.ones(c)
-        if self.beta is None:
-            self.beta = np.zeros(c)
-        if self.running_mean is None:
-            self.running_mean = np.zeros(c)
-        if self.running_var is None:
-            self.running_var = np.ones(c)
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.shape != (c,):
-                raise InvalidInputError(f"{name} must have length C={c}")
-            setattr(self, name, v)
-        if np.any(self.running_var < 0):
-            raise InvalidInputError("running_var entries must be non-negative")
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
 
 
 class Correction(NamedTuple):
@@ -142,13 +90,13 @@ class BNForwardCache:
     x: np.ndarray
 
 
-def _auto_c(layer: BNLayer, n: int, p: int) -> float:
+def _auto_c(layer: BatchNorm, n: int, p: int) -> float:
     if layer.c_tilde is not None:
         return layer.c_tilde
     return 0.5 * variance_c_bound(n, p)
 
 
-def correction_coefficients(layer: BNLayer, stats: ChannelStats) -> Correction:
+def correction_coefficients(layer: BatchNorm, stats: ChannelStats) -> Correction:
     """The frozen correction of one batch's statistics (mean, var, n), with one
     rule per variant; the formulas are the estimators' coefficient rules."""
     mean, var, n, lam, variant = stats.mean, stats.var, stats.count, layer.lam, layer.variant
@@ -171,7 +119,7 @@ def correction_coefficients(layer: BNLayer, stats: ChannelStats) -> Correction:
     return Correction(*(np.full(mean.size, v, dtype=np.float64) for v in coefs), s_mean, degraded)
 
 
-def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCache]:
+def bn_forward(layer: BatchNorm, x: np.ndarray) -> tuple[np.ndarray, BNForwardCache]:
     """Normalize x; in train mode also update the running statistics."""
     n, c, h, w = x.shape
     if c != layer.num_channels:
@@ -202,7 +150,7 @@ def bn_forward(layer: BNLayer, x: np.ndarray) -> tuple[np.ndarray, BNForwardCach
 
 
 def bn_backward(
-    layer: BNLayer, cache: BNForwardCache, grad_out: np.ndarray
+    layer: BatchNorm, cache: BNForwardCache, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients w.r.t. input, gamma and beta under the frozen-factor convention.
 

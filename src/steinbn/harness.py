@@ -44,7 +44,8 @@ CHECKPOINT_DIGEST_KEY = "checkpoint_crc32"
 
 # unit-scale test-time noise per family, scaled per channel by _noisy_inputs;
 # levy-gauss is left untruncated so the heavy tail of the mixture density
-# reaches the classifier
+# reaches the classifier: it is then a Cauchy law of scale sigma/sqrt(2), with
+# no variance, so a noise level sets its scale, not a standard deviation
 _UNIT_NOISE = {
     "levy-gauss": NoiseSpec(family="levy-gauss", sigma=1.0),
     "gaussian": NoiseSpec(family="gaussian", sigma=1.0),
@@ -99,6 +100,17 @@ def _check_field(key: str, name: str, value) -> None:
         domain, ok = _DOMAINS[name]
         if not ok(value):
             raise InvalidInputError(f"config key {key!r} must be {domain}, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Refuse a seed that is not an integer in [-SEED_LIMIT, SEED_LIMIT]."""
+    # a seed of 1.5 or true would train as CounterRng(1) under its own label
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise InvalidInputError(f"seed {seed!r} is not an integer")
+    if not -SEED_LIMIT <= seed <= SEED_LIMIT:
+        raise InvalidInputError(
+            f"seed {seed} is outside [-2**53, 2**53], the seeds a checkpoint stores exactly"
+        )
 
 
 def _level_key(level_pct: float) -> int:
@@ -163,13 +175,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise InvalidInputError("need at least one seed")
         for seed in self.seeds:
-            # a seed of 1.5 or true would train as CounterRng(1) under its own label
-            if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-                raise InvalidInputError(f"seed {seed!r} is not an integer")
-            if not -SEED_LIMIT <= seed <= SEED_LIMIT:
-                raise InvalidInputError(
-                    f"seed {seed} is outside [-2**53, 2**53], the seeds a checkpoint stores exactly"
-                )
+            check_seed(seed)
         if len(set(self.seeds)) != len(self.seeds):
             raise InvalidInputError(f"seeds must be distinct, got {self.seeds}")
         check_noise_levels(self.noise_levels)
@@ -224,11 +230,16 @@ class ResultRow:
             if not ok(getattr(self, column)):
                 raise InvalidInputError(f"{column} {getattr(self, column)!r} is not {domain}")
         check_noise_levels([self.noise_pct])
+        check_seed(self.seed)
         if not (0.0 <= self.value <= 100.0):
             raise InvalidInputError(f"metric value {self.value!r} is not a percentage in [0, 100]")
 
 
-_ROW_DOMAINS = {"batch_size": _DOMAINS["batch_size"], "epochs": _DOMAINS["max_epochs"]}
+_ROW_DOMAINS = {
+    "method": _DOMAINS["bn_variant"],
+    "batch_size": _DOMAINS["batch_size"],
+    "epochs": _DOMAINS["max_epochs"],
+}
 
 
 # the results CSV's columns are ResultRow's fields, in order, each read back by its type

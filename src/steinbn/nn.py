@@ -2,23 +2,23 @@
 
 Just enough machinery for the desk-scale BN comparison: dense and 3x3
 convolution layers, relu, global average pooling, softmax cross-entropy,
-and SGD with Nesterov momentum. ``BatchNorm`` is a ``batchnorm.BNLayer``
-that runs the BN core as a layer. Activations travel as (N, C, H, W) float64
-arrays, through the BN core too; only a dataset's images are validated
-(see ``tensor``). Dense and Conv3x3 (via an im2col matrix) do their
-arithmetic as BLAS matrix products; Conv3x3 moves its data around those
-products with numpy gathers and one ordered scatter. It builds its
-forward's im2col matrix, and its backward's input gradient, a block of
-samples at a time, and an eval-mode ``Sequential`` runs a batch through its
-layers a block of samples at a time, so inference holds the activations of
-one block, not of the whole batch.
+and SGD with Nesterov momentum. ``BatchNorm`` is the one BN layer class: it
+holds the layer's state and runs the BN core (``batchnorm``) on it.
+Activations travel as (N, C, H, W) float64 arrays, through the BN core too;
+only a dataset's images are validated (see ``tensor``). Dense and Conv3x3
+(via an im2col matrix) do their arithmetic as BLAS matrix products; Conv3x3
+moves its data around those products with numpy gathers and one ordered
+scatter. It builds its forward's im2col matrix, and its backward's input
+gradient, a block of samples at a time, and an eval-mode ``Sequential``
+runs a batch through its layers a block of samples at a time, so inference
+holds the activations of one block, not of the whole batch.
 
 A model's state is each layer's ``state_arrays()`` (its parameters, plus the
 running statistics for BN). Each layer loads its own in place, refusing a
 missing or misshapen array and, for BN, a negative running variance.
 
-Every layer has a ``mode``, set by ``train()`` and ``eval()`` (BN's is its
-BNLayer mode). A forward keeps what its backward reads, in one attribute per
+Every layer has a ``mode``, train when built and set only by ``train()`` and
+``eval()``. A forward keeps what its backward reads, in one attribute per
 layer, only in train mode: Conv3x3 and Dense keep their input, ReLU its mask
 and BN its input and per-channel vectors. The backward takes that state and
 the layer lets go of it (as autograd frees saved tensors after a backward),
@@ -33,10 +33,11 @@ bit-identical to those of a train-mode pass with the same statistics.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .batchnorm import BNLayer, BNMode, BNVariant, bn_backward, bn_forward
+from .batchnorm import BNMode, BNVariant, bn_backward, bn_forward
 from .rng import CounterRng
 from .tensor import InvalidInputError
 
@@ -306,14 +307,61 @@ class GlobalAvgPool(Layer):
         return np.broadcast_to(grad / (h * w), shape).copy()
 
 
-class BatchNorm(BNLayer, Layer):
-    """A BNLayer in the layer stack: its state, mode and checkpoint arrays are
-    the BNLayer's; forward and backward run the BN core on it."""
+@dataclass(eq=False)
+class BatchNorm(Layer):
+    """One batch-norm layer: its constants, affine parameters and running
+    statistics, with forward and backward through the BN core.
+
+    c_tilde=None selects the midpoint of the classical admissible interval
+    for the current (n, C) at every forward call. lam is the shared Lasso/
+    Ridge penalty. Running statistics store the CORRECTED statistics so
+    eval mode inherits the shrinkage; only a train-mode ``bn_forward``
+    changes them. Like every layer it is built in train mode, and compares
+    and hashes by identity.
+    """
+
+    num_channels: int
+    variant: BNVariant = BNVariant.STANDARD
+    momentum: float = 0.1
+    eps: float = 1e-5
+    c_tilde: float | None = None
+    lam: float = 0.0
+    gamma: np.ndarray = None
+    beta: np.ndarray = None
+    running_mean: np.ndarray = None
+    running_var: np.ndarray = None
 
     def __post_init__(self):
-        super().__post_init__()
-        self.dgamma = np.zeros(self.num_channels)
-        self.dbeta = np.zeros(self.num_channels)
+        # each comparison is false for NaN, so NaN is refused with the rest
+        if not (0.0 < self.momentum <= 1.0):
+            raise InvalidInputError("momentum must lie in (0, 1]")
+        if not (0.0 < self.eps < np.inf):
+            raise InvalidInputError(f"eps must be a finite number > 0, got {self.eps!r}")
+        if not (0.0 <= self.lam < np.inf):
+            raise InvalidInputError(f"lam must be a finite number >= 0, got {self.lam!r}")
+        if not (self.c_tilde is None or 0.0 <= self.c_tilde < np.inf):
+            raise InvalidInputError(
+                f"c_tilde must be None or a finite number >= 0, got {self.c_tilde!r}"
+            )
+        self.variant = BNVariant(self.variant)
+        c = self.num_channels
+        if self.gamma is None:
+            self.gamma = np.ones(c)
+        if self.beta is None:
+            self.beta = np.zeros(c)
+        if self.running_mean is None:
+            self.running_mean = np.zeros(c)
+        if self.running_var is None:
+            self.running_var = np.ones(c)
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            v = np.asarray(getattr(self, name), dtype=np.float64)
+            if v.shape != (c,):
+                raise InvalidInputError(f"{name} must have length C={c}")
+            setattr(self, name, v)
+        if np.any(self.running_var < 0):
+            raise InvalidInputError("running_var entries must be non-negative")
+        self.dgamma = np.zeros(c)
+        self.dbeta = np.zeros(c)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, cache = bn_forward(self, x)
@@ -329,6 +377,9 @@ class BatchNorm(BNLayer, Layer):
 
     def grads(self):
         return {"gamma": self.dgamma, "beta": self.dbeta}
+
+    def state_arrays(self):
+        return {**self.params(), "running_mean": self.running_mean, "running_var": self.running_var}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
         super().load_state_arrays(arrays, prefix)

@@ -2,6 +2,10 @@
 
 Families: the heavy-tailed Levy/Gaussian-mixture density with closed-form
 inverse CDF, bounded uniform perturbations, plain Gaussian, and none.
+Untruncated, the Levy-Gauss density
+``1/(2*sqrt(2)*pi*sigma) * (x^2/(2 sigma^2) + 1/4)^-1`` is exactly a Cauchy
+law of scale sigma/sqrt(2): it has no variance, so its sigma, and a noise
+level that sets it, is a scale, not a standard deviation.
 Sampling is counter-based per entry, so identical (seed, spec, count)
 always produce bit-identical draws, and a draw split at any offset equals
 the whole draw. A truncated draw redraws only its out-of-bound entries, at
@@ -130,6 +134,9 @@ def subgaussian_proxy_of_bound(epsilon: float) -> float:
 
 def truncated_levy_gauss(epsilon: float) -> NoiseSpec:
     """Default experimental noise: mixture density truncated at eps = 3*sigma.
+
+    Untruncated, the density is a Cauchy law of scale sigma/sqrt(2), with no
+    variance; sigma = eps/3 is its scale, not a standard deviation.
 
     epsilon == 0 degrades to the zero-noise spec so level sweeps can include
     a clean cell.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from steinbn.batchnorm import BNLayer, bn_backward, bn_forward
+from steinbn.batchnorm import bn_backward, bn_forward
 from steinbn.estimators import (
     classical_c_bound,
     gamma_scale_shrink,
@@ -27,6 +27,7 @@ from steinbn.estimators import (
     variance_gamma_params,
 )
 from steinbn.harness import ExperimentConfig, evaluate_under_noise, train_model
+from steinbn.nn import BatchNorm
 from steinbn.noise import (
     NoiseSpec,
     levy_gauss_cdf,
@@ -150,7 +151,7 @@ def test_criterion_6_gradient_checks():
     worst = 0.0
     for variant in ("standard", "stein", "mean-only", "khoshsirat", "lasso", "ridge"):
         for trial in range(20):
-            layer = BNLayer(
+            layer = BatchNorm(
                 num_channels=4,
                 variant=variant,
                 gamma=rng.normal(size=4) + 1.5,

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinbn.batchnorm import (
-    BNLayer,
     BNMode,
     BNVariant,
     bn_backward,
@@ -29,7 +28,7 @@ VARIANTS = ["standard", "stein", "mean-only", "khoshsirat", "lasso", "ridge"]
 
 
 def make_layer(variant, c=4, **kw):
-    return BNLayer(num_channels=c, variant=variant, **kw)
+    return BatchNorm(num_channels=c, variant=variant, **kw)
 
 
 def rand_batch(dims, seed):
@@ -103,7 +102,7 @@ class TestForward:
             np.testing.assert_allclose(y, y_std, atol=1e-12)
 
     def test_eval_mode_affine_in_running_stats(self):
-        layer = make_layer("stein", c=2, mode="eval")
+        layer = make_layer("stein", c=2).eval()
         layer.running_mean = np.array([1.0, -2.0])
         layer.running_var = np.array([4.0, 0.25])
         x = rand_batch((2, 2, 2, 2), seed=5)
@@ -119,7 +118,7 @@ class TestForward:
         np.testing.assert_array_equal(cache.corrected_mean, layer.running_mean)
 
     def test_eval_unit_standardized_value(self):
-        layer = make_layer("standard", c=2, eps=1e-3, mode="eval")
+        layer = make_layer("standard", c=2, eps=1e-3).eval()
         layer.running_mean = np.array([2.0, -1.0])
         layer.running_var = np.array([4.0, 9.0])
         shift = layer.running_mean + np.sqrt(layer.running_var + layer.eps)
@@ -128,7 +127,7 @@ class TestForward:
         np.testing.assert_allclose(y, 1.0, atol=1e-12)
 
     def test_eval_mode_does_not_touch_running_stats(self):
-        layer = make_layer("standard", c=2, mode="eval")
+        layer = make_layer("standard", c=2).eval()
         before = layer.running_mean.copy(), layer.running_var.copy()
         bn_forward(layer, rand_batch((2, 2, 2, 2), seed=6))
         np.testing.assert_array_equal(layer.running_mean, before[0])
@@ -143,9 +142,8 @@ class TestForward:
         affine = dict(lam=0.05, gamma=rng.normal(size=4) + 1.5, beta=rng.normal(size=4))
         y_train, cache = bn_forward(make_layer(variant, **affine), x)
         layer = make_layer(
-            variant, running_mean=cache.corrected_mean, running_var=cache.corrected_var,
-            mode="eval", **affine
-        )
+            variant, running_mean=cache.corrected_mean, running_var=cache.corrected_var, **affine
+        ).eval()
         y_eval, _ = bn_forward(layer, x)
         assert y_eval.tobytes() == y_train.tobytes()
 
@@ -301,7 +299,7 @@ class TestBackward:
         assert self.fd_gradient_error(make_layer(variant, lam=0.5), x_arr, g) < 1e-6
 
     def test_eval_mode_backward_is_diagonal(self):
-        layer = make_layer("standard", c=2, mode="eval")
+        layer = make_layer("standard", c=2).eval()
         layer.running_var = np.array([4.0, 1.0])
         x = rand_batch((2, 2, 2, 2), seed=13)
         g = rand_batch((2, 2, 2, 2), seed=14)
@@ -333,13 +331,24 @@ class TestRunningStats:
             np.testing.assert_array_equal(layer.running_mean, cache.corrected_mean)
             np.testing.assert_array_equal(layer.running_var, cache.corrected_var)
 
-    def test_nonpositive_eps_rejected(self):
-        with pytest.raises(InvalidInputError):
-            make_layer("standard", eps=0.0)
+    # NaN eps gave NaN outputs and NaN c_tilde NaN running statistics; inf
+    # eps and a negative c_tilde were accepted too
+    @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
+    def test_nonpositive_eps_rejected(self, eps):
+        with pytest.raises(InvalidInputError, match="^eps must"):
+            make_layer("standard", eps=eps)
 
-    def test_momentum_zero_rejected(self):
-        with pytest.raises(InvalidInputError):
-            make_layer("standard", momentum=0.0)
+    @pytest.mark.parametrize("momentum", [0.0, np.nan])
+    def test_momentum_zero_rejected(self, momentum):
+        with pytest.raises(InvalidInputError, match="^momentum must"):
+            make_layer("standard", momentum=momentum)
+
+    @pytest.mark.parametrize(
+        "name, value", [("lam", np.nan), ("lam", -1.0), ("c_tilde", -1.0), ("c_tilde", np.nan)]
+    )
+    def test_bad_lam_or_c_tilde_rejected(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} must"):
+            make_layer("stein", **{name: value})
 
     def test_ema_converges_monotonically(self):
         # the same batch every step, with mean 10 and variance 4
@@ -355,7 +364,6 @@ class TestRunningStats:
 
 class TestLayerState:
     def test_state_roundtrip(self):
-        # state is loaded through the layer stack's BN, which is a BNLayer
         layer = BatchNorm(num_channels=3, variant="stein")
         bn_forward(layer, rand_batch((2, 3, 2, 2), seed=15))
         other = BatchNorm(num_channels=3, variant="stein")

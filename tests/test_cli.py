@@ -688,6 +688,13 @@ class TestTrainEvalReport:
              "line 2: noise level inf is not a number in [0, 100]"),
             (RESULTS_HEADER + "\nstein,32,10,3,accuracy,60,-2\n",
              "line 2: epochs -2 is not an integer >= 0"),
+            # these two rows made the cell bogus,32,0.0,accuracy,65,7.07107,2
+            # with exit 0
+            (RESULTS_HEADER + "\nbogus,32,0,99999999999999999999,accuracy,60,3\n"
+             "bogus,32,0,2,accuracy,70,3\n",
+             "line 2: method 'bogus' is not one of 'standard', 'stein'"),
+            (RESULTS_HEADER + "\nstein,32,0,99999999999999999999,accuracy,60,3\n",
+             "line 2: seed 99999999999999999999 is outside [-2**53, 2**53]"),
         ],
     )
     def test_report_malformed_csv_exit_1(self, tmp_path, capsys, text, message):

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from steinbn import harness, rng
 from steinbn.data import Dataset, make_synthetic_blobs, split_indices, split_sizes
+from steinbn.batchnorm import BNVariant
 from steinbn.harness import (
     RESULTS_HEADER,
+    SEED_LIMIT,
     Checkpoint,
     ExperimentConfig,
     ResultRow,
@@ -233,10 +235,10 @@ class TestResultsCsv:
         st.lists(
             st.builds(
                 ResultRow,
-                method=st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1),
+                method=st.sampled_from([v.value for v in BNVariant]),
                 batch_size=st.integers(min_value=2),
                 noise_pct=st.floats(0.0, 100.0),
-                seed=st.integers(),
+                seed=st.integers(-SEED_LIMIT, SEED_LIMIT),
                 metric=st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1),
                 value=st.floats(0.0, 100.0),
                 epochs=st.integers(min_value=0),

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinbn import nn
-from steinbn.batchnorm import BNLayer, BNVariant
+from steinbn.batchnorm import BNVariant
 from steinbn.nn import (
     BatchNorm,
     Conv3x3,
@@ -251,6 +251,17 @@ def test_optimizer_step_is_plain_or_nesterov_momentum(nesterov):
             assert arr.tobytes() == want.tobytes(), key
 
 
+@pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])
+def test_every_layer_is_hashable_and_equal_only_to_itself(build):
+    # BN compared its fields and could not be hashed; a twin built from the
+    # same seed holds equal arrays, so only identity tells its layers apart
+    model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
+    twin = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
+    assert len({*model.layers, *twin.layers}) == 2 * len(model.layers)
+    for layer, other in zip(model.layers, twin.layers):
+        assert layer == layer and layer != other
+
+
 def test_state_loads_in_place_and_round_trips():
     # the state of one model loaded into another of the same shape gives
     # the same arrays in the same order, written into the model's own arrays
@@ -264,7 +275,7 @@ def test_state_loads_in_place_and_round_trips():
     for key, arr in dst.state_arrays().items():
         assert arr is own[key]
         assert arr.tobytes() == src.state_arrays()[key].tobytes(), key
-    assert isinstance(dst.layers[1], BNLayer)
+    assert isinstance(dst.layers[1], BatchNorm)
     assert list(own)[:6] == [
         "layer0.w", "layer0.b",
         "layer1.gamma", "layer1.beta", "layer1.running_mean", "layer1.running_var",

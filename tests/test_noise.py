@@ -60,6 +60,17 @@ class TestDensity:
         assert levy_gauss_quantile(arg, sigma).tobytes() == expected.tobytes()
         assert arg.tolist() == u
 
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 3.0])
+    def test_law_is_cauchy_of_scale_sigma_over_root_2(self, sigma):
+        cauchy = stats.cauchy(scale=sigma / np.sqrt(2.0))
+        x = np.linspace(-50.0, 50.0, 401) * sigma
+        u = np.linspace(0.001, 0.999, 401)
+        np.testing.assert_allclose(levy_gauss_pdf(x, sigma), cauchy.pdf(x), rtol=1e-13)
+        np.testing.assert_allclose(levy_gauss_cdf(x, sigma), cauchy.cdf(x), rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(
+            levy_gauss_quantile(u, sigma), cauchy.ppf(u), rtol=1e-12, atol=1e-15 * sigma
+        )
+
     def test_quantile_domain_checks(self):
         with pytest.raises(InvalidInputError):
             levy_gauss_quantile(0.0)
