@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .harness import (
-    SEED_LIMIT,
     Checkpoint,
     ExperimentConfig,
     aggregate_results,
     atomic_write_bytes,
+    check_seed,
     checkpoint_path,
     evaluate_under_noise,
     rows_from_csv,
@@ -96,9 +96,10 @@ def _seed(text: str) -> int:
     reduces seeds modulo 2**64, so a seed outside it could draw another
     seed's stream under its own label."""
     try:
-        if -SEED_LIMIT <= int(text) <= SEED_LIMIT:
-            return int(text)
-    except ValueError:
+        seed = int(text)
+        check_seed(seed)
+        return seed
+    except ValueError:  # an InvalidInputError is one
         pass
     raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [-2**53, 2**53]")
 

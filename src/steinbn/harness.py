@@ -66,6 +66,9 @@ _JSON_TYPES = {
 # size; every seed of the program lies in [-SEED_LIMIT, SEED_LIMIT]
 SEED_LIMIT = 2**53
 
+# the metrics a run writes into its result rows
+METRICS = ("accuracy",)
+
 # domain of each checked ExperimentConfig field, as (what it must be, test);
 # a comparison with NaN is false, so each test refuses NaN as well
 _DOMAINS = {
@@ -238,6 +241,7 @@ class ResultRow:
 _ROW_DOMAINS = {
     "method": _DOMAINS["bn_variant"],
     "batch_size": _DOMAINS["batch_size"],
+    "metric": ("one of " + ", ".join(map(repr, METRICS)), lambda v: v in METRICS),
     "epochs": _DOMAINS["max_epochs"],
 }
 
@@ -558,7 +562,7 @@ def evaluate_under_noise(
                 batch_size=config.batch_size,
                 noise_pct=float(level),
                 seed=seed,
-                metric="accuracy",
+                metric=METRICS[0],
                 value=_evaluate(tail, x, test.labels),
                 epochs=checkpoint.epochs_trained,
             )

@@ -14,8 +14,10 @@ runs a batch through its layers a block of samples at a time, so inference
 holds the activations of one block, not of the whole batch.
 
 A model's state is each layer's ``state_arrays()`` (its parameters, plus the
-running statistics for BN). Each layer loads its own in place, refusing a
-missing or misshapen array and, for BN, a negative running variance.
+running statistics for BN). A layer's constructor builds its state, BN's
+from ``num_channels`` alone; after that only training and the layer's
+``load_state_arrays`` change it. Each layer loads its own in place, refusing
+a missing or misshapen array and, for BN, a negative running variance.
 
 Every layer has a ``mode``, train when built and set only by ``train()`` and
 ``eval()``. A forward keeps what its backward reads, in one attribute per
@@ -33,6 +35,7 @@ bit-identical to those of a train-mode pass with the same statistics.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,12 +315,15 @@ class BatchNorm(Layer):
     """One batch-norm layer: its constants, affine parameters and running
     statistics, with forward and backward through the BN core.
 
-    c_tilde=None selects the midpoint of the classical admissible interval
-    for the current (n, C) at every forward call. lam is the shared Lasso/
-    Ridge penalty. Running statistics store the CORRECTED statistics so
-    eval mode inherits the shrinkage; only a train-mode ``bn_forward``
-    changes them. Like every layer it is built in train mode, and compares
-    and hashes by identity.
+    The constructor takes only the constants and builds the state from
+    ``num_channels``: gamma and the running variance ones, beta and the
+    running mean zeros. c_tilde=None selects the midpoint of the classical
+    admissible interval for the current (n, C) at every forward call. lam
+    is the shared Lasso/Ridge penalty. Running statistics store the
+    CORRECTED statistics so eval mode inherits the shrinkage. After
+    construction only a train-mode ``bn_forward``, the optimizer and
+    ``load_state_arrays`` change the state. Like every layer it is built in
+    train mode, and compares and hashes by identity.
     """
 
     num_channels: int
@@ -326,12 +332,11 @@ class BatchNorm(Layer):
     eps: float = 1e-5
     c_tilde: float | None = None
     lam: float = 0.0
-    gamma: np.ndarray = None
-    beta: np.ndarray = None
-    running_mean: np.ndarray = None
-    running_var: np.ndarray = None
 
     def __post_init__(self):
+        c = self.num_channels
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
+            raise InvalidInputError(f"num_channels must be an integer >= 1, got {c!r}")
         # each comparison is false for NaN, so NaN is refused with the rest
         if not (0.0 < self.momentum <= 1.0):
             raise InvalidInputError("momentum must lie in (0, 1]")
@@ -344,22 +349,10 @@ class BatchNorm(Layer):
                 f"c_tilde must be None or a finite number >= 0, got {self.c_tilde!r}"
             )
         self.variant = BNVariant(self.variant)
-        c = self.num_channels
-        if self.gamma is None:
-            self.gamma = np.ones(c)
-        if self.beta is None:
-            self.beta = np.zeros(c)
-        if self.running_mean is None:
-            self.running_mean = np.zeros(c)
-        if self.running_var is None:
-            self.running_var = np.ones(c)
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            v = np.asarray(getattr(self, name), dtype=np.float64)
-            if v.shape != (c,):
-                raise InvalidInputError(f"{name} must have length C={c}")
-            setattr(self, name, v)
-        if np.any(self.running_var < 0):
-            raise InvalidInputError("running_var entries must be non-negative")
+        self.gamma = np.ones(c)
+        self.beta = np.zeros(c)
+        self.running_mean = np.zeros(c)
+        self.running_var = np.ones(c)
         self.dgamma = np.zeros(c)
         self.dbeta = np.zeros(c)
 

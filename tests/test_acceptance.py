@@ -151,13 +151,9 @@ def test_criterion_6_gradient_checks():
     worst = 0.0
     for variant in ("standard", "stein", "mean-only", "khoshsirat", "lasso", "ridge"):
         for trial in range(20):
-            layer = BatchNorm(
-                num_channels=4,
-                variant=variant,
-                gamma=rng.normal(size=4) + 1.5,
-                beta=rng.normal(size=4),
-                lam=0.02,
-            )
+            layer = BatchNorm(num_channels=4, variant=variant, lam=0.02)
+            layer.gamma = rng.normal(size=4) + 1.5
+            layer.beta = rng.normal(size=4)
             x = rng.normal(size=(2, 4, 3, 3))
             g = rng.normal(size=(2, 4, 3, 3))
             _, cache = bn_forward(layer, x)

@@ -7,6 +7,7 @@ same stop-gradient convention the analytic backward implements.
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinbn.batchnorm import (
-    BNMode,
     BNVariant,
     bn_backward,
     bn_forward,
@@ -25,10 +25,16 @@ from steinbn.nn import BatchNorm
 from steinbn.tensor import ChannelStats, InvalidInputError, channel_moments
 
 VARIANTS = ["standard", "stein", "mean-only", "khoshsirat", "lasso", "ridge"]
+STATE = ("gamma", "beta", "running_mean", "running_var")  # state_arrays()'s keys, in order
 
 
 def make_layer(variant, c=4, **kw):
-    return BatchNorm(num_channels=c, variant=variant, **kw)
+    """A layer of the given constants, with any state array given set after construction."""
+    arrays = {name: kw.pop(name) for name in STATE if name in kw}
+    layer = BatchNorm(num_channels=c, variant=variant, **kw)
+    for name, arr in arrays.items():
+        setattr(layer, name, arr)
+    return layer
 
 
 def rand_batch(dims, seed):
@@ -282,7 +288,7 @@ class TestBackward:
         if mode == "eval":
             layer.running_mean = rng.normal(size=c)
             layer.running_var = rng.uniform(0.1, 3.0, size=c)
-            layer.mode = BNMode.EVAL
+            layer.eval()
         g = rng.normal(size=x_arr.shape)
         assert self.fd_gradient_error(layer, x_arr, g) < 1e-6
 
@@ -350,6 +356,13 @@ class TestRunningStats:
         with pytest.raises(InvalidInputError, match=f"^{name} must"):
             make_layer("stein", **{name: value})
 
+    # 0 built (0,) arrays; -1, 2.5 and True failed inside numpy
+    @pytest.mark.parametrize("c", [0, -1, 2.5, True])
+    def test_bad_num_channels_rejected(self, c):
+        message = f"num_channels must be an integer >= 1, got {c!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            BatchNorm(c)
+
     def test_ema_converges_monotonically(self):
         # the same batch every step, with mean 10 and variance 4
         layer = make_layer("standard", c=1, momentum=0.5)
@@ -375,6 +388,28 @@ class TestLayerState:
         assert make_layer("mean-only").variant is BNVariant.MEAN_ONLY
         with pytest.raises(ValueError):
             make_layer("bogus")
+
+    def test_constructor_takes_only_the_constants(self):
+        names = [f.name for f in dataclasses.fields(BatchNorm)]
+        assert names == ["num_channels", "variant", "momentum", "eps", "c_tilde", "lam"]
+        with pytest.raises(TypeError):
+            BatchNorm(4, gamma=np.ones(4))
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_state_is_built_from_num_channels_and_loads_byte_for_byte(self, c, seed):
+        layer = BatchNorm(c, "stein")
+        fresh = layer.state_arrays()
+        assert list(fresh) == list(STATE)
+        for arr, fill in zip(fresh.values(), (1.0, 0.0, 0.0, 1.0)):
+            assert arr.dtype == np.float64 and arr.shape == (c,)
+            assert arr.tobytes() == np.full(c, fill).tobytes()
+        rng = np.random.default_rng(seed)
+        loaded = {name: rng.normal(size=c) for name in STATE}
+        loaded["running_var"] = rng.uniform(0.0, 3.0, size=c)
+        layer.load_state_arrays(loaded)
+        for name, arr in layer.state_arrays().items():
+            assert arr.tobytes() == loaded[name].tobytes()
 
 
 # Golden outputs: sha256 over every case of a variant, recorded while the BN
@@ -408,7 +443,7 @@ def _golden_bn_cases(variant):
             if mode == "eval":
                 layer.running_mean = rng.normal(size=c)
                 layer.running_var = rng.uniform(0.1, 3.0, size=c)
-                layer.mode = BNMode.EVAL
+                layer.eval()
             yield layer, x_arr, rng.normal(size=x_arr.shape)
 
 

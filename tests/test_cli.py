@@ -695,6 +695,10 @@ class TestTrainEvalReport:
              "line 2: method 'bogus' is not one of 'standard', 'stein'"),
             (RESULTS_HEADER + "\nstein,32,0,99999999999999999999,accuracy,60,3\n",
              "line 2: seed 99999999999999999999 is outside [-2**53, 2**53]"),
+            # these two rows made the cell stein,32,0.0,bogus metric,65,7.07107,2
+            # with exit 0
+            (RESULTS_HEADER + "\nstein,32,0,1,bogus metric,60,3\nstein,32,0,2,bogus metric,70,3\n",
+             "line 2: metric 'bogus metric' is not one of 'accuracy'"),
         ],
     )
     def test_report_malformed_csv_exit_1(self, tmp_path, capsys, text, message):

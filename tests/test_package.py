@@ -1,4 +1,9 @@
-"""The package's public names."""
+"""The package's public names, and its modules' imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
 
 import steinbn
 import steinbn.nn
@@ -13,3 +18,26 @@ def test_every_public_name_resolves():
 
 def test_batchnorm_is_the_layer_class():
     assert steinbn.BatchNorm is steinbn.nn.BatchNorm
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+# __init__.py is exempt: its imports are the package's re-exports
+_MODULES = sorted(p for p in Path(steinbn.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
