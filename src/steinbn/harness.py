@@ -340,7 +340,13 @@ def _decode_arrays(blob: bytes) -> dict[str, np.ndarray]:
 
     while pos < len(blob):
         (name_len,) = struct.unpack_from("<I", blob, take(4, "name length"))
-        name = blob[take(name_len, "array name") : pos].decode("utf-8")
+        start = take(name_len, "array name")
+        try:
+            name = blob[start:pos].decode("utf-8")
+        except UnicodeDecodeError:
+            raise InvalidInputError(
+                f"corrupt checkpoint: array name at offset {start} is not UTF-8"
+            ) from None
         (ndim,) = struct.unpack_from("<I", blob, take(4, f"ndim of {name!r}"))
         dims = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim, f"dims of {name!r}"))
         count = math.prod(dims)

@@ -13,9 +13,12 @@ gradient, a block of samples at a time, and an eval-mode ``Sequential``
 runs a batch through its layers a block of samples at a time, so inference
 holds the activations of one block, not of the whole batch.
 
-A model's state is each layer's ``state_arrays()`` (its parameters, plus the
-running statistics for BN). A layer's constructor builds its state, BN's
-from ``num_channels`` alone; after that only training and the layer's
+A model's state is each layer's ``state_arrays()``: its parameters, then
+(for BN) its running statistics. A layer names them once, in the class
+attributes ``param_names`` and ``stat_names``, from which ``Layer`` builds
+``params()``, ``grads()`` and ``state_arrays()``; a parameter ``p``'s
+gradient is the attribute ``d<p>``. A layer's constructor builds its state,
+BN's from ``num_channels`` alone; after that only training and the layer's
 ``load_state_arrays`` change it. Each layer loads its own in place, refusing
 a missing or misshapen array and, for BN, a negative running variance.
 
@@ -47,6 +50,8 @@ from .tensor import InvalidInputError
 
 class Layer:
     mode = BNMode.TRAIN
+    param_names: tuple[str, ...] = ()  # parameter p's gradient is the attribute d<p>
+    stat_names: tuple[str, ...] = ()  # what a checkpoint stores after the parameters
     _saved = None  # what the last train-mode forward kept, until the backward takes it
 
     def _keep(self, saved) -> None:
@@ -62,14 +67,14 @@ class Layer:
         return saved
 
     def params(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, name) for name in self.param_names}
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, "d" + name) for name in self.param_names}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """What a checkpoint stores of the layer: its parameters, by default."""
-        return self.params()
+        """What a checkpoint stores of the layer: its parameters, then its statistics."""
+        return {name: getattr(self, name) for name in (*self.param_names, *self.stat_names)}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
         """Copy each ``arrays[prefix + name]`` in place; a missing or misshapen one is refused."""
@@ -96,6 +101,8 @@ class Layer:
 class Dense(Layer):
     """Affine map on flattened inputs; output shaped (N, units, 1, 1)."""
 
+    param_names = ("w", "b")
+
     def __init__(self, in_features: int, units: int, rng: CounterRng, tag: int):
         scale = np.sqrt(2.0 / in_features)
         self.w = scale * rng.normal(in_features * units, tag, 0).reshape(in_features, units)
@@ -119,12 +126,6 @@ class Dense(Layer):
         if not input_grad:
             return None
         return (g @ self.w.T).reshape(x.shape)
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.dw, "b": self.db}
 
 
 # floats of im2col columns a Conv3x3 forward builds at a time
@@ -215,6 +216,8 @@ class Conv3x3(Layer):
     with their prefix.
     """
 
+    param_names = ("w", "b")
+
     def __init__(self, in_channels: int, out_channels: int, rng: CounterRng, tag: int):
         fan_in = in_channels * 9
         scale = np.sqrt(2.0 / fan_in)
@@ -282,12 +285,6 @@ class Conv3x3(Layer):
             del dcols  # before the next block's product is allocated
         return dx.reshape(n, c, h + 2, w + 2)[:, :, 1:-1, 1:-1]
 
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.dw, "b": self.db}
-
 
 class ReLU(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -332,11 +329,21 @@ class BatchNorm(Layer):
     eps: float = 1e-5
     c_tilde: float | None = None
     lam: float = 0.0
+    # unannotated, so class attributes rather than dataclass fields
+    param_names = ("gamma", "beta")
+    stat_names = ("running_mean", "running_var")
 
     def __post_init__(self):
         c = self.num_channels
         if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
             raise InvalidInputError(f"num_channels must be an integer >= 1, got {c!r}")
+        # bool is a numbers.Real: True would run as 1, and c_tilde=False as 0
+        for name in ("momentum", "eps", "lam", "c_tilde"):
+            value = getattr(self, name)
+            if value is None and name == "c_tilde":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
         # each comparison is false for NaN, so NaN is refused with the rest
         if not (0.0 < self.momentum <= 1.0):
             raise InvalidInputError("momentum must lie in (0, 1]")
@@ -364,15 +371,6 @@ class BatchNorm(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         gx, self.dgamma, self.dbeta = bn_backward(self, self._kept(), grad)
         return gx
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.dgamma, "beta": self.dbeta}
-
-    def state_arrays(self):
-        return {**self.params(), "running_mean": self.running_mean, "running_var": self.running_var}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
         super().load_state_arrays(arrays, prefix)
@@ -431,8 +429,8 @@ class Sequential:
 
     def named_params(self):
         for i, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                yield f"layer{i}.{name}", layer, name, arr
+            for name in layer.param_names:
+                yield f"layer{i}.{name}", layer, name, getattr(layer, name)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Every layer's state arrays, keyed ``layer<i>.<name>`` in layer order."""
@@ -472,7 +470,7 @@ class SGDNesterov:
 
     def step(self) -> None:
         for key, layer, name, arr in self.model.named_params():
-            g = layer.grads()[name]
+            g = getattr(layer, "d" + name)
             v = self.velocity[key]
             v *= self.momentum
             v += g

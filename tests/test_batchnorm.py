@@ -338,19 +338,31 @@ class TestRunningStats:
             np.testing.assert_array_equal(layer.running_var, cache.corrected_var)
 
     # NaN eps gave NaN outputs and NaN c_tilde NaN running statistics; inf
-    # eps and a negative c_tilde were accepted too
-    @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
+    # eps and a negative c_tilde were accepted too; a bool ran as 1 (c_tilde=False
+    # as 0, with no variance offset) and a string failed inside a comparison
+    @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf, True, "1e-5"])
     def test_nonpositive_eps_rejected(self, eps):
         with pytest.raises(InvalidInputError, match="^eps must"):
             make_layer("standard", eps=eps)
 
-    @pytest.mark.parametrize("momentum", [0.0, np.nan])
+    @pytest.mark.parametrize("momentum", [0.0, np.nan, True, "0.1"])
     def test_momentum_zero_rejected(self, momentum):
         with pytest.raises(InvalidInputError, match="^momentum must"):
             make_layer("standard", momentum=momentum)
 
     @pytest.mark.parametrize(
-        "name, value", [("lam", np.nan), ("lam", -1.0), ("c_tilde", -1.0), ("c_tilde", np.nan)]
+        "name, value",
+        [
+            ("lam", np.nan),
+            ("lam", -1.0),
+            ("c_tilde", -1.0),
+            ("c_tilde", np.nan),
+            ("lam", True),
+            ("lam", "0"),
+            ("c_tilde", True),
+            ("c_tilde", False),
+            ("c_tilde", "1"),
+        ],
     )
     def test_bad_lam_or_c_tilde_rejected(self, name, value):
         with pytest.raises(InvalidInputError, match=f"^{name} must"):

@@ -563,6 +563,23 @@ class TestTrainEvalReport:
         assert capsys.readouterr().err.startswith("error: truncated checkpoint")
         assert not (tmp_path / "e.csv").exists()
 
+    def test_eval_non_utf8_array_name_exit_1(self, tmp_path, capsys):
+        # the decode error of a flipped name byte named no offset
+        cfg_path = write_config(tmp_path)
+        ckdir = tmp_path / "ckpts"
+        run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
+                 "--checkpoint-dir", str(ckdir)])
+        ckpt = ckdir / "stein_s1.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        blob[10] ^= 0xC0  # the third byte of the first array name, which starts at offset 8
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = run_cli(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: corrupt checkpoint: array name at offset 8 is not UTF-8\n"
+        assert not (tmp_path / "e.csv").exists()
+
     def test_eval_non_finite_checkpoint_exit_1(self, tmp_path, capsys):
         # a NaN weight under a matching checkpoint_crc32: the sidecar vouches
         # for the bytes, so only the finiteness check can refuse them

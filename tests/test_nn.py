@@ -22,6 +22,7 @@ from steinbn.nn import (
     BatchNorm,
     Conv3x3,
     Dense,
+    GlobalAvgPool,
     ReLU,
     build_mlp2,
     build_tiny_cnn,
@@ -260,6 +261,39 @@ def test_every_layer_is_hashable_and_equal_only_to_itself(build):
     assert len({*model.layers, *twin.layers}) == 2 * len(model.layers)
     for layer, other in zip(model.layers, twin.layers):
         assert layer == layer and layer != other
+
+
+@pytest.mark.parametrize(
+    "cls, param_names, stat_names",
+    [
+        (Dense, ("w", "b"), ()),
+        (Conv3x3, ("w", "b"), ()),
+        (BatchNorm, ("gamma", "beta"), ("running_mean", "running_var")),
+        (ReLU, (), ()),
+        (GlobalAvgPool, (), ()),
+    ],
+)
+def test_each_layer_class_names_its_parameters_and_statistics(cls, param_names, stat_names):
+    # the names fix a layer's checkpoint keys and their order
+    assert cls.param_names == param_names
+    assert cls.stat_names == stat_names
+
+
+@pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])
+def test_params_grads_and_state_arrays_follow_the_declared_names(build):
+    model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
+    x = np.random.default_rng(1).normal(size=(6, 3, 4, 4))
+    model.backward(np.random.default_rng(2).normal(size=model.forward(x).shape))
+    for layer in model.layers:
+        params, grads, state = layer.params(), layer.grads(), layer.state_arrays()
+        assert list(params) == list(grads) == list(layer.param_names)
+        assert list(state) == [*layer.param_names, *layer.stat_names]
+        for name, arr in state.items():
+            assert arr is getattr(layer, name)
+        for name, arr in params.items():
+            assert arr is getattr(layer, name)
+            assert grads[name] is getattr(layer, "d" + name)
+            assert grads[name].shape == arr.shape and grads[name].dtype == arr.dtype, name
 
 
 def test_state_loads_in_place_and_round_trips():

@@ -41,3 +41,27 @@ _MODULES = sorted(p for p in Path(steinbn.__file__).parent.glob("*.py") if p.nam
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _orphaned_private_defs(trees: dict[str, ast.Module]) -> list[str]:
+    """Private functions, methods and classes (dunders aside) that no name,
+    attribute or import in any of the modules refers to."""
+    defs, used = [], set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+    return [f"{module} line {line}: {name}" for module, line, name in defs if name not in used]
+
+
+def test_no_orphaned_private_helper():
+    # a deletion can leave behind a helper that nothing calls any more
+    paths = Path(steinbn.__file__).parent.glob("*.py")
+    assert _orphaned_private_defs({p.name: ast.parse(p.read_text()) for p in paths}) == []
