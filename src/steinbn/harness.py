@@ -319,12 +319,13 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> bytes:
 
 def load_arrays(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        return _decode_arrays(f.read())
+        return _decode_arrays(f.read(), path)
 
 
-def _decode_arrays(blob: bytes) -> dict[str, np.ndarray]:
+def _decode_arrays(blob: bytes, path) -> dict[str, np.ndarray]:
+    """The arrays of ``blob``, read from ``path``, which each refusal names."""
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise InvalidInputError("not a checkpoint file (bad magic)")
+        raise InvalidInputError(f"{path} is not a checkpoint file (bad magic)")
     out, pos = {}, 4
 
     def take(size: int, what: str) -> int:
@@ -332,7 +333,7 @@ def _decode_arrays(blob: bytes) -> dict[str, np.ndarray]:
         nonlocal pos
         if size > len(blob) - pos:
             raise InvalidInputError(
-                f"truncated checkpoint: {what} at offset {pos} needs {size} bytes, "
+                f"truncated checkpoint {path}: {what} at offset {pos} needs {size} bytes, "
                 f"{len(blob) - pos} left"
             )
         pos += size
@@ -345,7 +346,7 @@ def _decode_arrays(blob: bytes) -> dict[str, np.ndarray]:
             name = blob[start:pos].decode("utf-8")
         except UnicodeDecodeError:
             raise InvalidInputError(
-                f"corrupt checkpoint: array name at offset {start} is not UTF-8"
+                f"corrupt checkpoint {path}: array name at offset {start} is not UTF-8"
             ) from None
         (ndim,) = struct.unpack_from("<I", blob, take(4, f"ndim of {name!r}"))
         dims = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim, f"dims of {name!r}"))
@@ -384,7 +385,7 @@ class Checkpoint:
     def load(cls, path) -> "Checkpoint":
         with open(path, "rb") as f:
             blob = f.read()
-        arrays = _decode_arrays(blob)
+        arrays = _decode_arrays(blob, path)
         meta = arrays.pop("__meta__", None)
         if meta is None or meta.shape != (4,):
             raise InvalidInputError(f"checkpoint {path} has no 4-entry __meta__ array")

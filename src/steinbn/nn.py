@@ -16,8 +16,8 @@ holds the activations of one block, not of the whole batch.
 A model's state is each layer's ``state_arrays()``: its parameters, then
 (for BN) its running statistics. A layer names them once, in the class
 attributes ``param_names`` and ``stat_names``, from which ``Layer`` builds
-``params()``, ``grads()`` and ``state_arrays()``; a parameter ``p``'s
-gradient is the attribute ``d<p>``. A layer's constructor builds its state,
+``grads()`` and ``state_arrays()`` and ``Sequential`` its ``named_params()``;
+a parameter ``p``'s gradient is the attribute ``d<p>``. A layer's constructor builds its state,
 BN's from ``num_channels`` alone; after that only training and the layer's
 ``load_state_arrays`` change it. Each layer loads its own in place, refusing
 a missing or misshapen array and, for BN, a negative running variance.
@@ -65,9 +65,6 @@ class Layer:
         if saved is None:
             raise InvalidInputError("backward needs a train-mode forward")
         return saved
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.param_names}
 
     def grads(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, "d" + name) for name in self.param_names}

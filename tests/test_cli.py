@@ -564,7 +564,7 @@ class TestTrainEvalReport:
         assert not (tmp_path / "e.csv").exists()
 
     def test_eval_non_utf8_array_name_exit_1(self, tmp_path, capsys):
-        # the decode error of a flipped name byte named no offset
+        # the decode error of a flipped name byte named no file and no offset
         cfg_path = write_config(tmp_path)
         ckdir = tmp_path / "ckpts"
         run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "rows.csv"),
@@ -577,7 +577,7 @@ class TestTrainEvalReport:
         code = run_cli(["eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.csv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "error: corrupt checkpoint: array name at offset 8 is not UTF-8\n"
+        assert err == f"error: corrupt checkpoint {ckpt}: array name at offset 8 is not UTF-8\n"
         assert not (tmp_path / "e.csv").exists()
 
     def test_eval_non_finite_checkpoint_exit_1(self, tmp_path, capsys):

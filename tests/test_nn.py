@@ -280,20 +280,20 @@ def test_each_layer_class_names_its_parameters_and_statistics(cls, param_names, 
 
 
 @pytest.mark.parametrize("build", [build_tiny_cnn, build_mlp2])
-def test_params_grads_and_state_arrays_follow_the_declared_names(build):
+def test_grads_and_state_arrays_follow_the_declared_names(build):
     model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
     x = np.random.default_rng(1).normal(size=(6, 3, 4, 4))
     model.backward(np.random.default_rng(2).normal(size=model.forward(x).shape))
     for layer in model.layers:
-        params, grads, state = layer.params(), layer.grads(), layer.state_arrays()
-        assert list(params) == list(grads) == list(layer.param_names)
+        grads, state = layer.grads(), layer.state_arrays()
+        assert list(grads) == list(layer.param_names)
         assert list(state) == [*layer.param_names, *layer.stat_names]
         for name, arr in state.items():
             assert arr is getattr(layer, name)
-        for name, arr in params.items():
-            assert arr is getattr(layer, name)
-            assert grads[name] is getattr(layer, "d" + name)
-            assert grads[name].shape == arr.shape and grads[name].dtype == arr.dtype, name
+        for name, g in grads.items():
+            arr = getattr(layer, name)
+            assert g is getattr(layer, "d" + name)
+            assert g.shape == arr.shape and g.dtype == arr.dtype, name
 
 
 def test_state_loads_in_place_and_round_trips():
