@@ -224,9 +224,7 @@ def _echo(args) -> dict:
 
 
 def _cmd_lemma(args) -> int:
-    ((lhs, rhs, gap),) = mc_stein_gamma_lemma(
-        args.alpha, args.beta, [args.h], args.trials, args.seed, k=args.k
-    )
+    ((lhs, rhs, gap),) = mc_stein_gamma_lemma(args.alpha, args.beta, [args.h], args.trials, args.seed)
     payload = {"lhs": lhs, "rhs": rhs, "gap_in_se": gap, "holds": abs(gap) < args.k}
     payload["config"] = _echo(args)
     _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True))

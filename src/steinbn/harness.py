@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .batchnorm import BNVariant
 from .data import Dataset, make_synthetic_blobs, split_indices, split_sizes
 from .nn import (
     BatchNorm,
@@ -74,8 +73,7 @@ METRICS = ("accuracy",)
 _DOMAINS = {
     "dataset": ("'SyntheticBlobs'", lambda v: v == "SyntheticBlobs"),
     "model": ("one of 'MLP2', 'TinyCNN'", lambda v: v in ("MLP2", "TinyCNN")),
-    "bn_variant": ("one of " + ", ".join(repr(b.value) for b in BNVariant),
-                   lambda v: v in tuple(BNVariant)),
+    "bn_variant": BatchNorm.domains["variant"],
     "batch_size": ("an integer >= 2", lambda v: v >= 2),  # BN needs 2 samples
     "n_classes": ("an integer >= 2", lambda v: v >= 2),
     "n_per_class": ("a positive integer", lambda v: v > 0),
@@ -86,9 +84,9 @@ _DOMAINS = {
     "early_stop_patience": ("an integer >= 0", lambda v: v >= 0),
     "learning_rate": ("a finite number > 0", lambda v: 0 < v < math.inf),
     "momentum_sgd": ("a number in [0, 1)", lambda v: 0 <= v < 1),
-    "lam": ("a finite number >= 0", lambda v: 0 <= v < math.inf),
+    "lam": BatchNorm.domains["lam"],
     "sep": ("a finite number >= 0", lambda v: 0 <= v < math.inf),
-    "c_tilde": ("null or a finite number >= 0", lambda v: v is None or 0 <= v < math.inf),
+    "c_tilde": BatchNorm.domains["c_tilde"],
 }
 
 
@@ -416,10 +414,9 @@ def build_model(config: ExperimentConfig, seed: int) -> Sequential:
     rng = CounterRng(seed)
     dims, n_classes = (config.channels, config.hw, config.hw), config.n_classes
     kwargs = dict(c_tilde=config.c_tilde, lam=config.lam)
-    variant = BNVariant(config.bn_variant)
     if config.model == "MLP2":
-        return build_mlp2(dims, n_classes, variant, rng, hidden=config.hidden, **kwargs)
-    return build_tiny_cnn(dims, n_classes, variant, rng, **kwargs)
+        return build_mlp2(dims, n_classes, config.bn_variant, rng, hidden=config.hidden, **kwargs)
+    return build_tiny_cnn(dims, n_classes, config.bn_variant, rng, **kwargs)
 
 
 def make_dataset(config: ExperimentConfig, seed: int, rows: np.ndarray | None = None) -> Dataset:

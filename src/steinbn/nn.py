@@ -16,11 +16,14 @@ holds the activations of one block, not of the whole batch.
 A model's state is each layer's ``state_arrays()``: its parameters, then
 (for BN) its running statistics. A layer names them once, in the class
 attributes ``param_names`` and ``stat_names``, from which ``Layer`` builds
-``grads()`` and ``state_arrays()`` and ``Sequential`` its ``named_params()``;
-a parameter ``p``'s gradient is the attribute ``d<p>``. A layer's constructor builds its state,
-BN's from ``num_channels`` alone; after that only training and the layer's
-``load_state_arrays`` change it. Each layer loads its own in place, refusing
-a missing or misshapen array and, for BN, a negative running variance.
+``state_arrays()`` and ``Sequential`` its ``named_params()``; a parameter
+``p``'s gradient is the attribute ``d<p>``, and ``named_params`` is its one
+reader. A layer's constructor builds its state, BN's from ``num_channels``
+alone, after checking BN's constants against ``BatchNorm.domains``, the one
+table of their rules, which the experiment config shares. After that only
+training and ``load_state_arrays`` change the state. Each layer loads its
+own in place, refusing a missing or misshapen array and, for BN, a negative
+running variance; a model refuses first an array that no layer reads.
 
 Every layer has a ``mode``, train when built and set only by ``train()`` and
 ``eval()``. A forward keeps what its backward reads, in one attribute per
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,9 +68,6 @@ class Layer:
         if saved is None:
             raise InvalidInputError("backward needs a train-mode forward")
         return saved
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, "d" + name) for name in self.param_names}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """What a checkpoint stores of the layer: its parameters, then its statistics."""
@@ -329,30 +329,28 @@ class BatchNorm(Layer):
     # unannotated, so class attributes rather than dataclass fields
     param_names = ("gamma", "beta")
     stat_names = ("running_mean", "running_var")
+    # each constant's domain, as (what it must be, test), which the experiment
+    # config shares; each test refuses a non-number, and NaN fails its comparisons
+    domains = {
+        "num_channels": ("an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1),
+        "variant": ("one of " + ", ".join(repr(b.value) for b in BNVariant),
+                    lambda v: v in tuple(BNVariant)),
+        "momentum": ("a number in (0, 1]", lambda v: isinstance(v, numbers.Real) and 0 < v <= 1),
+        "eps": ("a finite number > 0", lambda v: isinstance(v, numbers.Real) and 0 < v < np.inf),
+        "c_tilde": ("null or a finite number >= 0",
+                    lambda v: v is None or isinstance(v, numbers.Real) and 0 <= v < np.inf),
+        "lam": ("a finite number >= 0", lambda v: isinstance(v, numbers.Real) and 0 <= v < np.inf),
+    }
 
     def __post_init__(self):
-        c = self.num_channels
-        if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
-            raise InvalidInputError(f"num_channels must be an integer >= 1, got {c!r}")
-        # bool is a numbers.Real: True would run as 1, and c_tilde=False as 0
-        for name in ("momentum", "eps", "lam", "c_tilde"):
-            value = getattr(self, name)
-            if value is None and name == "c_tilde":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-        # each comparison is false for NaN, so NaN is refused with the rest
-        if not (0.0 < self.momentum <= 1.0):
-            raise InvalidInputError("momentum must lie in (0, 1]")
-        if not (0.0 < self.eps < np.inf):
-            raise InvalidInputError(f"eps must be a finite number > 0, got {self.eps!r}")
-        if not (0.0 <= self.lam < np.inf):
-            raise InvalidInputError(f"lam must be a finite number >= 0, got {self.lam!r}")
-        if not (self.c_tilde is None or 0.0 <= self.c_tilde < np.inf):
-            raise InvalidInputError(
-                f"c_tilde must be None or a finite number >= 0, got {self.c_tilde!r}"
-            )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            domain, ok = self.domains[f.name]
+            # bool is a numbers.Integral: True would run as 1, and c_tilde=False as 0
+            if isinstance(value, bool) or not ok(value):
+                raise InvalidInputError(f"{f.name} must be {domain}, got {value!r}")
         self.variant = BNVariant(self.variant)
+        c = self.num_channels
         self.gamma = np.ones(c)
         self.beta = np.zeros(c)
         self.running_mean = np.zeros(c)
@@ -425,9 +423,10 @@ class Sequential:
             layer.eval()
 
     def named_params(self):
+        """(key, parameter, gradient ``d<p>``) of each layer's parameters, in layer order."""
         for i, layer in enumerate(self.layers):
             for name in layer.param_names:
-                yield f"layer{i}.{name}", layer, name, getattr(layer, name)
+                yield f"layer{i}.{name}", getattr(layer, name), getattr(layer, "d" + name)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Every layer's state arrays, keyed ``layer<i>.<name>`` in layer order."""
@@ -438,6 +437,10 @@ class Sequential:
         }
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        own = self.state_arrays()
+        for key in arrays:
+            if key not in own:
+                raise InvalidInputError(f"checkpoint array {key!r} belongs to no layer of the model")
         for i, layer in enumerate(self.layers):
             layer.load_state_arrays(arrays, f"layer{i}.")
 
@@ -463,11 +466,10 @@ class SGDNesterov:
         self.lr = lr
         self.momentum = momentum
         self.nesterov = nesterov
-        self.velocity = {key: np.zeros_like(arr) for key, _, _, arr in model.named_params()}
+        self.velocity = {key: np.zeros_like(arr) for key, arr, _ in model.named_params()}
 
     def step(self) -> None:
-        for key, layer, name, arr in self.model.named_params():
-            g = getattr(layer, "d" + name)
+        for key, arr, g in self.model.named_params():
             v = self.velocity[key]
             v *= self.momentum
             v += g

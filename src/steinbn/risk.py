@@ -354,13 +354,12 @@ def mc_stein_gamma_lemma(
     h: Sequence[str],
     n_trials: int,
     seed: int,
-    k: float = 4.0,
 ) -> list[tuple[float, float, float]]:
     """Both sides of E[(X - a*b) h(X)] = b E[X h'(X)] for X ~ Gamma(a, b).
 
     Returns (lhs, rhs, gap_in_se) per catalog name of the sequence ``h``, all
-    scored on the same draws, where the gap is paired over draws; the
-    identity is taken to hold when |gap_in_se| < k.
+    scored on the same draws, where the gap is paired over draws; the caller
+    judges whether the gap is small enough for the identity to hold.
     """
     if isinstance(h, str):  # a bare name would be read as a sequence of letters
         raise InvalidInputError(f"h must be a sequence of catalog names, got the string {h!r}")

@@ -398,7 +398,7 @@ class TestLayerState:
 
     def test_variant_enum_coercion(self):
         assert make_layer("mean-only").variant is BNVariant.MEAN_ONLY
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError, match="^variant must be one of"):
             make_layer("bogus")
 
     def test_constructor_takes_only_the_constants(self):

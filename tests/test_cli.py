@@ -607,11 +607,12 @@ class TestTrainEvalReport:
             ("layer0.b", np.zeros(1), "'layer0.b' is (1,), the model's (8,)"),
             ("layer7.b", None, "checkpoint has no array 'layer7.b'"),
             ("layer1.running_var", -np.ones(8), "'layer1.running_var' has negative entries"),
+            ("bogus", np.ones(8), "array 'bogus' belongs to no layer of the model"),
         ],
-        ids=["short-running-mean", "short-bias", "missing-bias", "negative-running-var"],
+        ids=["short-running-mean", "short-bias", "missing-bias", "negative-running-var", "stray-array"],
     )
     def test_eval_checkpoint_not_fitting_the_model_exit_1(self, tmp_path, capsys, key, value, message):
-        # a wrong-sized, missing or invalid array under a matching
+        # a wrong-sized, missing, invalid or stray array under a matching
         # checkpoint_crc32: only the load into the model can refuse it
         cfg_path = write_config(tmp_path, model="TinyCNN")
         ckdir = tmp_path / "ckpts"

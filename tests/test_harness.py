@@ -38,7 +38,7 @@ from steinbn.harness import (
     save_arrays,
     train_model,
 )
-from steinbn.nn import Sequential
+from steinbn.nn import BatchNorm, Sequential
 from steinbn.rng import CounterRng
 from steinbn.tensor import InvalidInputError, NonFiniteError, Tensor4
 
@@ -200,6 +200,28 @@ class TestConfig:
             ExperimentConfig(bn_variant="bogus")
         with pytest.raises(InvalidInputError, match="unknown noise family 'gausian'"):
             ExperimentConfig(noise_family="gausian")
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            *((name, name, v) for name in ("lam", "c_tilde")
+              for v in (0, 0.5, -1.0, float("nan"), float("inf"), True, "1", None)),
+            *(("variant", "bn_variant", v) for v in ("stein", "steins", 3)),
+        ],
+    )
+    def test_bn_layer_and_config_refuse_the_same_constants(self, name, key, value):
+        # one domain table holds the rule of each constant, so a BN layer
+        # refuses a value exactly when the config field that feeds it does
+        def refused(build) -> bool:
+            try:
+                build()
+            except InvalidInputError:
+                return True
+            return False
+
+        assert refused(lambda: BatchNorm(4, **{name: value})) == refused(
+            lambda: ExperimentConfig(**{key: value})
+        )
 
     def test_readme_config_and_domain_table_match_the_rules(self):
         # README's minimal config parses, and its domain table names exactly

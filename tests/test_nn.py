@@ -8,6 +8,7 @@ byte for byte with nine-step strided loops.
 """
 
 import dataclasses
+import re
 import tracemalloc
 from unittest import mock
 
@@ -217,15 +218,14 @@ def test_sequential_backward_skips_only_the_input_gradient(build):
     x = np.random.default_rng(1).normal(size=(6, 3, 4, 4))
     grad = np.random.default_rng(2).normal(size=model.forward(x).shape)
     assert model.backward(grad) is None
-    skipped = [{k: v.copy() for k, v in layer.grads().items()} for layer in model.layers]
+    skipped = {key: dp.copy() for key, _, dp in model.named_params()}
     model.forward(x)
     g = grad
     for layer in reversed(model.layers):
         g = layer.backward(g)
     assert g.shape == x.shape
-    for layer, before in zip(model.layers, skipped):
-        for name, arr in layer.grads().items():
-            assert arr.tobytes() == before[name].tobytes(), name
+    for key, _, dp in model.named_params():
+        assert dp.tobytes() == skipped[key].tobytes(), key
 
 
 @pytest.mark.parametrize("nesterov", [False, True])
@@ -238,13 +238,12 @@ def test_optimizer_step_is_plain_or_nesterov_momentum(nesterov):
     opt = nn.SGDNesterov(model, lr, m, nesterov)
     rng = np.random.default_rng(1)
     x, labels = rng.normal(size=(6, 3, 2, 2)), rng.integers(0, 4, 6)
-    velocity = {key: np.zeros_like(arr) for key, _, _, arr in model.named_params()}
+    velocity = {key: np.zeros_like(arr) for key, arr, _ in model.named_params()}
     for _ in range(2):
         model.backward(softmax_cross_entropy(model.forward(x), labels)[1])
-        before = {key: (arr.copy(), layer.grads()[name].copy())
-                  for key, layer, name, arr in model.named_params()}
+        before = {key: (arr.copy(), g.copy()) for key, arr, g in model.named_params()}
         opt.step()
-        for key, _, _, arr in model.named_params():
+        for key, arr, _ in model.named_params():
             w, g = before[key]
             velocity[key] = m * velocity[key] + g
             want = w - lr * (g + m * velocity[key] if nesterov else velocity[key])
@@ -284,16 +283,18 @@ def test_grads_and_state_arrays_follow_the_declared_names(build):
     model = build((3, 4, 4), 4, BNVariant.STEIN, CounterRng(5))
     x = np.random.default_rng(1).normal(size=(6, 3, 4, 4))
     model.backward(np.random.default_rng(2).normal(size=model.forward(x).shape))
-    for layer in model.layers:
-        grads, state = layer.grads(), layer.state_arrays()
-        assert list(grads) == list(layer.param_names)
+    params = model.named_params()
+    for i, layer in enumerate(model.layers):
+        for name in layer.param_names:
+            key, arr, g = next(params)
+            assert key == f"layer{i}.{name}"
+            assert arr is getattr(layer, name) and g is getattr(layer, "d" + name)
+            assert g.shape == arr.shape and g.dtype == arr.dtype, key
+        state = layer.state_arrays()
         assert list(state) == [*layer.param_names, *layer.stat_names]
         for name, arr in state.items():
             assert arr is getattr(layer, name)
-        for name, g in grads.items():
-            arr = getattr(layer, name)
-            assert g is getattr(layer, "d" + name)
-            assert g.shape == arr.shape and g.dtype == arr.dtype, name
+    assert next(params, None) is None
 
 
 def test_state_loads_in_place_and_round_trips():
@@ -318,7 +319,12 @@ def test_state_loads_in_place_and_round_trips():
 
 @pytest.mark.parametrize(
     "key, value",
-    [("layer1.running_var", np.ones(3)), ("layer3.w", None), ("layer1.running_var", -np.ones(8))],
+    [
+        ("layer1.running_var", np.ones(3)),
+        ("layer3.w", None),
+        ("layer1.running_var", -np.ones(8)),
+        ("bogus", np.ones(8)),
+    ],
 )
 def test_state_not_fitting_the_model_is_refused(key, value):
     model = build_mlp2((3, 2, 2), 4, BNVariant.STEIN, CounterRng(5), hidden=8)
@@ -329,6 +335,20 @@ def test_state_not_fitting_the_model_is_refused(key, value):
         arrays[key] = value
     with pytest.raises(InvalidInputError, match=repr(key)):
         model.load_state_arrays(arrays)
+
+
+def test_stray_array_is_refused_before_any_array_loads():
+    # an array no layer reads was silently ignored; it is refused, and the
+    # arrays that do fit the model are left unloaded
+    model = build_mlp2((3, 2, 2), 4, BNVariant.STEIN, CounterRng(5), hidden=8)
+    before = {k: v.copy() for k, v in model.state_arrays().items()}
+    arrays = {k: v + 1.0 for k, v in before.items()}
+    arrays["layer9.w"] = np.ones(1)
+    message = "checkpoint array 'layer9.w' belongs to no layer of the model"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        model.load_state_arrays(arrays)
+    for key, arr in model.state_arrays().items():
+        assert arr.tobytes() == before[key].tobytes(), key
 
 
 def _batch_arrays(obj, n, path):

@@ -43,6 +43,30 @@ def test_no_unused_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """Parameters of functions, methods and lambdas (self and cls aside) that
+    no name in their body reads."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for part in body for n in ast.walk(part)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unread += [f"line {node.lineno}: {name}({p.arg})" for p in params
+                   if p.arg not in read and p.arg not in ("self", "cls")]
+    return unread
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_unread_parameter(path):
+    # a parameter nothing reads tells its callers a promise the code does not keep
+    assert _unread_parameters(ast.parse(path.read_text())) == []
+
+
 def _orphaned_private_defs(trees: dict[str, ast.Module]) -> list[str]:
     """Private functions, methods and classes (dunders aside) that no name,
     attribute or import in any of the modules refers to."""
