@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .tensor import Tensor4, ChannelStats, channel_moments
 from .estimators import (
     GammaParams,
-    ShrinkageConstant,
     js_mean_classical,
     js_mean_channels,
     gamma_scale_shrink,
@@ -35,7 +34,6 @@ __all__ = [
     "ChannelStats",
     "channel_moments",
     "GammaParams",
-    "ShrinkageConstant",
     "js_mean_classical",
     "js_mean_channels",
     "gamma_scale_shrink",

@@ -32,18 +32,11 @@ class GammaParams:
     """Shape/scale parameters of the sampling distribution of empirical variances.
 
     For n samples per coordinate: alpha = (n-1)/2 and betas[i] = 2*sigma_i^2/n.
+    A plain record: ``variance_gamma_params`` checks n and sigma^2 first.
     """
 
     alpha: float
     betas: np.ndarray
-
-    def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=np.float64)
-        if self.alpha <= 0:
-            raise InvalidInputError("alpha must be positive")
-        if betas.ndim != 1 or np.any(betas <= 0):
-            raise InvalidInputError("betas must be a vector of positive scales")
-        object.__setattr__(self, "betas", betas)
 
 
 def classical_c_bound(alpha: float, p: int) -> float:
@@ -66,24 +59,6 @@ def perturbed_c_bound(alpha: float, p: int) -> float:
 def variance_c_bound(n: int, p: int) -> float:
     """Admissible upper bound for the channel-variance shrinkage, 4n(p-1)/((n+1)((n-1)p+2))."""
     return 4.0 * n * (p - 1) / ((n + 1.0) * ((n - 1.0) * p + 2.0))
-
-
-@dataclass(frozen=True)
-class ShrinkageConstant:
-    """A shrinkage constant together with its admissible interval."""
-
-    c_tilde: float
-    admissible_lo: float
-    admissible_hi: float
-
-    @property
-    def in_interval(self) -> bool:
-        return self.admissible_lo <= self.c_tilde <= self.admissible_hi
-
-    @classmethod
-    def midpoint(cls, alpha: float, p: int) -> "ShrinkageConstant":
-        hi = classical_c_bound(alpha, p)
-        return cls(c_tilde=hi / 2.0, admissible_lo=0.0, admissible_hi=hi)
 
 
 def js_mean_classical(z: np.ndarray, variance_scale: float = 1.0) -> np.ndarray:
@@ -161,8 +136,8 @@ def variance_gamma_params(sigma2: np.ndarray, n: int) -> GammaParams:
     if n < 2:
         raise InvalidInputError(f"need n >= 2, got {n}")
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if np.any(sigma2 <= 0):
-        raise InvalidInputError("sigma2 entries must be positive")
+    if sigma2.ndim != 1 or not np.all(np.isfinite(sigma2) & (sigma2 > 0)):
+        raise InvalidInputError("sigma2 must be a vector of finite positive variances")
     return GammaParams(alpha=(n - 1) / 2.0, betas=2.0 * sigma2 / n)
 
 

@@ -226,6 +226,12 @@ class ResultRow:
     epochs: int
 
     def __post_init__(self):
+        # a 32.5 or a True in an int column would be written as no run writes it
+        for column, kind in _RESULT_COLUMNS.items():
+            value = getattr(self, column)
+            types, name = _ROW_TYPES[kind]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise InvalidInputError(f"{column} {value!r} is not {name}")
         # a row outside the rules of the config and levels it names came from no run
         for column, (domain, ok) in _ROW_DOMAINS.items():
             if not ok(getattr(self, column)):
@@ -246,6 +252,8 @@ _ROW_DOMAINS = {
 
 # the results CSV's columns are ResultRow's fields, in order, each read back by its type
 _RESULT_COLUMNS = typing.get_type_hints(ResultRow)
+# the values a ResultRow column of each type takes; no column takes a bool
+_ROW_TYPES = {str: (str, "a string"), int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 RESULTS_HEADER = ",".join(_RESULT_COLUMNS)
 
 

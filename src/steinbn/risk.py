@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .estimators import ShrinkageConstant, gamma_scale_shrink, js_mean_classical, variance_gamma_params
+from .estimators import classical_c_bound, gamma_scale_shrink, js_mean_classical, variance_gamma_params
 from .noise import NoiseSpec, sample_noise_flat
 from .rng import CounterRng
 from .tensor import InvalidInputError
@@ -73,14 +73,6 @@ class RiskReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RiskReport":
-        raw = json.loads(text)
-        raw["estimator_risks"] = {
-            k: tuple(v) for k, v in raw["estimator_risks"].items()
-        }
-        return cls(**raw)
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -139,9 +131,8 @@ def _thetas(theta, sigma: float) -> np.ndarray:
     """The grid theta as (m, p) rows, one per vector.
 
     A theta whose squared norm overflows is refused, as no risk of it is
-    finite, and so is one whose largest entry is so large that adding draws
-    of scale sigma to it rounds them off (see _THETA_SPACING_SHARE); a
-    sigma <= 0 is left to the caller.
+    finite, and so is one whose largest entry rounds off draws of scale sigma
+    (see _check_spacing); a sigma <= 0 is left to the caller.
     """
     thetas = np.asarray(theta, dtype=np.float64)
     if thetas.ndim != 2 or thetas.size == 0:
@@ -150,12 +141,17 @@ def _thetas(theta, sigma: float) -> np.ndarray:
     if not np.all(np.isfinite(norm_sq)):
         raise InvalidInputError(f"theta's squared norm must be finite, got {norm_sq.max()}")
     top = np.abs(thetas).max()
-    if np.spacing(top) > _THETA_SPACING_SHARE * sigma > 0:
-        raise InvalidInputError(
-            f"theta's entry {top:g} rounds draws of scale sigma={sigma:g} to steps of "
-            f"{np.spacing(top):g}, above {_THETA_SPACING_SHARE:g} sigma"
-        )
+    _check_spacing(f"theta's entry {top:g}", top, "sigma", sigma)
     return thetas
+
+
+def _check_spacing(what: str, offset: float, scale_name: str, scale: float) -> None:
+    """Refuse an offset whose float64 spacing, the step that adding draws to it
+    rounds them to, exceeds _THETA_SPACING_SHARE of their scale when it is > 0."""
+    step = np.spacing(abs(offset))
+    if step > _THETA_SPACING_SHARE * scale > 0:
+        raise InvalidInputError(f"{what} rounds draws of scale {scale_name}={scale:g} to steps of "
+                                f"{step:g}, above {_THETA_SPACING_SHARE:g} of that scale")
 
 
 def _paired_report(errors: dict[str, np.ndarray], k: float, config: dict) -> RiskReport:
@@ -240,15 +236,10 @@ class GammaTrialSpec:
         sig = np.asarray(self.sigmas_x, dtype=np.float64)
         if sig.ndim != 1 or sig.size < 2 or not np.all(np.isfinite(sig) & (sig > 0)):
             raise InvalidInputError("sigmas_x must be a vector of p >= 2 positive scales")
-        step = np.spacing(abs(self.mu))  # of Z = sigma_x * N + mu; see _THETA_SPACING_SHARE
-        if step > _THETA_SPACING_SHARE * sig.min():
-            raise InvalidInputError(
-                f"mu={self.mu:g} rounds draws of scale min(sigmas_x)={sig.min():g} to steps of "
-                f"{step:g}, above {_THETA_SPACING_SHARE:g} of that scale"
-            )
+        _check_spacing(f"mu={self.mu:g}", self.mu, "min(sigmas_x)", sig.min())  # Z = sigma_x * N + mu
         gamma = variance_gamma_params(sig**2, self.n)
         if self.c is None:
-            object.__setattr__(self, "c", ShrinkageConstant.midpoint(gamma.alpha, sig.size).c_tilde)
+            object.__setattr__(self, "c", classical_c_bound(gamma.alpha, sig.size) / 2.0)
         object.__setattr__(self, "sigmas_x", sig)
         object.__setattr__(self, "alpha", gamma.alpha)
         object.__setattr__(self, "betas", gamma.betas)

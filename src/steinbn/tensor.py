@@ -41,10 +41,6 @@ class Tensor4:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return self.data.shape
-
 
 class ChannelStats(NamedTuple):
     """Per-channel mean/variance with the population (1/n) convention.

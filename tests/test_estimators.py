@@ -13,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinbn.estimators import (
-    GammaParams,
-    ShrinkageConstant,
     classical_c_bound,
     gamma_scale_shrink,
     geometric_mean,
@@ -157,17 +155,6 @@ class TestIntervalBounds:
     def test_interval_containment_grid(self, alpha, p):
         assert classical_c_bound(alpha, p) < perturbed_c_bound(alpha, p)
 
-    def test_shrinkage_constant_midpoint(self):
-        sc = ShrinkageConstant.midpoint(4.5, 3)
-        assert sc.admissible_lo == 0.0
-        assert sc.admissible_hi == pytest.approx(classical_c_bound(4.5, 3), abs=TOL)
-        assert sc.c_tilde == pytest.approx(sc.admissible_hi / 2.0, abs=TOL)
-        assert sc.in_interval
-
-    def test_shrinkage_constant_out_of_interval_flag(self):
-        sc = ShrinkageConstant(c_tilde=1.0, admissible_lo=0.0, admissible_hi=0.05)
-        assert not sc.in_interval
-
 
 class TestJsVarianceChannels:
     def test_c_zero(self):
@@ -246,8 +233,17 @@ class TestVarianceGammaParams:
             variance_gamma_params(np.array([1.0]), n=1)
         with pytest.raises(InvalidInputError):
             variance_gamma_params(np.array([0.0]), n=5)
-        with pytest.raises(InvalidInputError):
-            GammaParams(alpha=0.0, betas=np.array([1.0]))
+        # sigma2 must be a vector, one variance per coordinate
+        with pytest.raises(InvalidInputError, match="vector"):
+            variance_gamma_params(np.ones((2, 3)), n=5)
+        with pytest.raises(InvalidInputError, match="vector"):
+            variance_gamma_params(np.float64(1.0), n=5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_variance_refused(self, bad):
+        # betas of nan or inf would score as risks of nan under a verdict
+        with pytest.raises(InvalidInputError, match="finite positive"):
+            variance_gamma_params(np.array([1.0, bad]), n=5)
 
 
 class TestKhoshsiratVariance:

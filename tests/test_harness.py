@@ -282,6 +282,22 @@ class TestResultsCsv:
         with pytest.raises(InvalidInputError):
             ResultRow("stein", 32, 0.0, 1, "accuracy", 101.0, 1)
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [("batch_size", 32.5), ("batch_size", True), ("epochs", 2.5), ("seed", 1.0),
+         ("noise_pct", "10"), ("value", True), ("value", "50"), ("method", 1)],
+    )
+    def test_value_of_the_wrong_type_refused(self, column, value):
+        # rows_to_csv would write a row rows_from_csv refuses, or one no run writes
+        good = dict(method="stein", batch_size=32, noise_pct=0.0, seed=1, metric="accuracy",
+                    value=50.0, epochs=1)
+        with pytest.raises(InvalidInputError, match=f"^{column} "):
+            ResultRow(**{**good, column: value})
+
+    def test_numpy_numbers_accepted(self):
+        row = ResultRow("stein", np.int64(32), np.float64(10.0), np.int64(1), "accuracy", 50, np.int64(1))
+        assert rows_from_csv(rows_to_csv([row])) == [row]
+
 
 class TestCheckpointFormat:
     def test_array_blob_roundtrip(self, tmp_path):

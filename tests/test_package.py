@@ -89,3 +89,31 @@ def test_no_orphaned_private_helper():
     # a deletion can leave behind a helper that nothing calls any more
     paths = Path(steinbn.__file__).parent.glob("*.py")
     assert _orphaned_private_defs({p.name: ast.parse(p.read_text()) for p in paths}) == []
+
+
+def _test_only_public_methods(defs: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Public methods and properties of the public classes in ``defs`` whose
+    name no attribute in ``callers`` names.
+
+    The match is by name alone, so a method that shares its name with one
+    the callers do read still passes.
+    """
+    named = {n.attr for tree in callers for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    found = []
+    for module, tree in defs.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            found += [f"{module} line {fn.lineno}: {cls.name}.{fn.name}" for fn in cls.body
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not fn.name.startswith("_") and fn.name not in named]
+    return found
+
+
+def test_no_public_method_only_tests_call():
+    # public surface that only tests reach is code the lab keeps for no run;
+    # private classes are exempt (argparse calls _Parser.error itself)
+    bench = Path(__file__).parents[1] / "bench"
+    defs = {p.name: ast.parse(p.read_text()) for p in Path(steinbn.__file__).parent.glob("*.py")}
+    callers = [*defs.values(), *(ast.parse(p.read_text()) for p in bench.glob("*.py"))]
+    assert _test_only_public_methods(defs, callers) == []

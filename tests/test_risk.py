@@ -5,6 +5,8 @@ James-Stein risk is p - (p-2)^2 * E[1/chi2_p] = p - (p-2) = 2. For the Gamma
 Stein identity the catalog functions have closed-form moments.
 """
 
+import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -14,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinbn import risk
+from steinbn.estimators import classical_c_bound
 from steinbn.noise import NoiseSpec, truncated_levy_gauss
 from steinbn.risk import (
     STEIN_CATALOG,
     VERDICT_DOMINATES,
     GammaTrialSpec,
-    RiskReport,
     mc_key_inequality,
     mc_risk_gamma,
     mc_risk_gaussian,
@@ -102,9 +104,9 @@ class TestGaussianRisk:
 
     def test_report_json_roundtrip(self):
         (report,) = mc_risk_gaussian([np.zeros(4)], 1.0, NONE, 10_000, seed=6)
-        back = RiskReport.from_json(report.to_json())
-        assert back.verdict == report.verdict
-        assert back.estimator_risks == report.estimator_risks
+        back = json.loads(report.to_json())
+        assert back["verdict"] == report.verdict
+        assert back["estimator_risks"] == {k: list(v) for k, v in report.estimator_risks.items()}
 
 
 class TestGammaRisk:
@@ -158,6 +160,21 @@ class TestGammaRisk:
     def test_non_finite_scale_rejected(self, bad):
         with pytest.raises(InvalidInputError, match="positive scales"):
             GammaTrialSpec(n=10, mu=0.0, sigmas_x=np.array([1.0, bad, 1.0]), noise=NONE)
+
+    @pytest.mark.parametrize("n, p", [(10, 3), (2, 2), (513, 16)])
+    def test_default_c_is_the_classical_midpoint(self, n, p):
+        spec = GammaTrialSpec(n=n, mu=0.0, sigmas_x=np.ones(p), noise=NONE, c=None)
+        assert spec.c == classical_c_bound(spec.alpha, spec.p) / 2.0
+
+    def test_mu_that_rounds_off_the_draws_rejected(self):
+        # float64 spacing at 2**33 is 2**-19 (1.9e-6), at 2**32 it is 2**-20
+        # (9.5e-7); the refusal sits between them at min(sigmas_x) = 1, takes
+        # mu's sign off and moves with min(sigmas_x)
+        for mu in (2.0**33, -(2.0**33)):
+            with pytest.raises(InvalidInputError, match=re.escape(f"mu={mu:g} rounds draws of scale min")):
+                GammaTrialSpec(n=10, mu=mu, sigmas_x=np.array([4.0, 1.0]), noise=NONE)
+        GammaTrialSpec(n=10, mu=2.0**32, sigmas_x=np.array([4.0, 1.0]), noise=NONE)
+        GammaTrialSpec(n=10, mu=2.0**33, sigmas_x=np.array([4.0, 2.0]), noise=NONE)
 
     def test_alpha_beta_mapping(self):
         spec = self.make_spec(0.0, n=10, sigmas=np.array([1.0, 2.0, 0.5]))

@@ -17,10 +17,6 @@ def _rand(dims, seed=0):
 
 
 class TestTensor4:
-    def test_dims_property(self):
-        t = Tensor4(np.zeros((2, 3, 4, 5)))
-        assert t.dims == (2, 3, 4, 5)
-
     def test_rejects_wrong_rank(self):
         with pytest.raises(InvalidInputError):
             Tensor4(np.zeros((2, 3)))
