@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import InvalidInputError
+from .tensor import InvalidInputError, is_int
 
 VAR_FLOOR = 1e-12
 
@@ -133,8 +133,9 @@ def js_variance_channels(var: np.ndarray, n: int, c: float) -> np.ndarray:
 
 def variance_gamma_params(sigma2: np.ndarray, n: int) -> GammaParams:
     """Gamma(alpha=(n-1)/2, beta_i=2*sigma_i^2/n) for empirical variances."""
-    if n < 2:
-        raise InvalidInputError(f"need n >= 2, got {n}")
+    # a float n builds a fractional alpha and fails in a later reshape
+    if not (is_int(n) and n >= 2):
+        raise InvalidInputError(f"n must be an integer >= 2, got {n!r}")
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if sigma2.ndim != 1 or not np.all(np.isfinite(sigma2) & (sigma2 > 0)):
         raise InvalidInputError("sigma2 must be a vector of finite positive variances")

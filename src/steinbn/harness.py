@@ -3,6 +3,11 @@
 Protocol: train on clean data with SGD + Nesterov and early stopping on
 clean validation accuracy, then sweep additive noise levels at test time
 and record accuracy per (method, batch size, noise level, seed) cell.
+
+A config and a result row check every field when built, in code or from a
+file, by walking one domain table each (``_DOMAINS``, ``_ROW_DOMAINS``,
+sharing ``BatchNorm.domains``'s entries) with ``tensor.check_domains``; a
+config also refuses any value that its own ``to_json`` cannot write.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import os
 import struct
 import tempfile
@@ -33,7 +37,7 @@ from .nn import (
 )
 from .noise import NoiseSpec, sample_noise_flat
 from .rng import CounterRng
-from .tensor import InvalidInputError, NonFiniteError
+from .tensor import InvalidInputError, NonFiniteError, check_domains, is_int, is_real
 
 CHECKPOINT_MAGIC = b"SBN1"
 # key of the .ckpt's CRC-32 in its .json sidecar, next to the config fields.
@@ -51,16 +55,6 @@ _UNIT_NOISE = {
     "bounded-uniform": NoiseSpec(family="bounded-uniform", epsilon_bound=1.0),
 }
 
-# value types accepted per annotated ExperimentConfig field type, however built
-_JSON_TYPES = {
-    "str": str,
-    "int": int,
-    "float": (int, float),
-    "float | None": (int, float, type(None)),
-    "bool": bool,
-    "list": list,
-}
-
 # a checkpoint stores its seed in a float64, which holds every integer of this
 # size; every seed of the program lies in [-SEED_LIMIT, SEED_LIMIT]
 SEED_LIMIT = 2**53
@@ -68,45 +62,39 @@ SEED_LIMIT = 2**53
 # the metrics a run writes into its result rows
 METRICS = ("accuracy",)
 
-# domain of each checked ExperimentConfig field, as (what it must be, test);
-# a comparison with NaN is false, so each test refuses NaN as well
+# domain of every ExperimentConfig field, as (what it must be, test), named
+# in refusals as the config key
 _DOMAINS = {
     "dataset": ("'SyntheticBlobs'", lambda v: v == "SyntheticBlobs"),
     "model": ("one of 'MLP2', 'TinyCNN'", lambda v: v in ("MLP2", "TinyCNN")),
     "bn_variant": BatchNorm.domains["variant"],
-    "batch_size": ("an integer >= 2", lambda v: v >= 2),  # BN needs 2 samples
-    "n_classes": ("an integer >= 2", lambda v: v >= 2),
-    "n_per_class": ("a positive integer", lambda v: v > 0),
-    "channels": ("a positive integer", lambda v: v > 0),
-    "hw": ("a positive integer", lambda v: v > 0),
-    "hidden": ("a positive integer", lambda v: v > 0),
-    "max_epochs": ("an integer >= 0", lambda v: v >= 0),
-    "early_stop_patience": ("an integer >= 0", lambda v: v >= 0),
-    "learning_rate": ("a finite number > 0", lambda v: 0 < v < math.inf),
-    "momentum_sgd": ("a number in [0, 1)", lambda v: 0 <= v < 1),
+    "batch_size": ("an integer >= 2", lambda v: is_int(v) and v >= 2),  # BN needs 2 samples
+    "n_classes": ("an integer >= 2", lambda v: is_int(v) and v >= 2),
+    "n_per_class": ("a positive integer", lambda v: is_int(v) and v > 0),
+    "channels": ("a positive integer", lambda v: is_int(v) and v > 0),
+    "hw": ("a positive integer", lambda v: is_int(v) and v > 0),
+    "hidden": ("a positive integer", lambda v: is_int(v) and v > 0),
+    "max_epochs": ("an integer >= 0", lambda v: is_int(v) and v >= 0),
+    "early_stop_patience": ("an integer >= 0", lambda v: is_int(v) and v >= 0),
+    "learning_rate": ("a finite number > 0", lambda v: is_real(v) and 0 < v < math.inf),
+    "momentum_sgd": ("a number in [0, 1)", lambda v: is_real(v) and 0 <= v < 1),
     "lam": BatchNorm.domains["lam"],
-    "sep": ("a finite number >= 0", lambda v: 0 <= v < math.inf),
+    "sep": ("a finite number >= 0", lambda v: is_real(v) and 0 <= v < math.inf),
     "c_tilde": BatchNorm.domains["c_tilde"],
+    "nesterov": ("true or false", lambda v: isinstance(v, bool)),
+    "feature_noise": ("true or false", lambda v: isinstance(v, bool)),
+    "noise_family": ("one of " + ", ".join(map(repr, _UNIT_NOISE)), lambda v: v in tuple(_UNIT_NOISE)),
+    # each entry's rule is check_seed's or check_noise_levels'
+    "seeds": ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0),
+    "noise_levels": ("a list", lambda v: isinstance(v, list)),
 }
-
-
-def _check_field(key: str, name: str, value) -> None:
-    """Refuse a value of the wrong type for field name, or outside its domain,
-    naming the config key it was given as."""
-    types = _FIELD_TYPES[name]
-    # JSON true is a Python int; only a bool field takes it
-    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise InvalidInputError(f"config key {key!r} has a {type(value).__name__} value: {value!r}")
-    if name in _DOMAINS:
-        domain, ok = _DOMAINS[name]
-        if not ok(value):
-            raise InvalidInputError(f"config key {key!r} must be {domain}, got {value!r}")
+_CONFIG_REFUSAL = "config key {name!r} must be {domain}, got {value!r}"
 
 
 def check_seed(seed) -> None:
     """Refuse a seed that is not an integer in [-SEED_LIMIT, SEED_LIMIT]."""
     # a seed of 1.5 or true would train as CounterRng(1) under its own label
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+    if not is_int(seed):
         raise InvalidInputError(f"seed {seed!r} is not an integer")
     if not -SEED_LIMIT <= seed <= SEED_LIMIT:
         raise InvalidInputError(
@@ -124,8 +112,8 @@ def check_noise_levels(levels) -> None:
     and two different levels that would draw their noise from one stream."""
     by_key = {}
     for level in levels:
-        # bool is a numbers.Real, and a level of true would run as 1%
-        if isinstance(level, bool) or not (isinstance(level, numbers.Real) and 0 <= level <= 100):
+        # a level of true would run as 1%
+        if not (is_real(level) and 0 <= level <= 100):
             raise InvalidInputError(f"noise level {level!r} is not a number in [0, 100]")
         other = by_key.setdefault(_level_key(level), level)
         if other != level:
@@ -138,7 +126,7 @@ def check_noise_levels(levels) -> None:
 @dataclass
 class ExperimentConfig:
     """Knobs of one training/evaluation sweep; JSON keys mirror field names
-    ("lambda" maps to the lam attribute)."""
+    ("lambda" maps to the lam attribute), and each field's domain is in ``_DOMAINS``."""
 
     dataset: str = "SyntheticBlobs"
     model: str = "MLP2"
@@ -164,8 +152,14 @@ class ExperimentConfig:
     feature_noise: bool = False
 
     def __post_init__(self):
-        for name in _FIELD_TYPES:
-            _check_field(name, name, getattr(self, name))
+        pairs = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        check_domains(pairs, _DOMAINS, _CONFIG_REFUSAL)
+        # the config's own rule: to_json writes back every value, such as no numpy scalar
+        for name, value in pairs:
+            try:
+                json.dumps(value)
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"config key {name!r} holds {value!r}, which JSON cannot write") from None
         n = self.n_classes * self.n_per_class
         sizes = split_sizes(n)
         if not all(sizes):
@@ -173,14 +167,11 @@ class ExperimentConfig:
                 f"{n} samples split into {sizes[0]} train, {sizes[1]} validation and "
                 f"{sizes[2]} test; need at least one of each"
             )
-        if not self.seeds:
-            raise InvalidInputError("need at least one seed")
         for seed in self.seeds:
             check_seed(seed)
         if len(set(self.seeds)) != len(self.seeds):
             raise InvalidInputError(f"seeds must be distinct, got {self.seeds}")
         check_noise_levels(self.noise_levels)
-        _unit_noise(self.noise_family)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -203,16 +194,13 @@ class ExperimentConfig:
         kwargs = {}
         for key, value in d.items():
             name = "lam" if key == "lambda" else key
-            if name not in _FIELD_TYPES:
+            if name not in _DOMAINS:
                 raise InvalidInputError(f"unknown config key {key!r}")
             kwargs[name] = value
         # __post_init__ checks every field, but names the field, not the key
         if "lambda" in d:
-            _check_field("lambda", "lam", d["lambda"])
+            check_domains([("lambda", d["lambda"])], {"lambda": _DOMAINS["lam"]}, _CONFIG_REFUSAL)
         return cls(**kwargs)
-
-
-_FIELD_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(ExperimentConfig)}
 
 
 @dataclass
@@ -226,34 +214,27 @@ class ResultRow:
     epochs: int
 
     def __post_init__(self):
-        # a 32.5 or a True in an int column would be written as no run writes it
-        for column, kind in _RESULT_COLUMNS.items():
-            value = getattr(self, column)
-            types, name = _ROW_TYPES[kind]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise InvalidInputError(f"{column} {value!r} is not {name}")
-        # a row outside the rules of the config and levels it names came from no run
-        for column, (domain, ok) in _ROW_DOMAINS.items():
-            if not ok(getattr(self, column)):
-                raise InvalidInputError(f"{column} {getattr(self, column)!r} is not {domain}")
+        # a 32.5 or a True in an int column, or a row outside the rules of the
+        # config and levels it names, would be written as no run writes it
+        check_domains(((f.name, getattr(self, f.name)) for f in fields(self)), _ROW_DOMAINS,
+                      "{name} {value!r} is not {domain}")
         check_noise_levels([self.noise_pct])
         check_seed(self.seed)
-        if not (0.0 <= self.value <= 100.0):
-            raise InvalidInputError(f"metric value {self.value!r} is not a percentage in [0, 100]")
 
 
+# domain of every ResultRow column, as (what it must be, test); noise_pct and
+# seed then follow the config's noise-level and seed rules
 _ROW_DOMAINS = {
     "method": _DOMAINS["bn_variant"],
     "batch_size": _DOMAINS["batch_size"],
+    "noise_pct": ("a number", is_real),
+    "seed": ("an integer", is_int),
     "metric": ("one of " + ", ".join(map(repr, METRICS)), lambda v: v in METRICS),
+    "value": ("a percentage in [0, 100]", lambda v: is_real(v) and 0 <= v <= 100),
     "epochs": _DOMAINS["max_epochs"],
 }
-
-
 # the results CSV's columns are ResultRow's fields, in order, each read back by its type
 _RESULT_COLUMNS = typing.get_type_hints(ResultRow)
-# the values a ResultRow column of each type takes; no column takes a bool
-_ROW_TYPES = {str: (str, "a string"), int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 RESULTS_HEADER = ",".join(_RESULT_COLUMNS)
 
 
@@ -511,14 +492,6 @@ def train_model(config: ExperimentConfig, seed: int) -> Checkpoint:
     return Checkpoint(config, seed, best_state, best_epoch, best_val)
 
 
-def _unit_noise(family: str) -> NoiseSpec:
-    if family not in _UNIT_NOISE:
-        raise InvalidInputError(
-            f"unknown noise family {family!r}; expected one of {', '.join(_UNIT_NOISE)}"
-        )
-    return _UNIT_NOISE[family]
-
-
 def _noisy_inputs(
     clean: np.ndarray, ch_std: np.ndarray, level_pct: float, unit_spec: NoiseSpec, seed: int
 ) -> np.ndarray:
@@ -553,7 +526,9 @@ def evaluate_under_noise(
     the same value either way.
     """
     check_noise_levels(noise_levels)
-    unit_spec = _unit_noise(noise_family)
+    check_domains([("noise_family", noise_family)], _DOMAINS,
+                  "unknown noise family {value!r}; expected {domain}")
+    unit_spec = _UNIT_NOISE[noise_family]
     config, seed = checkpoint.config, checkpoint.seed
     test = make_test_split(config, seed)
     model = build_model(config, seed)

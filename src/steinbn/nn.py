@@ -19,7 +19,7 @@ attributes ``param_names`` and ``stat_names``, from which ``Layer`` builds
 ``state_arrays()`` and ``Sequential`` its ``named_params()``; a parameter
 ``p``'s gradient is the attribute ``d<p>``, and ``named_params`` is its one
 reader. A layer's constructor builds its state, BN's from ``num_channels``
-alone, after checking BN's constants against ``BatchNorm.domains``, the one
+alone, after walking its constants through ``BatchNorm.domains``, the one
 table of their rules, which the experiment config shares. After that only
 training and ``load_state_arrays`` change the state. Each layer loads its
 own in place, refusing a missing or misshapen array and, for BN, a negative
@@ -41,14 +41,13 @@ bit-identical to those of a train-mode pass with the same statistics.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .batchnorm import BNMode, BNVariant, bn_backward, bn_forward
 from .rng import CounterRng
-from .tensor import InvalidInputError
+from .tensor import InvalidInputError, check_domains, is_int, is_real
 
 
 class Layer:
@@ -330,25 +329,19 @@ class BatchNorm(Layer):
     param_names = ("gamma", "beta")
     stat_names = ("running_mean", "running_var")
     # each constant's domain, as (what it must be, test), which the experiment
-    # config shares; each test refuses a non-number, and NaN fails its comparisons
+    # config shares
     domains = {
-        "num_channels": ("an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1),
+        "num_channels": ("an integer >= 1", lambda v: is_int(v) and v >= 1),
         "variant": ("one of " + ", ".join(repr(b.value) for b in BNVariant),
                     lambda v: v in tuple(BNVariant)),
-        "momentum": ("a number in (0, 1]", lambda v: isinstance(v, numbers.Real) and 0 < v <= 1),
-        "eps": ("a finite number > 0", lambda v: isinstance(v, numbers.Real) and 0 < v < np.inf),
-        "c_tilde": ("null or a finite number >= 0",
-                    lambda v: v is None or isinstance(v, numbers.Real) and 0 <= v < np.inf),
-        "lam": ("a finite number >= 0", lambda v: isinstance(v, numbers.Real) and 0 <= v < np.inf),
+        "momentum": ("a number in (0, 1]", lambda v: is_real(v) and 0 < v <= 1),
+        "eps": ("a finite number > 0", lambda v: is_real(v) and 0 < v < np.inf),
+        "c_tilde": ("null or a finite number >= 0", lambda v: v is None or is_real(v) and 0 <= v < np.inf),
+        "lam": ("a finite number >= 0", lambda v: is_real(v) and 0 <= v < np.inf),
     }
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            domain, ok = self.domains[f.name]
-            # bool is a numbers.Integral: True would run as 1, and c_tilde=False as 0
-            if isinstance(value, bool) or not ok(value):
-                raise InvalidInputError(f"{f.name} must be {domain}, got {value!r}")
+        check_domains(((f.name, getattr(self, f.name)) for f in fields(self)), self.domains)
         self.variant = BNVariant(self.variant)
         c = self.num_channels
         self.gamma = np.ones(c)

@@ -9,22 +9,32 @@ level that sets it, is a scale, not a standard deviation.
 Sampling is counter-based per entry, so identical (seed, spec, count)
 always produce bit-identical draws, and a draw split at any offset equals
 the whole draw. A truncated draw redraws only its out-of-bound entries, at
-their own entry indices.
+their own entry indices. A ``NoiseSpec`` walks its fields through one
+domain table (``tensor.check_domains``), so no spec draws NaN or infinite
+noise from a NaN or infinite sigma or bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .rng import CounterRng
-from .tensor import InvalidInputError
+from .tensor import InvalidInputError, check_domains, is_real
 
 FAMILIES = ("levy-gauss", "bounded-uniform", "gaussian", "none")
 
 _MAX_RETRIES = 64
+
+# domain of each NoiseSpec field, as (what it must be, test); sigma > 0 is
+# checked after, for the families that read it
+_DOMAINS = {
+    "family": ("one of " + ", ".join(map(repr, FAMILIES)), lambda v: v in FAMILIES),
+    "sigma": ("a finite number", lambda v: is_real(v) and math.isfinite(v)),
+    "epsilon_bound": ("a finite number >= 0", lambda v: is_real(v) and 0 <= v < math.inf),
+}
 
 
 @dataclass(frozen=True)
@@ -40,12 +50,9 @@ class NoiseSpec:
     epsilon_bound: float = 0.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidInputError(f"unknown noise family {self.family!r}")
+        check_domains(((f.name, getattr(self, f.name)) for f in fields(self)), _DOMAINS)
         if self.family in ("levy-gauss", "gaussian") and self.sigma <= 0:
             raise InvalidInputError("sigma must be positive for stochastic families")
-        if self.epsilon_bound < 0:
-            raise InvalidInputError("epsilon_bound must be non-negative")
 
 
 def levy_gauss_pdf(x, sigma: float = 1.0):

@@ -36,7 +36,7 @@ import numpy as np
 from .estimators import classical_c_bound, gamma_scale_shrink, js_mean_classical, variance_gamma_params
 from .noise import NoiseSpec, sample_noise_flat
 from .rng import CounterRng
-from .tensor import InvalidInputError
+from .tensor import InvalidInputError, check_domains, is_real
 
 # stream tags keep draw families disjoint within one seed
 _TAG_CLEAN = 1
@@ -179,11 +179,11 @@ def mc_risk_gaussian(
 ) -> list[RiskReport]:
     """Risks of the James-Stein mean estimator vs the MLE on Z = X + Y, one
     report per vector of the sequence ``theta``, all scored on the same draws."""
+    # sigma**2 would lose a negative sign, and at sigma = 0 James-Stein is the MLE
+    if not (is_real(sigma) and 0 < sigma < math.inf):
+        raise InvalidInputError(f"sigma must be a finite number > 0, got {sigma!r}")
     thetas = _thetas(theta, sigma)
     p = thetas.shape[1]
-    if sigma < 0:
-        # sigma**2 loses the sign; js_mean_classical refuses sigma = 0
-        raise InvalidInputError(f"sigma must be positive, got {sigma}")
     rng = CounterRng(seed)
 
     def trial(lo, hi):
@@ -215,6 +215,15 @@ def mc_risk_gaussian(
     return reports
 
 
+# (what it must be, test) per GammaTrialSpec field it checks; variance_gamma_params checks n
+_SPEC_DOMAINS = {
+    "mu": ("a finite number", lambda v: is_real(v) and math.isfinite(v)),
+    "sigmas_x": ("a vector of p >= 2 finite positive scales",
+                 lambda v: v.ndim == 1 and v.size >= 2 and bool(np.all(np.isfinite(v) & (v > 0)))),
+    "c": ("null or a finite number", lambda v: v is None or is_real(v) and math.isfinite(v)),
+}
+
+
 @dataclass(frozen=True)
 class GammaTrialSpec:
     """One perturbed empirical-variance experiment on p = len(sigmas_x)
@@ -234,8 +243,7 @@ class GammaTrialSpec:
 
     def __post_init__(self):
         sig = np.asarray(self.sigmas_x, dtype=np.float64)
-        if sig.ndim != 1 or sig.size < 2 or not np.all(np.isfinite(sig) & (sig > 0)):
-            raise InvalidInputError("sigmas_x must be a vector of p >= 2 positive scales")
+        check_domains([("mu", self.mu), ("sigmas_x", sig), ("c", self.c)], _SPEC_DOMAINS)
         _check_spacing(f"mu={self.mu:g}", self.mu, "min(sigmas_x)", sig.min())  # Z = sigma_x * N + mu
         gamma = variance_gamma_params(sig**2, self.n)
         if self.c is None:

@@ -1,4 +1,8 @@
-"""The rank-4 input validator and the channel-wise reductions BN needs.
+"""The input checks every module shares, and the channel-wise reductions BN needs.
+
+Each checked record names its fields' domains in one table of
+``name -> (what it must be, test)`` and walks it with ``check_domains``; a
+test that reads a number starts with ``is_int`` or ``is_real``.
 
 Activations travel as plain row-major (n, c, h, w) float64 arrays. Tensor4
 validates data where it enters: a dataset's images are checked once for
@@ -9,6 +13,7 @@ training loss or validation logits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,6 +27,25 @@ class InvalidInputError(ValueError):
 class NonFiniteError(InvalidInputError):
     """Raised for NaN or infinite values: in input data or a checkpoint, or as
     the loss of a diverging run."""
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool: True would otherwise run as 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number, NaN and infinities included, that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_domains(pairs, domains: dict, refusal: str = "{name} must be {domain}, got {value!r}") -> None:
+    """Refuse the first (name, value) of pairs that fails its test in
+    domains[name] = (what it must be, test), formatting refusal with the three."""
+    for name, value in pairs:
+        domain, ok = domains[name]
+        if not ok(value):
+            raise InvalidInputError(refusal.format(name=name, domain=domain, value=value))
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,10 @@ def write_config(tmp_path, **overrides):
 # configs each path refuses, with the message it gives
 BAD_CONFIGS = [
     ({"modle": "MLP2"}, "unknown config key 'modle'"),
-    ({"batch_size": "32"}, "'batch_size' has a str value"),
+    ({"batch_size": "32"}, "'batch_size' must be an integer >= 2, got '32'"),
     ([1, 2], "config must be a JSON object"),
-    ({"noise_family": "gausian"}, "unknown noise family 'gausian'"),
+    ({"noise_family": "gausian"}, "'noise_family' must be one of 'levy-gauss', 'gaussian', "
+     "'bounded-uniform', got 'gausian'"),
     ({"noise_levels": [0, "10"]}, "noise level '10' is not a number in [0, 100]"),
     # each of these ran and labelled its rows with a value it did not run
     ({"seeds": [1.5]}, "seed 1.5 is not an integer"),
@@ -76,8 +77,8 @@ BAD_CONFIGS = [
     ({"n_classes": 3, "n_per_class": 3},
      "9 samples split into 7 train, 0 validation and 2 test; need at least one of each"),
     # true passed as the int 1 and crashed in Dense with a TypeError
-    ({"hidden": True}, "'hidden' has a bool value: True"),
-    ({"learning_rate": True}, "'learning_rate' has a bool value: True"),
+    ({"hidden": True}, "'hidden' must be a positive integer, got True"),
+    ({"learning_rate": True}, "'learning_rate' must be a finite number > 0, got True"),
     # each of these passed the check: train made the checkpoint directory
     # and drew a dataset before refusing a model or dataset, and the
     # bn_variant error named no key
@@ -87,7 +88,7 @@ BAD_CONFIGS = [
      "'mean-only', 'khoshsirat', 'lasso', 'ridge', got 'steins'"),
     # the key was renamed before its type check, which named 'lam', and
     # a config giving both kept one of them silently
-    ({"lambda": "x"}, "config key 'lambda' has a str value: 'x'"),
+    ({"lambda": "x"}, "config key 'lambda' must be a finite number >= 0, got 'x'"),
     ({"lambda": 0.5, "lam": 0.1}, "config gives both 'lambda' and 'lam'"),
     # the domain error named 'lambda' whichever key the config wrote
     ({"lam": -1}, "config key 'lam' must be a finite number >= 0, got -1"),
@@ -103,12 +104,12 @@ BAD_CONFIGS = [
     ({"n_classes": 1}, "'n_classes' must be an integer >= 2, got 1"),
     # a config built in code took these, and train_model failed with a
     # TypeError traceback or ran a meaningless flag
-    ({"batch_size": 32.0}, "config key 'batch_size' has a float value: 32.0"),
-    ({"hw": 2.5}, "config key 'hw' has a float value: 2.5"),
-    ({"max_epochs": 1.5}, "config key 'max_epochs' has a float value: 1.5"),
-    ({"channels": 2.0}, "config key 'channels' has a float value: 2.0"),
-    ({"nesterov": "yes"}, "config key 'nesterov' has a str value: 'yes'"),
-    ({"feature_noise": 1}, "config key 'feature_noise' has a int value: 1"),
+    ({"batch_size": 32.0}, "config key 'batch_size' must be an integer >= 2, got 32.0"),
+    ({"hw": 2.5}, "config key 'hw' must be a positive integer, got 2.5"),
+    ({"max_epochs": 1.5}, "config key 'max_epochs' must be an integer >= 0, got 1.5"),
+    ({"channels": 2.0}, "config key 'channels' must be a positive integer, got 2.0"),
+    ({"nesterov": "yes"}, "config key 'nesterov' must be true or false, got 'yes'"),
+    ({"feature_noise": 1}, "config key 'feature_noise' must be true or false, got 1"),
 ]
 # the cases whose keys are field names, so that a config built in code can give them
 BAD_FIELDS = [
@@ -300,7 +301,7 @@ class TestRisk:
         # experiment under a config echo that says -1
         out = tmp_path / "r.json"
         assert run_cli([*self.GAUSSIAN, "--sigma", "-1", "--out", str(out)]) == 1
-        assert "error: sigma must be positive, got -1.0" in capsys.readouterr().err
+        assert "error: sigma must be a finite number > 0, got -1.0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("k", ["0", "-1"])
@@ -317,7 +318,7 @@ class TestRisk:
         # James-Stein equals the MLE at sigma = 0, so no verdict is reported
         out = tmp_path / "r.json"
         assert run_cli([*self.GAUSSIAN, "--sigma", "0", "--out", str(out)]) == 1
-        assert "error: variance_scale must be positive" in capsys.readouterr().err
+        assert "error: sigma must be a finite number > 0, got 0.0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -694,7 +695,7 @@ class TestTrainEvalReport:
             (RESULTS_HEADER + "\nstein,32,0,1,accuracy,50,3\nstein,abc,0,1,accuracy,50,3\n",
              "line 3: invalid literal for int() with base 10: 'abc'"),
             (RESULTS_HEADER + "\n# a comment\nstein,32,0,1,accuracy,150,3\n",
-             "line 3: metric value 150.0 is not a percentage in [0, 100]"),
+             "line 3: value 150.0 is not a percentage in [0, 100]"),
             # rows no run can write: the two nan rows landed in two cells (nan
             # != nan), each written as a single-seed warning with exit 0, and
             # the last row was accepted

@@ -231,6 +231,9 @@ class TestVarianceGammaParams:
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):
             variance_gamma_params(np.array([1.0]), n=1)
+        for n in (10.0, True):  # 10.0 gave alpha 4.5, which no integer n gives
+            with pytest.raises(InvalidInputError, match="n must be an integer >= 2"):
+                variance_gamma_params(np.ones(3), n=n)
         with pytest.raises(InvalidInputError):
             variance_gamma_params(np.array([0.0]), n=5)
         # sigma2 must be a vector, one variance per coordinate

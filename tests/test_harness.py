@@ -198,8 +198,19 @@ class TestConfig:
                 ExperimentConfig(noise_levels=[0, level])
         with pytest.raises(ValueError):
             ExperimentConfig(bn_variant="bogus")
-        with pytest.raises(InvalidInputError, match="unknown noise family 'gausian'"):
+        with pytest.raises(InvalidInputError, match="'noise_family' must be one of 'levy-gauss'"):
             ExperimentConfig(noise_family="gausian")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seeds", [np.int64(3)]), ("noise_levels", [0, np.float32(10)]), ("lam", np.float32(0.5)),
+         ("batch_size", np.int64(32))],
+    )
+    def test_value_json_cannot_write_refused(self, key, value):
+        # run_sweep trained seeds=[np.int64(3)], then Checkpoint.save failed
+        # with a bare TypeError from json.dumps
+        with pytest.raises(InvalidInputError, match=f"^config key '{key}' holds .*, which JSON cannot write"):
+            ExperimentConfig(**{**FAST, key: value})
 
     @pytest.mark.parametrize(
         "name, key, value",

@@ -93,6 +93,26 @@ class TestNoiseSpec:
         with pytest.raises(InvalidInputError):
             NoiseSpec(family="bounded-uniform", epsilon_bound=-1.0)
 
+    @pytest.mark.parametrize(
+        "family, field, value",
+        [
+            ("levy-gauss", "sigma", float("nan")),  # drew NaN
+            ("gaussian", "sigma", float("inf")),  # drew +-inf
+            ("bounded-uniform", "epsilon_bound", float("nan")),  # drew NaN
+            ("levy-gauss", "epsilon_bound", float("nan")),  # skipped truncation
+            ("bounded-uniform", "epsilon_bound", float("inf")),  # drew +-inf
+            ("gaussian", "sigma", True),  # ran as sigma = 1
+            ("none", "sigma", "1"),
+        ],
+    )
+    def test_non_number_nan_or_infinite_field_rejected(self, family, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be a finite number"):
+            NoiseSpec(family=family, **{field: value})
+
+    @pytest.mark.parametrize("family", ["bounded-uniform", "none"])
+    def test_sigma_zero_accepted_by_families_that_do_not_read_it(self, family):
+        assert NoiseSpec(family=family, sigma=0.0).sigma == 0.0
+
 
 class TestSampling:
     def test_none_family_is_zero(self):

@@ -43,6 +43,22 @@ def test_no_unused_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
+@pytest.mark.parametrize("path", sorted(p for p in Path(steinbn.__file__).parent.glob("*.py") if p.name != "tensor.py"),
+                         ids=lambda p: p.name)
+def test_value_kinds_are_named_only_in_tensor(path):
+    # tensor.is_int and tensor.is_real are the one definition of an integer
+    # and a real number; a module naming numbers.Integral or numbers.Real
+    # writes its own, which may take a bool
+    tree = ast.parse(path.read_text())
+    named = [f"line {node.lineno}: numbers.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("Integral", "Real")
+             and isinstance(node.value, ast.Name) and node.value.id == "numbers"]
+    named += [f"line {node.lineno}: from numbers import {alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "numbers"
+              for alias in node.names if alias.name in ("Integral", "Real")]
+    assert named == []
+
+
 def _unread_parameters(tree: ast.Module) -> list[str]:
     """Parameters of functions, methods and lambdas (self and cls aside) that
     no name in their body reads."""

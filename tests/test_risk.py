@@ -70,6 +70,14 @@ class TestGaussianRisk:
         with pytest.raises(InvalidInputError):
             mc_risk_gaussian([np.zeros(2)], 1.0, NONE, 1_000, seed=0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0, True])
+    def test_sigma_outside_its_domain_rejected_before_running(self, sigma):
+        # nan returned an Inconclusive report of NaN risks, and 0 was refused
+        # naming variance_scale, a parameter of js_mean_classical
+        with mock.patch.object(risk, "_run_trials", side_effect=AssertionError("ran")):
+            with pytest.raises(InvalidInputError, match=re.escape(f"sigma must be a finite number > 0, got {sigma!r}")):
+                mc_risk_gaussian([np.zeros(8)], sigma, NONE, 1_000, seed=0)
+
     def test_one_vector_theta_rejected_before_running(self):
         # a grid of one vector is [theta]; a bare vector is not read as a
         # grid of p one-entry vectors
@@ -155,6 +163,18 @@ class TestGammaRisk:
             GammaTrialSpec(n=1, mu=0.0, sigmas_x=np.ones(3), noise=NONE, c=0.0)
         with pytest.raises(InvalidInputError):
             GammaTrialSpec(n=10, mu=0.0, sigmas_x=np.array([1.0, -1.0, 1.0]), noise=NONE, c=0.0)
+
+    @pytest.mark.parametrize("n", [10.0, True])
+    def test_non_integer_n_rejected(self, n):
+        # n=10.0 built a spec with alpha 4.5 that failed in the draw reshape
+        with pytest.raises(InvalidInputError, match=re.escape(f"n must be an integer >= 2, got {n!r}")):
+            GammaTrialSpec(n=n, mu=0.0, sigmas_x=np.ones(3), noise=NONE)
+
+    @pytest.mark.parametrize("field, value", [("mu", np.nan), ("mu", np.inf), ("c", np.nan), ("c", "0.1")])
+    def test_non_finite_mu_or_c_rejected(self, field, value):
+        spec = dict(n=10, mu=0.0, sigmas_x=np.ones(3), noise=NONE, c=None)
+        with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+            GammaTrialSpec(**{**spec, field: value})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_scale_rejected(self, bad):
