@@ -248,13 +248,19 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 def rows_from_csv(text: str) -> list[ResultRow]:
     """The rows of a results CSV. A header without one of ``RESULTS_HEADER``'s
-    columns, a row whose field count differs from the header's, a field that
-    does not parse and a value outside [0, 100] are refused, naming the line."""
+    columns or naming a column twice, a row whose field count differs from the
+    header's, a field that does not parse and a value outside [0, 100] are
+    refused, naming the line."""
     kept = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln and not ln.startswith("#")]
     reader = csv.DictReader(ln for _, ln in kept)
-    missing = [col for col in _RESULT_COLUMNS if col not in (reader.fieldnames or ())]
+    header = reader.fieldnames or []
+    missing = [col for col in _RESULT_COLUMNS if col not in header]
     if kept and missing:
         raise InvalidInputError(f"line {kept[0][0]}: results header has no column {', '.join(missing)}")
+    # a row would read only the last of two same-named columns
+    repeated = [col for i, col in enumerate(header) if col in header[:i]]
+    if repeated:
+        raise InvalidInputError(f"line {kept[0][0]}: results header names column {repeated[0]} twice")
     rows = []
     for r in reader:
         line_no = kept[reader.line_num - 1][0]
@@ -339,6 +345,10 @@ def _decode_arrays(blob: bytes, path) -> dict[str, np.ndarray]:
         dims = struct.unpack_from(f"<{ndim}I", blob, take(4 * ndim, f"dims of {name!r}"))
         count = math.prod(dims)
         offset = take(8 * count, f"payload of {name!r}")
+        if name in out:  # a dict would keep only the last of the two
+            raise InvalidInputError(
+                f"corrupt checkpoint {path}: array {name!r} at offset {start} appears twice"
+            )
         out[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(dims)
     return out
 

@@ -10,12 +10,13 @@ estimators see the same draws, so the difference has a far smaller standard
 error than either risk alone. Per-estimator risks and standard errors are
 still reported.
 
-Every check is a per-block trial function run by one blocked driver,
-``_run_trials``, which cuts the trials into blocks of about ``_BLOCK`` draws,
-so a block's memory does not grow with the trial count or with the draws per
-trial. A trial's values depend only on its own counter-stream entries and
-every reduction runs over the full per-trial columns, so results do not
-depend on the block size.
+Theorems 1 and 2 and the key inequality are each a score over one grid loop,
+``_score_grid``, the only reader of the clean-normal and noise draws; it and
+the Gamma-identity check run on one blocked driver, ``_run_trials``, which
+cuts the trials into blocks of about ``_BLOCK`` draws, so a block's memory
+does not grow with the trial count or with the draws per trial. A trial's
+values depend only on its own counter-stream entries and every reduction runs
+over the full per-trial columns, so results do not depend on the block size.
 
 Each check takes a grid of the one parameter that does not enter its draws
 (theta vectors for Theorem 1 and the key inequality, specs that differ only
@@ -114,17 +115,23 @@ def _run_trials(n_trials: int, draws_per_trial: int, trial) -> list[np.ndarray]:
     return columns
 
 
-def _draws(rng: CounterRng, noise: NoiseSpec, lo: int, hi: int, shape):
-    """Unit normals N and noise Y for trials lo..hi, each shaped (hi - lo, *shape).
-
-    A check forms Z = (loc + scale * N) + Y from them, in that order, for
-    every entry it scores on the block.
-    """
+def _score_grid(grid, noise: NoiseSpec, shape, n_trials: int, seed: int, score) -> list[list[np.ndarray]]:
+    """Per-trial columns of ``score(entry, unit, y)``, one list per entry of
+    ``grid``, all on the same draws: per block of trials, unit normals N and
+    noise Y, each shaped (trials, *shape), from which a score forms
+    Z = (loc + scale * N) + Y, writing neither, and returns its columns."""
+    rng = CounterRng(seed)
     per = math.prod(shape)
-    cnt = (hi - lo) * per
-    unit = rng.normal(cnt, _TAG_CLEAN, offset=lo * per).reshape(-1, *shape)
-    y = sample_noise_flat(noise, cnt, rng, _TAG_NOISE, offset=lo * per).reshape(-1, *shape)
-    return unit, y
+
+    def trial(lo, hi):
+        cnt = (hi - lo) * per
+        unit = rng.normal(cnt, _TAG_CLEAN, offset=lo * per).reshape(-1, *shape)
+        y = sample_noise_flat(noise, cnt, rng, _TAG_NOISE, offset=lo * per).reshape(-1, *shape)
+        return [column for entry in grid for column in score(entry, unit, y)]
+
+    columns = _run_trials(n_trials, per, trial)
+    width = len(columns) // len(grid)
+    return [columns[i:i + width] for i in range(0, len(columns), width)]
 
 
 def _thetas(theta, sigma: float) -> np.ndarray:
@@ -184,24 +191,18 @@ def mc_risk_gaussian(
         raise InvalidInputError(f"sigma must be a finite number > 0, got {sigma!r}")
     thetas = _thetas(theta, sigma)
     p = thetas.shape[1]
-    rng = CounterRng(seed)
 
-    def trial(lo, hi):
-        scaled, y = _draws(rng, noise, lo, hi, (p,))
-        scaled *= sigma
-        columns = []
-        for t in thetas:
-            z = t + scaled
-            z += y
-            d = js_mean_classical(z, sigma**2)
-            d -= t
-            z -= t
-            columns += [np.einsum("ij,ij->i", z, z), np.einsum("ij,ij->i", d, d)]
-        return columns
+    def score(t, unit, y):
+        z = sigma * unit
+        z += t
+        z += y
+        d = js_mean_classical(z, sigma**2)
+        d -= t
+        z -= t
+        return np.einsum("ij,ij->i", z, z), np.einsum("ij,ij->i", d, d)
 
-    columns = _run_trials(n_trials, p, trial)
     reports = []
-    for t, err_mle, err_js in zip(thetas, columns[::2], columns[1::2]):
+    for t, (err_mle, err_js) in zip(thetas, _score_grid(thetas, noise, (p,), n_trials, seed, score)):
         config = {
             "model": "gaussian",
             "p": p,
@@ -271,24 +272,18 @@ def mc_risk_gamma(
     p, n, noise = specs[0].p, specs[0].n, specs[0].noise
     if any((s.p, s.n, s.noise) != (p, n, noise) for s in specs):
         raise InvalidInputError("specs scored on shared draws must agree on p, n and noise")
-    rng = CounterRng(seed)
 
-    def trial(lo, hi):
-        unit, y = _draws(rng, noise, lo, hi, (p, n))
-        columns = []
-        for s in specs:
-            z = s.sigmas_x[:, None] * unit
-            z += s.mu
-            z += y
-            var_z = z.var(axis=2)  # population convention, divide by n
-            naive = gamma_scale_shrink(var_z, s.alpha, 0.0)
-            js = gamma_scale_shrink(var_z, s.alpha, s.c)
-            columns += [((naive - s.betas) ** 2).sum(axis=1), ((js - s.betas) ** 2).sum(axis=1)]
-        return columns
+    def score(s, unit, y):
+        z = s.sigmas_x[:, None] * unit
+        z += s.mu
+        z += y
+        var_z = z.var(axis=2)  # population convention, divide by n
+        naive = gamma_scale_shrink(var_z, s.alpha, 0.0)
+        js = gamma_scale_shrink(var_z, s.alpha, s.c)
+        return ((naive - s.betas) ** 2).sum(axis=1), ((js - s.betas) ** 2).sum(axis=1)
 
-    columns = _run_trials(n_trials, p * n, trial)
     reports = []
-    for s, err_naive, err_js in zip(specs, columns[::2], columns[1::2]):
+    for s, (err_naive, err_js) in zip(specs, _score_grid(specs, noise, (p, n), n_trials, seed, score)):
         config = {
             "model": "gamma",
             "p": p,
@@ -318,19 +313,14 @@ def mc_key_inequality(
     p = thetas.shape[1]
     if p < 3:
         raise InvalidInputError("need p >= 3")
-    rng = CounterRng(seed)
 
-    def trial(lo, hi):
-        unit, y = _draws(rng, noise, lo, hi, (p,))
-        columns = []
-        for t in thetas:
-            z = t + unit
-            z += y
-            columns.append((2.0 * np.einsum("ij,j->i", z, t) + p - 2) / np.einsum("ij,ij->i", z, z))
-        return columns
+    def score(t, unit, y):
+        z = t + unit
+        z += y
+        return ((2.0 * np.einsum("ij,j->i", z, t) + p - 2) / np.einsum("ij,ij->i", z, z),)
 
     results = []
-    for vals in _run_trials(n_trials, p, trial):
+    for (vals,) in _score_grid(thetas, noise, (p,), n_trials, seed, score):
         est, se = _mean_se(vals)
         results.append((est, se, est + k * se < 2.0))
     return results

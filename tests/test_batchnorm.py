@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steinbn.batchnorm import (
@@ -227,39 +227,30 @@ class TestBackward:
         )
         x_arr = rng.normal(size=(2, 4, 3, 3))
         g = rng.normal(size=(2, 4, 3, 3))
-        _, cache = bn_forward(layer, x_arr)
-        gin, _, _ = bn_backward(layer, cache, g)
-
-        step = 1e-5
-        fd = np.zeros_like(x_arr)
-        it = np.nditer(x_arr, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            plus, minus = x_arr.copy(), x_arr.copy()
-            plus[idx] += step
-            minus[idx] -= step
-            lp = float((g * frozen_forward(plus, layer, cache)).sum())
-            lm = float((g * frozen_forward(minus, layer, cache)).sum())
-            fd[idx] = (lp - lm) / (2 * step)
-            it.iternext()
-        denom = max(np.abs(fd).max(), 1e-8)
-        assert np.abs(gin - fd).max() / denom < 1e-6
+        assert self.fd_gradient_error(layer, x_arr, g) < 1e-6
 
     @staticmethod
     def fd_gradient_error(layer, x_arr, g):
-        """Max relative gap between the analytic input gradient and central
-        differences of the frozen-correction forward."""
+        """Max relative gap between the analytic input gradient and
+        Richardson-extrapolated central differences, (4 D(h/2) - D(h)) / 3,
+        of the frozen-correction forward. A plain central difference's
+        truncation error grows as h**2; at h = 1e-5 it read 3.0e-6 on a Lasso
+        channel left with a corrected variance of 8.4e-4."""
         _, cache = bn_forward(layer, x_arr)
         gin, _, _ = bn_backward(layer, cache, g)
-        step = 1e-5
-        fd = np.zeros_like(x_arr)
-        for idx in np.ndindex(x_arr.shape):
+
+        def central(idx, step):
             plus, minus = x_arr.copy(), x_arr.copy()
             plus[idx] += step
             minus[idx] -= step
             lp = float((g * frozen_forward(plus, layer, cache)).sum())
             lm = float((g * frozen_forward(minus, layer, cache)).sum())
-            fd[idx] = (lp - lm) / (2 * step)
+            return (lp - lm) / (2 * step)
+
+        step = 1e-5
+        fd = np.zeros_like(x_arr)
+        for idx in np.ndindex(x_arr.shape):
+            fd[idx] = (4 * central(idx, step / 2) - central(idx, step)) / 3
         return np.abs(gin - fd).max() / max(np.abs(fd).max(), 1e-8)
 
     @given(
@@ -270,6 +261,8 @@ class TestBackward:
         mode=st.sampled_from(["train", "eval"]),
         seed=st.integers(0, 2**31),
     )
+    # a plain central difference read 3.0e-6 here, from its truncation error
+    @example(variant="lasso", c=4, const_channel=False, spread=22.25, mode="train", seed=29426)
     @settings(max_examples=60, deadline=None)
     def test_finite_difference_on_degenerate_batches(
         self, variant, c, const_channel, spread, mode, seed

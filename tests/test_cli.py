@@ -718,6 +718,9 @@ class TestTrainEvalReport:
             # with exit 0
             (RESULTS_HEADER + "\nstein,32,0,1,bogus metric,60,3\nstein,32,0,2,bogus metric,70,3\n",
              "line 2: metric 'bogus metric' is not one of 'accuracy'"),
+            # the last of two value columns was read: this row counted as 90.0
+            ("# a comment\n" + RESULTS_HEADER + ",value\nstein,32,0,1,accuracy,50,3,90\n",
+             "line 2: results header names column value twice"),
         ],
     )
     def test_report_malformed_csv_exit_1(self, tmp_path, capsys, text, message):

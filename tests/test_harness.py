@@ -348,6 +348,26 @@ class TestCheckpointFormat:
             with pytest.raises(InvalidInputError, match=field):
                 load_arrays(cut)
 
+    def test_repeated_array_name_refused(self, tmp_path):
+        # a blob holding a = 1.0, then a = 2.0 read as {'a': array([2.])}; a
+        # checkpoint whose sidecar matches passes its CRC, so Checkpoint.load read it too
+        def append(path, name):
+            path.write_bytes(path.read_bytes() + save_arrays(tmp_path / "tail", {name: np.array([2.0])})[4:])
+
+        blob = tmp_path / "a.ckpt"
+        save_arrays(blob, {"a": np.array([1.0])})
+        append(blob, "a")
+        ckpt = tmp_path / "model.ckpt"
+        train_model(ExperimentConfig(**{**FAST, "max_epochs": 0}), seed=1).save(ckpt)
+        append(ckpt, "layer0.w")
+        sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+        sidecar[harness.CHECKPOINT_DIGEST_KEY] = harness._crc32(ckpt.read_bytes())
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        for load, path, name in ((load_arrays, blob, "a"), (Checkpoint.load, ckpt, "layer0.w")):
+            with pytest.raises(InvalidInputError, match=f"^corrupt checkpoint {re.escape(str(path))}: "
+                                                        f"array '{name}' at offset [0-9]+ appears twice$"):
+                load(path)
+
     @pytest.mark.parametrize("failing_write", [1, 2])
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, failing_write):
         cfg = ExperimentConfig(**{**FAST, "max_epochs": 0})

@@ -133,3 +133,30 @@ def test_no_public_method_only_tests_call():
     defs = {p.name: ast.parse(p.read_text()) for p in Path(steinbn.__file__).parent.glob("*.py")}
     callers = [*defs.values(), *(ast.parse(p.read_text()) for p in bench.glob("*.py"))]
     assert _test_only_public_methods(defs, callers) == []
+
+
+def _reads_outside(trees: dict[str, ast.Module], names: set[str], owner: str) -> list[str]:
+    """Reads of ``names``, as a name, an attribute or an import, outside every
+    function called ``owner``."""
+    inside = {id(node) for tree in trees.values() for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == owner for node in ast.walk(fn)}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if id(node) in inside or isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
+            field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            if field and getattr(node, field) in names:
+                found.append(f"{module} line {node.lineno}: {getattr(node, field)}")
+    return found
+
+
+def test_clean_and_noise_draws_are_read_only_by_the_grid_scorer():
+    # Theorems 1 and 2 and the key inequality draw through risk._score_grid;
+    # a new check on those draws adds a score to it, not another draw loop
+    trees = {p.name: ast.parse(p.read_text()) for p in Path(steinbn.__file__).parent.glob("*.py")}
+    tags = {"_TAG_CLEAN", "_TAG_NOISE"}
+    assert _reads_outside(trees, tags, "_score_grid") == []
+    (grid,) = [fn for fn in ast.walk(trees["risk.py"])
+               if isinstance(fn, ast.FunctionDef) and fn.name == "_score_grid"]
+    assert {node.id for node in ast.walk(grid) if isinstance(node, ast.Name)} >= tags
