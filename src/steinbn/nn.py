@@ -8,10 +8,11 @@ Activations travel as (N, C, H, W) float64 arrays, through the BN core too;
 only a dataset's images are validated (see ``tensor``). Dense and Conv3x3
 (via an im2col matrix) do their arithmetic as BLAS matrix products; Conv3x3
 moves its data around those products with numpy gathers and one ordered
-scatter. It builds its forward's im2col matrix, and its backward's input
-gradient, a block of samples at a time, and an eval-mode ``Sequential``
-runs a batch through its layers a block of samples at a time, so inference
-holds the activations of one block, not of the whole batch.
+scatter. Its forward builds the im2col matrix of its whole input, and its
+backward the input gradient a block of samples at a time. An eval-mode
+``Sequential`` runs a batch through its layers a block of samples at a time,
+so inference holds the activations and columns of one block, not of the
+whole batch.
 
 A model's state is each layer's ``state_arrays()``: its parameters, then
 (for BN) its running statistics. A layer names them once, in the class
@@ -124,21 +125,13 @@ class Dense(Layer):
         return (g @ self.w.T).reshape(x.shape)
 
 
-# floats of im2col columns a Conv3x3 forward builds at a time
-_COL_BLOCK = 1 << 17
-
-# entries of the column gradient a Conv3x3 backward folds at a time, a quarter
-# of the forward's block: the cached scatter targets of one fold block are as
-# many int64s (256 KB), and a fold's temporaries stay as small
+# entries of the column gradient a Conv3x3 backward folds at a time: the
+# cached scatter targets of one fold block are as many int64s (256 KB), and a
+# fold's temporaries stay as small
 _FOLD_BLOCK = 1 << 15
 
 # floats of input an eval-mode Sequential runs through its layers at a time
 _EVAL_BLOCK = 1 << 13
-
-
-def _block_samples(budget: int, c: int, h: int, w: int) -> int:
-    """Samples of (c, h, w) whose columns fit in budget floats, at least one."""
-    return max(1, budget // (c * 9 * h * w))
 
 
 @functools.lru_cache(maxsize=16)
@@ -192,21 +185,20 @@ class Conv3x3(Layer):
     taps in increasing k from +0.0, as nine strided adds would, so the
     result is bit-identical to theirs.
 
-    No columns outlive a forward. In either mode it builds them for a block
-    of samples at a time, at most ``_COL_BLOCK`` floats or one sample's, and
-    multiplies each block into its rows of one preallocated output; each
-    sample's product is the same GEMM in any block, so the output is
-    bit-identical to that of one whole-batch block. A train-mode forward
-    keeps its input instead, nine times smaller than its columns, and the
-    backward gathers the columns of the whole batch from it once, already
-    in the (in*9, N*H*W) layout of the weight-gradient GEMM
-    (``_channel_cols``, through the cached ``_plane_tap_index``). It lets go
-    of the input once the columns are gathered, before that GEMM, and drops
-    the columns before the input gradient. That gradient is built a block of
-    samples at a time too, at most ``_FOLD_BLOCK`` column-gradient entries or
-    one sample's: each block's ``w.T @ grad[n]`` is folded into its rows of
-    one preallocated padded gradient. Samples share no padded cells, so the
-    result is bit-identical to one whole-batch fold. The layer holds no
+    No columns outlive a forward, which builds those of its whole input in
+    one piece; inference bounds them through an eval-mode ``Sequential``,
+    which runs a block of samples at a time, and each sample's product is
+    the same GEMM in any batch. A train-mode forward keeps its input, nine
+    times smaller than its columns, and the backward gathers the columns of
+    the whole batch from it once, already in the (in*9, N*H*W) layout of the
+    weight-gradient GEMM (``_channel_cols``, through the cached
+    ``_plane_tap_index``). It lets go of the input once the columns are
+    gathered, before that GEMM, and drops the columns before the input
+    gradient. That gradient is built a block of samples at a time, at most
+    ``_FOLD_BLOCK`` column-gradient entries or one sample's: each block's
+    ``w.T @ grad[n]`` is folded into its rows of one preallocated padded
+    gradient. Samples share no padded cells, so the result is bit-identical
+    to one whole-batch fold. The layer holds no
     scatter targets: those of one block, shaped by (block, in, H, W), live
     in the module's cache ``_fold_targets``, and a shorter last block folds
     with their prefix.
@@ -239,12 +231,9 @@ class Conv3x3(Layer):
         return padded.reshape(c, -1).take(_plane_tap_index(n, h, w), axis=1).reshape(c * 9, n * h * w)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+        n, _, h, w = x.shape
         self._keep(x)
-        block = _block_samples(_COL_BLOCK, c, h, w)
-        out = np.empty((n, self.w.shape[0], h * w))
-        for lo in range(0, n, block):
-            np.matmul(self.w, self._im2col(x[lo : lo + block]), out=out[lo : lo + block])
+        out = np.matmul(self.w, self._im2col(x))
         out += self.b[:, None]
         return out.reshape(n, -1, h, w)
 
@@ -268,7 +257,7 @@ class Conv3x3(Layer):
         if not input_grad:
             return None
         # w.T @ g and its fold onto the padded grid, a block of samples at a time
-        block = min(n, _block_samples(_FOLD_BLOCK, c, h, w))
+        block = min(n, max(1, _FOLD_BLOCK // (c * 9 * h * w)))
         targets = _fold_targets(block, c, h, w)
         cells = c * (h + 2) * (w + 2)  # of one padded sample
         dx = np.empty((n, cells))

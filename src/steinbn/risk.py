@@ -17,6 +17,10 @@ cuts the trials into blocks of about ``_BLOCK`` draws, so a block's memory
 does not grow with the trial count or with the draws per trial. A trial's
 values depend only on its own counter-stream entries and every reduction runs
 over the full per-trial columns, so results do not depend on the block size.
+Draws and scores run with numpy's floating-point warnings off; a check whose
+draws overflow float64 is refused where it reports, as a mean or standard
+error that is not finite (``_finite``), or, for the key inequality, an
+infinite Z'Z.
 
 Each check takes a grid of the one parameter that does not enter its draws
 (theta vectors for Theorem 1 and the key inequality, specs that differ only
@@ -76,9 +80,19 @@ class RiskReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
+def _finite(*values: float) -> tuple[float, ...]:
+    """values, refused unless every one is finite: a NaN or infinite mean or
+    standard error comes from values that overflowed float64."""
+    if not all(map(math.isfinite, values)):
+        shown = ", ".join(map(str, values))
+        raise InvalidInputError(f"a Monte Carlo mean or standard error is not finite ({shown}): "
+                                "the checked values overflow float64")
+    return values
+
+
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    n = x.size
-    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(n))
+    with np.errstate(all="ignore"):
+        return _finite(float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size)))
 
 
 def _verdict(diff: np.ndarray, k: float) -> tuple[str, float]:
@@ -107,7 +121,8 @@ def _run_trials(n_trials: int, draws_per_trial: int, trial) -> list[np.ndarray]:
     columns = None
     for lo in range(0, n_trials, block):
         hi = min(lo + block, n_trials)
-        values = trial(lo, hi)
+        with np.errstate(all="ignore"):
+            values = trial(lo, hi)
         if columns is None:
             columns = [np.empty(n_trials) for _ in values]
         for column, v in zip(columns, values):
@@ -189,6 +204,8 @@ def mc_risk_gaussian(
     # sigma**2 would lose a negative sign, and at sigma = 0 James-Stein is the MLE
     if not (is_real(sigma) and 0 < sigma < math.inf):
         raise InvalidInputError(f"sigma must be a finite number > 0, got {sigma!r}")
+    if sigma >= 2.0**512:  # the least float whose square overflows
+        raise InvalidInputError(f"sigma={sigma:g} squared overflows float64")
     thetas = _thetas(theta, sigma)
     p = thetas.shape[1]
 
@@ -317,7 +334,10 @@ def mc_key_inequality(
     def score(t, unit, y):
         z = t + unit
         z += y
-        return ((2.0 * np.einsum("ij,j->i", z, t) + p - 2) / np.einsum("ij,ij->i", z, z),)
+        zz = np.einsum("ij,ij->i", z, z)
+        if not np.all(np.isfinite(zz)):  # every ratio would read 0 or NaN
+            raise InvalidInputError("Z'Z overflows float64: the draws are too large to check")
+        return ((2.0 * np.einsum("ij,j->i", z, t) + p - 2) / zz,)
 
     results = []
     for (vals,) in _score_grid(thetas, noise, (p,), n_trials, seed, score):
@@ -375,11 +395,12 @@ def mc_stein_gamma_lemma(
     results = []
     for name in names:
         fn, x_dfn, _ = STEIN_CATALOG[name]
-        lhs = x - alpha * beta
-        lhs *= fn(x)
-        rhs = beta * x_dfn(x)
-        means = float(lhs.mean()), float(rhs.mean())
-        gap_mean, gap_se = _mean_se(np.subtract(lhs, rhs, out=rhs))
+        with np.errstate(all="ignore"):
+            lhs = x - alpha * beta
+            lhs *= fn(x)
+            rhs = beta * x_dfn(x)
+            means = _finite(float(lhs.mean()), float(rhs.mean()))
+            gap_mean, gap_se = _mean_se(np.subtract(lhs, rhs, out=rhs))
         gap_in_se = gap_mean / gap_se if gap_se > 0 else 0.0
         results.append((*means, float(gap_in_se)))
     return results

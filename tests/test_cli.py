@@ -353,6 +353,27 @@ class TestRisk:
         assert capsys.readouterr().err.startswith("error: theta's entry ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lemma", "--alpha", "1e300", "--beta", "1e300", "--h", "square"], "a Monte Carlo mean"),
+            (["gaussian", "--p", "8", "--theta-norm", "1", "--sigma", "1e150"], "a Monte Carlo mean"),
+            (["gaussian", "--p", "8", "--theta-norm", "1", "--sigma", "1e200"], "sigma=1e+200 squared overflows"),
+            (["gamma", "--p", "3", "--n", "5", "--eps", "1e308"], "a Monte Carlo mean"),
+            (["inequality", "--p", "8", "--theta-norm", "1", "--eps", "1e308"], "Z'Z overflows float64"),
+        ],
+        ids=["lemma", "gaussian-se", "gaussian-sigma", "gamma", "inequality"],
+    )
+    def test_overflowed_draws_exit_1_writes_nothing(self, tmp_path, capsys, argv, message):
+        # draws that overflow float64: the lemma wrote lhs NaN, rhs inf and
+        # holds true, Theorem 1 an Inconclusive verdict on risks of se inf (at
+        # sigma 1e200 a traceback from sigma**2), Theorem 2 NaN risks, and the
+        # inequality, whose Z'Z read inf, an estimate and se of 0 that held
+        out = tmp_path / "r.json"
+        assert run_cli(["risk", *argv, "--trials", "100", "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("mu, sigmas, code", [("1e15", "1", 1), ("1e17", "1", 1), ("1e15", "2e5", 0)])
     def test_mu_too_large_for_the_draws_refused(self, tmp_path, capsys, mu, sigmas, code):
         # mu + draw rounds the draws: at 1e15 to steps of 0.125, where the report

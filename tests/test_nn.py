@@ -172,20 +172,19 @@ def _column_path_backward(w, x, grad):
 def test_conv_backward_from_its_input_equals_the_column_path(n, c, h, w, o, per_block, seed):
     # the backward gathers its columns from the kept input; its gradients
     # equal those of a layer that kept the forward's columns, byte for byte,
-    # and a train forward cut into column blocks equals one whole-batch block.
-    # The backward folds its input gradient in blocks of per_block samples
-    # too, the last one shorter when per_block does not divide n
+    # and each sample's forward output is its own forward's, whatever the
+    # batch. The backward folds its input gradient in blocks of per_block
+    # samples, the last one shorter when per_block does not divide n
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c, h, w)) * (rng.random((n, c, h, w)) < 0.7)  # +0.0 and -0.0
     grad = rng.normal(size=(n, o, h, w)) * (rng.random((n, o, h, w)) < 0.7)
     layer = Conv3x3(c, o, CounterRng(seed), 22)
     layer.b[:] = rng.normal(size=o)
+    per_sample = np.concatenate([layer.forward(x[i : i + 1]) for i in range(n)])
     whole = layer.forward(x)
-    budget = per_block * c * 9 * h * w
-    with mock.patch.object(nn, "_COL_BLOCK", budget), mock.patch.object(nn, "_FOLD_BLOCK", budget):
-        blocked = layer.forward(x)
+    with mock.patch.object(nn, "_FOLD_BLOCK", per_block * c * 9 * h * w):
         dx = layer.backward(grad)
-    assert blocked.tobytes() == whole.tobytes()
+    assert whole.tobytes() == per_sample.tobytes()
     want_dw, want_db, want_dx = _column_path_backward(layer.w, x, grad)
     assert layer.dw.tobytes() == want_dw.tobytes()
     assert layer.db.tobytes() == want_db.tobytes()
@@ -422,21 +421,19 @@ def test_backward_needs_a_train_mode_forward(make):
         layer.backward(np.ones(y.shape))
 
 
-def test_eval_forward_in_column_blocks_equals_whole_and_per_sample_forwards():
-    # conv #2 of TinyCNN at hw=8 takes 28 samples per column block, so a batch
-    # of 60 runs as blocks of 28, 28 and 4
+def test_conv_eval_forward_equals_train_and_per_sample_forwards():
+    # conv #2 of TinyCNN at hw=8: a forward builds the columns of its whole
+    # input in either mode, and each sample's product is the same GEMM in any
+    # batch, so an eval Sequential's sample blocks move no bit
     n, c, hw = 60, 8, 8
-    assert n % (nn._COL_BLOCK // (c * 9 * hw * hw)) != 0
     layer = Conv3x3(c, 16, CounterRng(2), 22)
     layer.b[:] = np.linspace(-1.0, 1.0, 16)
     x = np.random.default_rng(6).normal(size=(n, c, hw, hw))
-    # train mode builds its columns in the same blocks; the single-block
-    # comparison is in test_conv_backward_from_its_input_equals_the_column_path
-    whole = layer.forward(x)
-    blocked = layer.eval().forward(x)
-    assert blocked.tobytes() == whole.tobytes()
+    train = layer.forward(x)
+    whole = layer.eval().forward(x)
+    assert whole.tobytes() == train.tobytes()
     per_sample = np.concatenate([layer.forward(x[i : i + 1]) for i in range(n)])
-    assert blocked.tobytes() == per_sample.tobytes()
+    assert whole.tobytes() == per_sample.tobytes()
 
 
 def _eval_model(build, dims, variant, seed):
@@ -508,21 +505,23 @@ def test_eval_forward_runs_blocks_of_two_or_more_samples(budget, n, blocks):
     assert out.tobytes() == _whole_batch_forward(model, x).tobytes()
 
 
-def test_eval_forward_memory_is_bounded_by_activations_and_a_column_block():
+def test_eval_forward_memory_is_bounded_by_activations_and_a_block_of_columns():
     # an eval forward runs blocks of at most _EVAL_BLOCK floats of input (42
     # samples here) plus one sample, so its peak does not grow with the split:
     # one bound holds at 256 and 1024 samples. A block's widest activation
     # (conv #2's output, 16 * hw * hw floats a sample) is live about
     # twice at once: BN's input and the centred copy that becomes its output,
     # or ReLU's input, mask and output; the bound allows three copies. The
-    # columns add at most a column block and its padded input, and the logits
-    # (32 KB at 1024 samples) fit in what is left. A whole-batch forward of
-    # 256 samples peaked at 4.3 MiB, 1.4 times this bound
+    # columns add conv #2's columns of one block and its padded input (1.86
+    # MB), and the logits (32 KB at 1024 samples) fit in what is left. A
+    # whole-batch forward of 256 samples peaked at 4.3 MiB, 1.5 times this
+    # bound
     hw = 8
     model = build_tiny_cnn((3, hw, hw), 4, BNVariant.STEIN, CounterRng(5))
     model.eval()
-    widest = 8 * (nn._EVAL_BLOCK // (3 * hw * hw) + 1) * 16 * hw * hw
-    bound = 3 * widest + 2 * 8 * nn._COL_BLOCK
+    block = nn._EVAL_BLOCK // (3 * hw * hw) + 1
+    widest = 8 * block * 16 * hw * hw
+    bound = 3 * widest + 8 * block * 8 * (9 * hw * hw + (hw + 2) ** 2)
     for n in (256, 1024):
         x = np.random.default_rng(1).normal(size=(n, 3, hw, hw))
         model.forward(x[:2])  # first-call caches are not the forward's
@@ -541,7 +540,7 @@ def test_train_step_and_validation_memory_hold_inputs_not_columns():
     # input. Tracing runs from before a first step, so whatever a layer holds
     # across steps counts. A train forward keeps the input, the backward
     # gathers the columns once (no transposed copy), drops them before the
-    # input gradient and folds that gradient a column block at a time, and
+    # input gradient and folds that gradient a block of samples at a time, and
     # each layer's backward takes and releases its state, so the validation
     # pass after a step starts clean and runs a block of samples at a time.
     # The peaks were 4.0 MiB (backward) and 1.7 MiB (validation); each bound
@@ -584,3 +583,31 @@ def test_train_step_and_validation_memory_hold_inputs_not_columns():
         tracemalloc.stop()
     assert backward <= 4.4 * mib, f"backward peak {backward / mib:.1f} MiB"
     assert validation <= 2.1 * mib, f"validation peak {validation / mib:.1f} MiB"
+
+
+@pytest.mark.parametrize("batch", [32, 64, 128])
+def test_train_forward_memory_stays_within_the_backward(batch):
+    # a train forward builds the columns of its whole batch, and so does the
+    # backward's gather, which runs with the kept activations still live:
+    # the forward's peak never sets a training step's. At hw=8 the forward
+    # peaked at 1.6, 3.3 and 6.6 MiB against the backward's 2.0, 4.0 and 7.9
+    hw = 8
+    rng = np.random.default_rng(1)
+    x, labels = rng.normal(size=(batch, 3, hw, hw)), rng.integers(0, 4, batch)
+    warm = build_tiny_cnn((3, hw, hw), 4, BNVariant.STEIN, CounterRng(4))
+    warm.backward(softmax_cross_entropy(warm.forward(x), labels)[1])  # first-call caches
+    model = build_tiny_cnn((3, hw, hw), 4, BNVariant.STEIN, CounterRng(5))
+    tracemalloc.start()
+    try:
+        logits = model.forward(x)
+        forward = tracemalloc.get_traced_memory()[1]
+        grad = softmax_cross_entropy(logits, labels)[1]
+        del logits
+        tracemalloc.reset_peak()
+        model.backward(grad)
+        del grad
+        backward = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mib = 2**20
+    assert forward <= backward, f"forward peak {forward / mib:.2f} MiB > backward's {backward / mib:.2f} MiB"

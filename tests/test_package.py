@@ -83,28 +83,46 @@ def test_no_unread_parameter(path):
     assert _unread_parameters(ast.parse(path.read_text())) == []
 
 
+def _module_constants(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each name a module's top level assigns."""
+    found = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
 def _orphaned_private_defs(trees: dict[str, ast.Module]) -> list[str]:
-    """Private functions, methods and classes (dunders aside) that no name,
-    attribute or import in any of the modules refers to."""
+    """Private functions, methods, classes and module constants (dunders
+    aside) that no read of a name, attribute or import in any of the
+    modules refers to."""
     defs, used = [], set()
     for module, tree in trees.items():
+        defs += [(module, line, name) for line, name in _module_constants(tree)]
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defs.append((module, node.lineno, node.name))
-            elif isinstance(node, ast.Name):
+                defs.append((module, node.lineno, node.name))
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name.split(".")[-1])
-    return [f"{module} line {line}: {name}" for module, line, name in defs if name not in used]
+    return [f"{module} line {line}: {name}" for module, line, name in defs
+            if name.startswith("_") and not name.endswith("__") and name not in used]
 
 
 def test_no_orphaned_private_helper():
-    # a deletion can leave behind a helper that nothing calls any more
+    # a deletion can leave behind a helper that nothing calls, or a private
+    # constant that nothing reads, any more
     paths = Path(steinbn.__file__).parent.glob("*.py")
     assert _orphaned_private_defs({p.name: ast.parse(p.read_text()) for p in paths}) == []
+
+
+def test_orphan_check_sees_a_private_constant_nothing_reads():
+    # the check reads a constant's own assignment as no use of it
+    tree = ast.parse("_READ = 1\n_UNREAD: int = 2\n__all__ = []\nprint(_READ)\n")
+    assert _orphaned_private_defs({"m.py": tree}) == ["m.py line 2: _UNREAD"]
 
 
 def _test_only_public_methods(defs: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
